@@ -135,10 +135,17 @@ def closed_form_quadratic_minimizer(fs, budget):
         point = Allocation(np.array([budget]), budget)
         return MinimizerResult(point, float(fs[0].gradient(budget)), "closed_form")
     theta, mu = _roster_arrays(fs)
-    inv = 1.0 / theta
-    t = (budget - mu.sum()) / inv.sum()
-    x = mu + t * inv
+    x, t = _quadratic_point(mu, 1.0 / theta, budget)
     return MinimizerResult(Allocation(x, budget), 2.0 * t, "closed_form")
+
+
+def _quadratic_point(mu, inv_theta, budget):
+    """``(x, t)`` of the closed form for rosters laid out on the last axis.
+
+    Shared with the batch simulator, which keeps the two bit-identical.
+    """
+    t = (budget - mu.sum(axis=-1)) / inv_theta.sum(axis=-1)
+    return mu + t[..., None] * inv_theta, t
 
 
 def _inverse_gradient(f, nu, tol, max_iterations=200):

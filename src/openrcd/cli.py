@@ -284,10 +284,23 @@ def _float_list(raw, key):
     return values
 
 
+def _finite(key, value, at_least=None):
+    """Return ``value`` if it is finite and not below ``at_least``."""
+    if math.isfinite(value) and (at_least is None or value >= at_least):
+        return value
+    need = "a finite number" if at_least is None else f"a finite number >= {at_least:g}"
+    raise ConfigError(key, f"need {need}, got {value!r}")
+
+
 def cmd_bounds(args):
+    if args.n < 2:
+        raise ConfigError("n", f"need an integer >= 2, got {args.n}")
     pu_values = _float_list(args.pu, "pu")
-    if args.kappa < 1.0:
-        raise ConfigError("kappa", f"need kappa >= 1, got {args.kappa}")
+    for pu in pu_values:
+        if not 0.0 <= pu <= 1.0:
+            raise ConfigError("pu", f"need probabilities in [0, 1], got {pu!r}")
+    _finite("kappa", args.kappa, 1.0)
+    _finite("b", args.b)
     header = (
         "p_U",
         "stable",
@@ -335,11 +348,21 @@ def cmd_worstcase(args):
     preset = WORSTCASE_PRESETS.get(args.preset) if args.preset else None
     if args.preset and preset is None:
         raise ConfigError("preset", f"unknown preset {args.preset!r}")
-    n_values = _parse_range(args.n) if args.n else range(preset["n_lo"], preset["n_hi"] + 1)
-    kappas = _float_list(args.kappa, "kappa") if args.kappa else list(preset["kappas"])
-    b = args.b if args.b is not None else (preset["b"] if preset else None)
-    if b is None:
-        raise ConfigError("b", "need --b BUDGET or a preset")
+    if preset is None:
+        for key in ("n", "kappa", "b"):
+            if getattr(args, key) is None:
+                raise ConfigError(key, f"need --{key} or a preset")
+    if args.n is not None:
+        n_values = _parse_range(args.n)
+    else:
+        n_values = range(preset["n_lo"], preset["n_hi"] + 1)
+    if args.kappa is not None:
+        kappas = _float_list(args.kappa, "kappa")
+    else:
+        kappas = list(preset["kappas"])
+    for kappa in kappas:
+        _finite("kappa", kappa, 1.0)
+    b = _finite("b", args.b if args.b is not None else preset["b"])
     budget = args.budget if args.budget is not None else (
         preset["budget"] if preset else 64
     )

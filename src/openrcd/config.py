@@ -19,7 +19,9 @@ Every validation failure raises :class:`ConfigError` carrying the
 offending key, which the CLI maps to exit status 2.
 """
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .functions import ConvexityCertificate
 
@@ -63,24 +65,24 @@ class ExperimentConfig:
     function_family: str = "quadratic"
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ConfigError("n", f"need an integer >= 2, got {self.n!r}")
-        if not self.alpha > 0.0:
-            raise ConfigError("alpha", f"need alpha > 0, got {self.alpha!r}")
-        if self.beta < self.alpha:
-            raise ConfigError("beta", f"need beta >= alpha={self.alpha}, got {self.beta!r}")
+        self._integer("n", 2)
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ConfigError("alpha", f"need a finite alpha > 0, got {self.alpha!r}")
+        if not (math.isfinite(self.beta) and self.beta >= self.alpha):
+            raise ConfigError(
+                "beta", f"need a finite beta >= alpha={self.alpha}, got {self.beta!r}"
+            )
+        if not math.isfinite(self.budget):
+            raise ConfigError("b", f"need a finite budget, got {self.budget!r}")
         if not (0.0 <= self.p_update <= 1.0):
             raise ConfigError("p_U", f"need a probability in [0, 1], got {self.p_update!r}")
         if self.h is None:
             object.__setattr__(self, "h", 1.0 / self.beta)
         if not (0.0 < self.h <= 1.0 / self.beta):
             raise ConfigError("h", f"need 0 < h <= 1/beta={1.0 / self.beta}, got {self.h!r}")
-        if not isinstance(self.horizon, int) or self.horizon < 0:
-            raise ConfigError("horizon", f"need an integer >= 0, got {self.horizon!r}")
-        if not isinstance(self.replications, int) or self.replications < 1:
-            raise ConfigError("replications", f"need an integer >= 1, got {self.replications!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed", f"need an integer, got {self.seed!r}")
+        self._integer("horizon", 0)
+        self._integer("replications", 1)
+        self._integer("seed")
         if isinstance(self.initial_state, str):
             if self.initial_state not in _INITIAL_STATE_NAMES:
                 raise ConfigError(
@@ -104,6 +106,19 @@ class ExperimentConfig:
             raise ConfigError(
                 "function_family", f"{self.function_family!r} is not one of {_FAMILIES}"
             )
+
+    def _integer(self, key, lowest=None):
+        """Check that field ``key`` is an integer (numpy ones too, bool
+        not) no smaller than ``lowest``, and store it as a Python int."""
+        value = getattr(self, key)
+        if (
+            not isinstance(value, Integral)
+            or isinstance(value, bool)
+            or (lowest is not None and value < lowest)
+        ):
+            need = "an integer" if lowest is None else f"an integer >= {lowest}"
+            raise ConfigError(key, f"need {need}, got {value!r}")
+        object.__setattr__(self, key, int(value))
 
     @property
     def kappa(self):

@@ -259,6 +259,16 @@ def logcosh_quantiles(certificate, u_theta, u_mu):
     return theta, mu, weight
 
 
+def _cost_from_uniforms(family, certificate, u_theta, u_mu):
+    """Replacement cost from its two uniforms; any family but
+    ``"quadratic"`` means log-cosh.  Shared with the simulator's step."""
+    if family == "quadratic":
+        theta, mu = quadratic_quantiles(certificate, u_theta, u_mu)
+        return QuadraticFunction(float(theta), float(mu), certificate)
+    theta, mu, weight = logcosh_quantiles(certificate, u_theta, u_mu)
+    return LogCoshQuadratic(float(theta), float(mu), float(weight), certificate)
+
+
 def sample_replacement(rng, certificate):
     """Draw a fresh quadratic cost from the replacement distribution.
 
@@ -275,15 +285,13 @@ def sample_replacement(rng, certificate):
     QuadraticFunction
     """
     u = rng.random(2)
-    theta, mu = quadratic_quantiles(certificate, u[0], u[1])
-    return QuadraticFunction(float(theta), float(mu), certificate)
+    return _cost_from_uniforms("quadratic", certificate, u[0], u[1])
 
 
 def sample_logcosh_replacement(rng, certificate):
     """Draw a fresh log-cosh cost; same two-uniform budget as the quadratic."""
     u = rng.random(2)
-    theta, mu, weight = logcosh_quantiles(certificate, u[0], u[1])
-    return LogCoshQuadratic(float(theta), float(mu), float(weight), certificate)
+    return _cost_from_uniforms("logcosh_quadratic", certificate, u[0], u[1])
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ simulating all replications of a quadratic-family experiment in
 lockstep with vectorized arithmetic that is operation-for-operation
 identical to the scalar path.
 
-The environment variable ``OPENRCD_THREADS`` caps how many replication
-batches run concurrently (0 or unset = auto); results are independent
-of the thread count by construction.
+Large rosters (``n >= _POOL_MIN_AGENTS``) spread their replication
+batches over a thread pool; smaller ones run on one thread, where the
+pool measured slower.  The choice is automatic and never changes
+results, because batches are merged in a fixed order.
 """
 
 import math
@@ -31,18 +32,11 @@ import numpy as np
 
 from .allocation import (
     Allocation,
+    _quadratic_point,
     closed_form_quadratic_minimizer,
     dual_bisection_minimizer,
 )
-from .functions import (
-    CostFunction,
-    LogCoshQuadratic,
-    QuadraticFunction,
-    logcosh_quantiles,
-    quadratic_quantiles,
-    sample_logcosh_replacement,
-    sample_replacement,
-)
+from .functions import _cost_from_uniforms, quadratic_quantiles
 from .rcd import PairSelection, StepConfig, complete_graph_edges, rcd_pair_step
 
 __all__ = [
@@ -59,8 +53,15 @@ __all__ = [
 #: two-sided 95% normal quantile used for confidence half-widths
 Z95 = 1.959963984540054
 
-#: replication rows simulated per vectorized batch (memory cap)
+#: replication rows simulated per vectorized batch
 _BATCH_ROWS = 1024
+
+#: steps of random tape drawn at a time per row (memory cap)
+_TAPE_STEPS = 256
+
+#: agent count from which batches run on a thread pool; below it the
+#: per-step numpy calls are too small for threads to beat one thread
+_POOL_MIN_AGENTS = 64
 
 
 @dataclass(frozen=True)
@@ -136,16 +137,19 @@ def _solver_for(family):
     return dual_bisection_minimizer
 
 
-def _sampler_for(family):
-    return sample_replacement if family == "quadratic" else sample_logcosh_replacement
+def _initial_point(config, shape, minimizer):
+    """The configured starting estimates, broadcast to ``shape``.
 
-
-def _function_from_uniforms(family, certificate, u_theta, u_mu):
-    if family == "quadratic":
-        theta, mu = quadratic_quantiles(certificate, u_theta, u_mu)
-        return QuadraticFunction(float(theta), float(mu), certificate)
-    theta, mu, weight = logcosh_quantiles(certificate, u_theta, u_mu)
-    return LogCoshQuadratic(float(theta), float(mu), float(weight), certificate)
+    ``minimizer`` is a zero-argument callable returning the roster's
+    constrained minimizer; it is only called for the ``"minimizer"`` start.
+    """
+    if config.initial_state == "uniform_budget":
+        fill = config.budget / config.n
+    elif config.initial_state == "minimizer":
+        fill = minimizer()
+    else:
+        fill = config.initial_state
+    return np.full(shape, fill, dtype=np.float64)
 
 
 def initial_system_state(config, rng):
@@ -155,15 +159,13 @@ def initial_system_state(config, rng):
     quantiles per agent, in agent order).
     """
     cert = config.certificate
-    sampler = _sampler_for(config.function_family)
-    roster = tuple(sampler(rng, cert) for _ in range(config.n))
-    if config.initial_state == "uniform_budget":
-        x0 = np.full(config.n, config.budget / config.n)
-    elif config.initial_state == "minimizer":
-        solved = _solver_for(config.function_family)(roster, config.budget)
-        x0 = solved.point.values.copy()
-    else:
-        x0 = np.array(config.initial_state, dtype=np.float64)
+    family = config.function_family
+    roster = tuple(
+        _cost_from_uniforms(family, cert, u_theta, u_mu)
+        for u_theta, u_mu in rng.random((config.n, 2))
+    )
+    solve = _solver_for(family)
+    x0 = _initial_point(config, config.n, lambda: solve(roster, config.budget).point.values)
     return SystemState(Allocation(x0, config.budget), roster)
 
 
@@ -208,13 +210,19 @@ def step(state, schedule, rng, step_config=None, family="quadratic",
     if replacement_sampler is not None:
         fresh = replacement_sampler(rng, state.certificate)
     else:
-        fresh = _function_from_uniforms(family, state.certificate, u[3], u[4])
+        fresh = _cost_from_uniforms(family, state.certificate, u[3], u[4])
     roster = state.roster[:agent] + (fresh,) + state.roster[agent + 1:]
     return SystemState(state.allocation, roster), ("replace", agent)
 
 
 def _roster_value(roster, values):
     return math.fsum(f.value(v) for f, v in zip(roster, values))
+
+
+def _squared_distance(a, b):
+    # along the last axis, so both engines measure C_k with one formula
+    d = a - b
+    return (d * d).sum(axis=-1)
 
 
 def run_trajectory(config, seed=None, replacement_sampler=None):
@@ -244,43 +252,31 @@ def run_trajectory(config, seed=None, replacement_sampler=None):
     state = initial_system_state(config, rng)
 
     horizon = config.horizon
-    ks = np.arange(horizon + 1)
     events = ["init"]
     error = np.empty(horizon + 1)
     subopt = np.empty(horizon + 1)
     shift = np.zeros(horizon + 1)
+    xstar = solver(state.roster, config.budget).point.values
 
-    solved = solver(state.roster, config.budget)
-    xstar = solved.point.values
-
-    d = state.allocation.values - xstar
-    error[0] = (d * d).sum()
-    subopt[0] = _roster_value(state.roster, state.allocation.values) - _roster_value(
-        state.roster, xstar
-    )
-
-    for k in range(1, horizon + 1):
-        state, event = step(
-            state,
-            schedule,
-            rng,
-            step_config,
-            family=config.function_family,
-            replacement_sampler=replacement_sampler,
-        )
-        events.append(event[0])
-        if event[0] == "replace":
-            solved = solver(state.roster, config.budget)
-            moved = solved.point.values
-            ds = moved - xstar
-            shift[k] = (ds * ds).sum()
-            xstar = moved
-        d = state.allocation.values - xstar
-        error[k] = (d * d).sum()
-        subopt[k] = _roster_value(state.roster, state.allocation.values) - _roster_value(
-            state.roster, xstar
-        )
-    return TrajectoryRecord(ks, tuple(events), error, subopt, shift, state)
+    for k in range(horizon + 1):
+        if k:
+            state, event = step(
+                state,
+                schedule,
+                rng,
+                step_config,
+                family=config.function_family,
+                replacement_sampler=replacement_sampler,
+            )
+            events.append(event[0])
+            if event[0] == "replace":
+                moved = solver(state.roster, config.budget).point.values
+                shift[k] = _squared_distance(moved, xstar)
+                xstar = moved
+        values = state.allocation.values
+        error[k] = _squared_distance(values, xstar)
+        subopt[k] = _roster_value(state.roster, values) - _roster_value(state.roster, xstar)
+    return TrajectoryRecord(np.arange(horizon + 1), tuple(events), error, subopt, shift, state)
 
 
 @dataclass
@@ -302,28 +298,19 @@ def _simulate_quadratic_batch(config, seeds, collect_update_mask=False):
     n, horizon, budget = config.n, config.horizon, config.budget
     cert = config.certificate
     rows = len(seeds)
-    init_u = np.empty((rows, n, 2))
-    tape = np.empty((rows, horizon, 5))
-    for r, s in enumerate(seeds):
-        g = np.random.default_rng(int(s))
-        init_u[r] = g.random((n, 2))
-        tape[r] = g.random((horizon, 5))
+    gens = [np.random.default_rng(int(s)) for s in seeds]
+    init_u = np.stack([g.random((n, 2)) for g in gens])
+    # the rest of each row's stream is drawn _TAPE_STEPS steps at a time;
+    # consecutive Generator.random calls continue one stream exactly
+    tape = np.empty((rows, min(horizon, _TAPE_STEPS), 5))
 
     theta, mu = quadratic_quantiles(cert, init_u[..., 0], init_u[..., 1])
     inv_theta = 1.0 / theta
-    t = (budget - mu.sum(axis=1)) / inv_theta.sum(axis=1)
-    xstar = mu + t[:, None] * inv_theta
-
-    if config.initial_state == "uniform_budget":
-        x = np.full((rows, n), budget / n)
-    elif config.initial_state == "minimizer":
-        x = xstar.copy()
-    else:
-        x = np.tile(np.array(config.initial_state, dtype=np.float64), (rows, 1))
+    xstar, _ = _quadratic_point(mu, inv_theta, budget)
+    x = _initial_point(config, (rows, n), lambda: xstar)
 
     error = np.empty((rows, horizon + 1))
-    d = x - xstar
-    error[:, 0] = (d * d).sum(axis=1)
+    error[:, 0] = _squared_distance(x, xstar)
 
     ei, ej = complete_graph_edges(n)
     ei = ei.astype(np.intp)
@@ -336,7 +323,12 @@ def _simulate_quadratic_batch(config, seeds, collect_update_mask=False):
     max_shift = 0.0
 
     for k in range(horizon):
-        u = tape[:, k, :]
+        c = k % _TAPE_STEPS
+        if c == 0:
+            steps = min(_TAPE_STEPS, horizon - k)
+            for r, g in enumerate(gens):
+                tape[r, :steps] = g.random((steps, 5))
+        u = tape[:, c, :]
         is_update = u[:, 0] < config.p_update
         if update_mask is not None:
             update_mask[:, k] = is_update
@@ -361,29 +353,14 @@ def _simulate_quadratic_batch(config, seeds, collect_update_mask=False):
             theta[rrows, agents] = theta_new
             inv_theta[rrows, agents] = 1.0 / theta_new
             mu[rrows, agents] = mu_new
-            t = (budget - mu[rrows].sum(axis=1)) / inv_theta[rrows].sum(axis=1)
-            moved = mu[rrows] + t[:, None] * inv_theta[rrows]
-            ds = moved - xstar[rrows]
-            shift = (ds * ds).sum(axis=1)
-            if shift.size:
-                max_shift = max(max_shift, float(shift.max()))
+            moved, _ = _quadratic_point(mu[rrows], inv_theta[rrows], budget)
+            shift = _squared_distance(moved, xstar[rrows])
+            max_shift = max(max_shift, float(shift.max()))
             xstar[rrows] = moved
 
-        d = x - xstar
-        error[:, k + 1] = (d * d).sum(axis=1)
+        error[:, k + 1] = _squared_distance(x, xstar)
 
     return _BatchOutcome(error, x, replacement_count, max_shift, update_mask)
-
-
-def _thread_count():
-    raw = os.environ.get("OPENRCD_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        value = min(8, os.cpu_count() or 1)
-    return value
 
 
 def _batch_seed_ranges(base_seed, replications):
@@ -399,8 +376,10 @@ def run_ensemble(config, replications=None, base_seed=None):
 
     Replication ``r`` is seeded ``base_seed + r`` and reproduces the
     corresponding :func:`run_trajectory` exactly.  Quadratic-family
-    experiments run through the vectorized batch engine (optionally on
-    a thread pool, see ``OPENRCD_THREADS``); batches are merged in
+    experiments run through the vectorized batch engine in batches of
+    ``_BATCH_ROWS`` rows.  From ``_POOL_MIN_AGENTS`` agents up the
+    batches run on a thread pool of ``min(cpu_count, 8, batches)``
+    workers, otherwise on the calling thread; batches are merged in
     deterministic order, so the statistics never depend on scheduling.
 
     Parameters
@@ -425,7 +404,9 @@ def run_ensemble(config, replications=None, base_seed=None):
 
     if config.function_family == "quadratic":
         ranges = _batch_seed_ranges(base_seed, replications)
-        workers = min(_thread_count(), len(ranges))
+        workers = 1
+        if config.n >= _POOL_MIN_AGENTS:
+            workers = min(os.cpu_count() or 1, 8, len(ranges))
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(

@@ -99,6 +99,33 @@ def test_bounds_bad_pu_list_exits_2(capsys):
     assert "pu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["bounds", "--n", "1", "--kappa", "2", "--b", "1", "--pu", "0.9"], "n"),
+        (["bounds", "--n", "5", "--kappa", "2", "--b", "1", "--pu", "1.5"], "pu"),
+        (["bounds", "--n", "5", "--kappa", "2", "--b", "1", "--pu", "nan"], "pu"),
+        (["bounds", "--n", "5", "--kappa", "nan", "--b", "1", "--pu", "0.9"], "kappa"),
+        (["bounds", "--n", "5", "--kappa", "2", "--b", "inf", "--pu", "0.9"], "b"),
+        (["bounds", "--n", "5", "--kappa", "2", "--b", "nan", "--pu", "0.9"], "b"),
+        (["worstcase", "--n", "2:3", "--kappa", "0.5", "--b", "1"], "kappa"),
+        (["worstcase", "--n", "2:3", "--kappa", "nan", "--b", "1"], "kappa"),
+        (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "nan"], "b"),
+        (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "inf"], "b"),
+        (["worstcase", "--kappa", "2", "--b", "1"], "n"),
+        (["worstcase", "--n", "", "--kappa", "2", "--b", "1"], "n"),
+        (["worstcase", "--n", "2:3", "--b", "1"], "kappa"),
+    ],
+)
+def test_bad_numbers_exit_2_naming_the_flag(argv, key, tmp_path, capsys):
+    if argv[0] == "worstcase":
+        argv = argv + ["--budget", "4", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"config key '{key}'" in captured.err
+    assert captured.out == ""
+
+
 def test_worstcase_csv_and_svg(tmp_path):
     out = str(tmp_path / "w")
     code = main([

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from openrcd.config import (
@@ -67,6 +68,16 @@ def test_validation_errors_name_their_key():
         (dict(replications=0), "replications"),
         (dict(initial_state="somewhere"), "initial_state"),
         (dict(function_family="cubic"), "function_family"),
+        (dict(budget=float("nan")), "b"),
+        (dict(budget=float("inf")), "b"),
+        (dict(alpha=float("inf")), "alpha"),
+        (dict(beta=float("nan")), "beta"),
+        (dict(beta=float("inf")), "beta"),
+        (dict(h=float("nan")), "h"),
+        (dict(horizon=True), "horizon"),
+        (dict(seed=False), "seed"),
+        (dict(n=np.int64(1)), "n"),
+        (dict(replications=2.0), "replications"),
     ]
     base = dict(n=5, alpha=1.0, beta=1.2, budget=1.0, p_update=0.95)
     for overrides, key in cases:
@@ -75,6 +86,15 @@ def test_validation_errors_name_their_key():
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(**kwargs)
         assert err.value.key == key, key
+
+
+def test_numpy_integers_are_accepted_as_ints():
+    cfg = ExperimentConfig(
+        n=np.int64(5), alpha=1.0, beta=1.2, budget=1.0, p_update=0.95,
+        horizon=np.int32(10), replications=np.uint16(2), seed=np.int64(7),
+    )
+    assert (cfg.n, cfg.horizon, cfg.replications, cfg.seed) == (5, 10, 2, 7)
+    assert all(type(v) is int for v in (cfg.n, cfg.horizon, cfg.replications, cfg.seed))
 
 
 def test_explicit_initial_state_checked_against_budget():

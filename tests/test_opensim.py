@@ -3,7 +3,13 @@ import pytest
 
 from openrcd.config import ExperimentConfig
 from openrcd.functions import ConvexityCertificate, make_quadratic
+import math
+
+import openrcd.opensim as opensim
 from openrcd.opensim import (
+    Z95,
+    _POOL_MIN_AGENTS,
+    _TAPE_STEPS,
     EventSchedule,
     _simulate_quadratic_batch,
     initial_system_state,
@@ -78,6 +84,12 @@ def test_trajectory_matches_batch_engine_bitwise():
     for cfg, seed in [
         (fig1_config(), 123),
         (fig1_config(n=3, horizon=150, budget=-2.0, p_update=0.8), 7),
+        # past numpy's 8-wide pairwise-sum unroll, over a tape-chunk boundary
+        (fig1_config(n=12, horizon=_TAPE_STEPS + 45, p_update=0.8), 11),
+        (fig1_config(n=_POOL_MIN_AGENTS, horizon=120, p_update=0.9,
+                     initial_state="minimizer"), 5),
+        (fig1_config(n=9, horizon=80, p_update=0.7,
+                     initial_state=(1.0, -0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0)), 3),
     ]:
         rec = run_trajectory(cfg, seed=seed)
         out = _simulate_quadratic_batch(cfg, np.array([seed]))
@@ -149,16 +161,33 @@ def test_mean_error_dominates_conditional_update_mean():
     assert after.mean() < before.mean()
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    cfg = fig1_config(horizon=100)
-    monkeypatch.setenv("OPENRCD_THREADS", "1")
-    a = run_ensemble(cfg, replications=2500, base_seed=3)
-    monkeypatch.setenv("OPENRCD_THREADS", "4")
-    b = run_ensemble(cfg, replications=2500, base_seed=3)
-    assert np.array_equal(a.mean_error, b.mean_error)
-    assert np.array_equal(a.ci_halfwidth, b.ci_halfwidth)
-    assert a.replacement_count == b.replacement_count
-    assert a.max_replacement_shift == b.max_replacement_shift
+def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
+    # three batches on a 4-core machine: the pool runs whatever the host
+    pools = []
+    real_pool = opensim.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(opensim.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(opensim, "_BATCH_ROWS", 40)
+    monkeypatch.setattr(opensim, "ThreadPoolExecutor", recording_pool)
+    cfg = fig1_config(n=_POOL_MIN_AGENTS, horizon=60, p_update=0.9)
+    stats = run_ensemble(cfg, replications=100, base_seed=3)
+    assert pools == [3]
+
+    out = _simulate_quadratic_batch(cfg, np.arange(3, 103))
+    assert np.array_equal(stats.mean_error, out.error.mean(axis=0))
+    assert np.array_equal(
+        stats.ci_halfwidth, Z95 * out.error.std(axis=0, ddof=1) / math.sqrt(100)
+    )
+    assert stats.replacement_count == out.replacement_count
+    assert stats.max_replacement_shift == out.max_replacement_shift
+
+    # below the agent-count threshold the batches stay on one thread
+    run_ensemble(fig1_config(n=_POOL_MIN_AGENTS - 1, horizon=5), replications=100)
+    assert pools == [3]
 
 
 def test_logcosh_family_trajectory_runs():
