@@ -1,10 +1,14 @@
 """Budget-coupled allocations and constrained-minimizer solvers.
 
-The feasible set is the hyperplane ``sum(x) == budget``.  Two solvers
+The feasible set is the hyperplane ``sum(x) == budget``.  Three solvers
 compute the constrained minimizer of a separable roster of costs: a
-closed form valid for quadratic rosters and a dual bisection valid for
-any certified smooth strongly convex roster.  They are kept independent
-on purpose (each is the cross-check of the other).
+closed form valid for quadratic rosters, an equality-constrained Newton
+iteration for log-cosh rosters, and a dual bisection valid for any
+certified smooth strongly convex roster.  The dual bisection is kept
+independent on purpose: it is the reference the other two are checked
+against.  The closed form and the Newton iteration work on rosters laid
+out on the last axis of arrays, so the batch simulator solves many
+rosters in one call with the same arithmetic as a single solve.
 
 Sign convention: ``MinimizerResult.multiplier`` stores the common
 stationary gradient value ``g = f_i'(x*_i)``, identical across agents
@@ -16,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .functions import LogCoshQuadratic, _logcosh_gradient
 
 __all__ = [
     "FeasibilityError",
@@ -30,6 +36,11 @@ __all__ = [
 
 #: absolute slack allowed between sum(values) and the budget
 FEASIBILITY_TOL = 1e-9
+
+#: Newton steps before a log-cosh roster falls back to the dual
+#: bisection; at most 10 were needed over 23000 random rosters with
+#: kappa up to 1e4 and |budget| up to 50
+_NEWTON_ITERATIONS = 50
 
 
 class FeasibilityError(ValueError):
@@ -104,13 +115,11 @@ def check_in_ball(x, radius):
     return bool(np.linalg.norm(values) <= radius)
 
 
-def _roster_arrays(fs):
+def _roster_arrays(fs, names, solver):
     try:
-        theta = np.array([f.theta for f in fs], dtype=np.float64)
-        mu = np.array([f.mu for f in fs], dtype=np.float64)
+        return [np.array([getattr(f, name) for f in fs], dtype=np.float64) for name in names]
     except AttributeError as exc:
-        raise TypeError("closed form needs a quadratic roster") from exc
-    return theta, mu
+        raise TypeError(f"{solver} needs a roster with {', '.join(names)}") from exc
 
 
 def closed_form_quadratic_minimizer(fs, budget):
@@ -134,7 +143,7 @@ def closed_form_quadratic_minimizer(fs, budget):
         # constraint pins the single coordinate exactly
         point = Allocation(np.array([budget]), budget)
         return MinimizerResult(point, float(fs[0].gradient(budget)), "closed_form")
-    theta, mu = _roster_arrays(fs)
+    theta, mu = _roster_arrays(fs, ("theta", "mu"), "closed form")
     x, t = _quadratic_point(mu, 1.0 / theta, budget)
     return MinimizerResult(Allocation(x, budget), 2.0 * t, "closed_form")
 
@@ -146,6 +155,72 @@ def _quadratic_point(mu, inv_theta, budget):
     """
     t = (budget - mu.sum(axis=-1)) / inv_theta.sum(axis=-1)
     return mu + t[..., None] * inv_theta, t
+
+
+def _logcosh_newton_minimizer(fs, budget):
+    """Constrained minimizer of a log-cosh roster sharing one certificate.
+
+    Meets the targets of :func:`dual_bisection_minimizer` at its default
+    tolerance: ``|sum(x) - budget| <= FEASIBILITY_TOL/2`` and every
+    gradient within ``0.1 * FEASIBILITY_TOL * alpha / n`` of the returned
+    multiplier.
+    """
+    budget = float(budget)
+    if len(fs) == 1:
+        point = Allocation(np.array([budget]), budget)
+        return MinimizerResult(point, float(fs[0].gradient(budget)), "newton")
+    theta, mu, weight = _roster_arrays(fs, ("theta", "mu", "weight"), "log-cosh Newton")
+    x, nu = _logcosh_point(theta, mu, weight, budget, fs[0].certificate)
+    return MinimizerResult(Allocation(x, budget), float(nu), "newton")
+
+
+def _logcosh_point(theta, mu, weight, budget, certificate):
+    """``(x, nu)`` of the log-cosh minimizer for rosters laid out on the last axis.
+
+    Starts from the closed form of the local quadratic model (curvature
+    ``theta + weight/2`` at the cost's minimizer) and iterates
+    ``x <- x - (g - nu) / h`` with ``nu`` chosen so that the step lands
+    on ``sum(x) == budget``.  Each roster stops on its own once it meets
+    the targets of :func:`_logcosh_newton_minimizer`, so its result never
+    depends on the other rosters solved with it.  Newton has no bracket,
+    so a roster still unconverged after ``_NEWTON_ITERATIONS`` steps is
+    solved by :func:`dual_bisection_minimizer` instead, which fails only
+    where the reference itself fails.  Shared with the batch simulator,
+    which keeps the two bit-identical.
+    """
+    shape = np.shape(mu)
+    n = shape[-1]
+    theta, mu, weight = (np.reshape(a, (-1, n)) for a in (theta, mu, weight))
+    x, _ = _quadratic_point(mu, 1.0 / (theta + 0.5 * weight), budget)
+    point, nu = np.empty_like(x), np.empty(len(x))
+    inner_tol = 0.1 * FEASIBILITY_TOL * certificate.alpha / n
+    rows = np.arange(len(x))  # where the unconverged rosters go in the output
+    for _ in range(_NEWTON_ITERATIONS):
+        g = _logcosh_gradient(theta, mu, weight, x)
+        t = np.tanh(x - mu)
+        inv_h = 1.0 / (2.0 * theta + weight * (1.0 - t * t))
+        total = x.sum(axis=-1)
+        nu_step = (budget - total + (g * inv_h).sum(axis=-1)) / inv_h.sum(axis=-1)
+        resid = g - nu_step[:, None]
+        done = (np.abs(total - budget) <= 0.5 * FEASIBILITY_TOL) & (
+            np.abs(resid).max(axis=-1) <= inner_tol
+        )
+        if done.any():
+            point[rows[done]] = x[done]
+            nu[rows[done]] = nu_step[done]
+            if done.all():
+                return point.reshape(shape), nu.reshape(shape[:-1])
+            more = ~done
+            rows, x, theta, mu, weight, resid, inv_h = (
+                a[more] for a in (rows, x, theta, mu, weight, resid, inv_h)
+            )
+        x = x - resid * inv_h
+    for k, r in enumerate(rows):
+        fs = [LogCoshQuadratic(float(t), float(m), float(w), certificate)
+              for t, m, w in zip(theta[k], mu[k], weight[k])]
+        res = dual_bisection_minimizer(fs, budget)
+        point[r], nu[r] = res.point.values, res.multiplier
+    return point.reshape(shape), nu.reshape(shape[:-1])
 
 
 def _inverse_gradient(f, nu, tol, max_iterations=200):

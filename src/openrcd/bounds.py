@@ -48,14 +48,26 @@ __all__ = [
     "steady_state_envelope",
     "BoundSet",
     "evaluate_bounds",
+    "MAX_KAPPA",
+    "MAX_ABS_BUDGET",
 ]
 
+#: largest ``kappa`` the calculators accept; ``kappa ** 3`` overflows a
+#: float from about 5.6e102 on
+MAX_KAPPA = 1e100
 
-def _check(n, kappa):
+#: largest ``|b|`` the calculators accept; ``(|b| + n) ** 2`` overflows a
+#: float from about 1.3e154 on
+MAX_ABS_BUDGET = 1e150
+
+
+def _check(n, kappa, b=0.0):
     if int(n) != n or n < 2:
         raise ValueError(f"need an integer n >= 2, got {n!r}")
-    if kappa < 1.0:
-        raise ValueError(f"need kappa >= 1, got {kappa!r}")
+    if not 1.0 <= kappa <= MAX_KAPPA:
+        raise ValueError(f"need 1 <= kappa <= {MAX_KAPPA:g}, got {kappa!r}")
+    if not abs(b) <= MAX_ABS_BUDGET:
+        raise ValueError(f"need |b| <= {MAX_ABS_BUDGET:g}, got {b!r}")
 
 
 def closed_system_rate(n, alpha, h):
@@ -80,14 +92,14 @@ def _error_bracket(n, kappa, b):
 
 def replacement_offset(n, kappa, b, p_update):
     """Per-iteration additive error inflation, general certified rosters."""
-    _check(n, kappa)
+    _check(n, kappa, b)
     paren = _error_bracket(n, kappa, b)
     return 8.0 * (1.0 - p_update) * paren * paren * n * kappa
 
 
 def quadratic_replacement_offset(n, kappa, b, p_update):
     """Per-iteration additive error inflation, quadratic rosters."""
-    _check(n, kappa)
+    _check(n, kappa, b)
     first = (kappa ** 3 + kappa * n - 2.0) / (kappa * n)
     second = (
         (abs(b) + n) ** 2
@@ -96,6 +108,9 @@ def quadratic_replacement_offset(n, kappa, b, p_update):
         * (kappa ** 2 * n ** 2 + n - 1.0)
         / n ** 4
     )
+    if p_update == 1.0:
+        # no replacements; an overflowed (inf) bracket must not turn 0 into nan
+        return 0.0
     return 8.0 * (1.0 - p_update) * (first + second)
 
 
@@ -143,7 +158,7 @@ def steady_state_level(n, kappa, b, ratio):
     see :func:`steady_state_from_recursion` for the exact fixed point.
     Returns ``math.inf`` at or beyond the stability frontier.
     """
-    _check(n, kappa)
+    _check(n, kappa, b)
     if ratio < 0.0:
         raise ValueError(f"replacement ratio must be >= 0, got {ratio!r}")
     cap = 1.0 / ((n - 1) * kappa)
@@ -166,14 +181,14 @@ def steady_state_from_recursion(n, kappa, b, p_update):
 
 def displacement_bound_general(n, kappa, b):
     """Cap on the squared minimizer jump caused by one replacement."""
-    _check(n, kappa)
+    _check(n, kappa, b)
     paren = _error_bracket(n, kappa, b)
     return 4.0 * n * kappa * paren * paren
 
 
 def displacement_bound_quadratic(n, kappa, b):
     """Quadratic-roster cap on the squared minimizer jump of one replacement."""
-    _check(n, kappa)
+    _check(n, kappa, b)
     first = 8.0 * (kappa ** 3 + kappa * n - 2.0) / (kappa * n)
     second = (
         8.0
@@ -222,7 +237,7 @@ def steady_state_envelope(initial, n, kappa, b, ratio, horizon):
     frontier, and the printed steady-state level.  Beyond the frontier
     the level is infinite and every entry after ``k = 0`` is ``inf``.
     """
-    _check(n, kappa)
+    _check(n, kappa, b)
     gamma = steady_state_level(n, kappa, b, ratio)
     out = np.empty(int(horizon) + 1)
     out[0] = initial

@@ -8,7 +8,8 @@ Subcommands::
               [--preset fig2-analogue] [--out DIR]
 
 Exit status: 0 on success, 2 on configuration or argument validation
-failure (the message names the offending key), 3 on solver failure.
+failure (the message names the offending key), 3 on solver failure
+(no convergence, or a scalar run drifting off its budget).
 
 File formats (stable schemas, UTF-8, LF line endings, floats printed
 with 17 significant digits so they round-trip):
@@ -32,8 +33,8 @@ import math
 import os
 import sys
 
-from .allocation import NonConvergenceError
-from .bounds import evaluate_bounds, recursion_envelope
+from .allocation import FeasibilityError, NonConvergenceError
+from .bounds import MAX_ABS_BUDGET, MAX_KAPPA, evaluate_bounds, recursion_envelope
 from .config import (
     SIMULATE_PRESETS,
     WORSTCASE_PRESETS,
@@ -284,11 +285,14 @@ def _float_list(raw, key):
     return values
 
 
-def _finite(key, value, at_least=None):
-    """Return ``value`` if it is finite and not below ``at_least``."""
-    if math.isfinite(value) and (at_least is None or value >= at_least):
+def _finite(key, value, at_least, magnitude):
+    """Return ``value`` if it is not below ``at_least`` (``None``: no floor)
+    and its size is at most ``magnitude``."""
+    if abs(value) <= magnitude and (at_least is None or value >= at_least):
         return value
-    need = "a finite number" if at_least is None else f"a finite number >= {at_least:g}"
+    need = f"a number of size <= {magnitude:g}"
+    if at_least is not None:
+        need += f" and >= {at_least:g}"
     raise ConfigError(key, f"need {need}, got {value!r}")
 
 
@@ -299,8 +303,8 @@ def cmd_bounds(args):
     for pu in pu_values:
         if not 0.0 <= pu <= 1.0:
             raise ConfigError("pu", f"need probabilities in [0, 1], got {pu!r}")
-    _finite("kappa", args.kappa, 1.0)
-    _finite("b", args.b)
+    _finite("kappa", args.kappa, 1.0, MAX_KAPPA)
+    _finite("b", args.b, None, MAX_ABS_BUDGET)
     header = (
         "p_U",
         "stable",
@@ -361,8 +365,8 @@ def cmd_worstcase(args):
     else:
         kappas = list(preset["kappas"])
     for kappa in kappas:
-        _finite("kappa", kappa, 1.0)
-    b = _finite("b", args.b if args.b is not None else preset["b"])
+        _finite("kappa", kappa, 1.0, MAX_KAPPA)
+    b = _finite("b", args.b if args.b is not None else preset["b"], None, MAX_ABS_BUDGET)
     budget = args.budget if args.budget is not None else (
         preset["budget"] if preset else 64
     )
@@ -448,7 +452,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, FeasibilityError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -5,8 +5,9 @@ comment, blank lines are skipped.  Recognized keys::
 
     n                 agent count (int, >= 2)            required
     alpha             strong-convexity modulus (> 0)     required
-    beta              smoothness modulus (>= alpha)      required
-    b                 budget (float)                     required
+    beta              smoothness modulus (>= alpha,      required
+                      beta/alpha <= MAX_KAPPA)
+    b                 budget (|b| <= MAX_ABS_BUDGET)     required
     p_U               per-iteration update probability   required
     h                 step size, default 1/beta
     horizon           iterations K, default 600
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
+from .bounds import MAX_ABS_BUDGET, MAX_KAPPA
 from .functions import ConvexityCertificate
 
 __all__ = [
@@ -72,8 +74,14 @@ class ExperimentConfig:
             raise ConfigError(
                 "beta", f"need a finite beta >= alpha={self.alpha}, got {self.beta!r}"
             )
-        if not math.isfinite(self.budget):
-            raise ConfigError("b", f"need a finite budget, got {self.budget!r}")
+        if not self.kappa <= MAX_KAPPA:
+            raise ConfigError(
+                "beta", f"need kappa = beta/alpha <= {MAX_KAPPA:g}, got {self.kappa!r}"
+            )
+        if not abs(self.budget) <= MAX_ABS_BUDGET:
+            raise ConfigError(
+                "b", f"need a budget of size <= {MAX_ABS_BUDGET:g}, got {self.budget!r}"
+            )
         if not (0.0 <= self.p_update <= 1.0):
             raise ConfigError("p_U", f"need a probability in [0, 1], got {self.p_update!r}")
         if self.h is None:

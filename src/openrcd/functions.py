@@ -124,11 +124,29 @@ class QuadraticFunction(CostFunction):
         return self.theta * d * d
 
     def gradient(self, x):
-        return 2.0 * self.theta * (x - self.mu)
+        return _quadratic_gradient(self.theta, self.mu, x)
 
     @property
     def minimizer(self):
         return self.mu
+
+
+def _quadratic_gradient(theta, mu, x):
+    """Quadratic gradient, elementwise on scalars or arrays; shared with
+    the batch simulator, which keeps the two bit-identical."""
+    return 2.0 * theta * (x - mu)
+
+
+def _logcosh_gradient(theta, mu, weight, x):
+    """Log-cosh gradient, elementwise on scalars or arrays.
+
+    ``np.tanh`` rather than ``math.tanh``: the two differ in the last
+    bit for about a quarter of inputs, and only numpy's gives the same
+    bits on a scalar as on an array element, which the batch simulator
+    needs to match the scalar path.
+    """
+    d = x - mu
+    return 2.0 * theta * d + weight * np.tanh(d)
 
 
 def _logcosh(z):
@@ -172,8 +190,7 @@ class LogCoshQuadratic(CostFunction):
         return self.theta * d * d + self.weight * _logcosh(d)
 
     def gradient(self, x):
-        d = x - self.mu
-        return 2.0 * self.theta * d + self.weight * math.tanh(d)
+        return _logcosh_gradient(self.theta, self.mu, self.weight, x)
 
     @property
     def minimizer(self):
@@ -255,8 +272,13 @@ def logcosh_quantiles(certificate, u_theta, u_mu):
     analytically exact.
     """
     theta, mu = quadratic_quantiles(certificate, u_theta, u_mu)
-    weight = np.maximum(certificate.beta - 2.0 * theta, 0.0)
-    return theta, mu, weight
+    return theta, mu, _logcosh_weight(certificate, theta)
+
+
+def _logcosh_weight(certificate, theta):
+    """The perturbation weight ``beta - 2*theta`` tied to a drawn ``theta``;
+    shared with the batch simulator."""
+    return np.maximum(certificate.beta - 2.0 * theta, 0.0)
 
 
 def _cost_from_uniforms(family, certificate, u_theta, u_mu):

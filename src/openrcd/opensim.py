@@ -13,9 +13,12 @@ bit: a trajectory with seed ``s`` first draws two uniforms per agent
 for the initial roster, then five uniforms per iteration (event coin,
 edge pick, agent pick, theta quantile, mu quantile); draws not needed
 by the realized event are discarded.  ``run_ensemble`` exploits this by
-simulating all replications of a quadratic-family experiment in
-lockstep with vectorized arithmetic that is operation-for-operation
-identical to the scalar path.
+simulating all replications of an experiment in either built-in family
+(quadratic or log-cosh) in lockstep with vectorized arithmetic that is
+operation-for-operation identical to the scalar path.  Runs with a
+custom ``replacement_sampler`` (which may return any certified cost,
+e.g. a ``GeneralSmoothFunction``) exist only on the scalar path and
+track the minimizer with the dual bisection.
 
 Large rosters (``n >= _POOL_MIN_AGENTS``) spread their replication
 batches over a thread pool; smaller ones run on one thread, where the
@@ -32,11 +35,19 @@ import numpy as np
 
 from .allocation import (
     Allocation,
+    _logcosh_newton_minimizer,
+    _logcosh_point,
     _quadratic_point,
     closed_form_quadratic_minimizer,
     dual_bisection_minimizer,
 )
-from .functions import _cost_from_uniforms, quadratic_quantiles
+from .functions import (
+    _cost_from_uniforms,
+    _logcosh_gradient,
+    _logcosh_weight,
+    _quadratic_gradient,
+    quadratic_quantiles,
+)
 from .rcd import PairSelection, StepConfig, complete_graph_edges, rcd_pair_step
 
 __all__ = [
@@ -131,10 +142,13 @@ class ReplicationStats:
     max_replacement_shift: float
 
 
-def _solver_for(family):
+def _solver_for(family, custom_replacements=False):
     if family == "quadratic":
         return closed_form_quadratic_minimizer
-    return dual_bisection_minimizer
+    if custom_replacements:
+        # a custom sampler may return any certified cost
+        return dual_bisection_minimizer
+    return _logcosh_newton_minimizer
 
 
 def _initial_point(config, shape, minimizer):
@@ -152,11 +166,14 @@ def _initial_point(config, shape, minimizer):
     return np.full(shape, fill, dtype=np.float64)
 
 
-def initial_system_state(config, rng):
+def initial_system_state(config, rng, solver=None):
     """Draw the starting roster and build the configured initial point.
 
     Consumes exactly ``2 n`` uniforms from ``rng`` (theta and mu
-    quantiles per agent, in agent order).
+    quantiles per agent, in agent order).  ``solver(roster, budget)``
+    gives the ``"minimizer"`` start; it defaults to the family's own
+    solver, and :func:`run_trajectory` passes the one it tracks the
+    minimizer with, so that start is exact.
     """
     cert = config.certificate
     family = config.function_family
@@ -164,7 +181,7 @@ def initial_system_state(config, rng):
         _cost_from_uniforms(family, cert, u_theta, u_mu)
         for u_theta, u_mu in rng.random((config.n, 2))
     )
-    solve = _solver_for(family)
+    solve = _solver_for(family) if solver is None else solver
     x0 = _initial_point(config, config.n, lambda: solve(roster, config.budget).point.values)
     return SystemState(Allocation(x0, config.budget), roster)
 
@@ -248,8 +265,8 @@ def run_trajectory(config, seed=None, replacement_sampler=None):
     rng = np.random.default_rng(config.seed if seed is None else seed)
     schedule = EventSchedule(config.p_update)
     step_config = StepConfig(config.h, config.beta)
-    solver = _solver_for(config.function_family)
-    state = initial_system_state(config, rng)
+    solver = _solver_for(config.function_family, replacement_sampler is not None)
+    state = initial_system_state(config, rng, solver)
 
     horizon = config.horizon
     events = ["init"]
@@ -288,14 +305,56 @@ class _BatchOutcome:
     update_mask: np.ndarray | None    # (rows, horizon) when collected
 
 
-def _simulate_quadratic_batch(config, seeds, collect_update_mask=False):
-    """Lockstep simulation of many quadratic-family replications.
+class _QuadraticRows:
+    """One quadratic roster per row: ``theta``, ``mu`` and the ``1/theta``
+    the closed form needs, each ``(rows, n)``."""
+
+    def __init__(self, config, theta, mu):
+        self.budget = config.budget
+        self.theta, self.mu, self.inv_theta = theta, mu, 1.0 / theta
+
+    def gradient(self, r, i, x):
+        return _quadratic_gradient(self.theta[r, i], self.mu[r, i], x)
+
+    def replace(self, r, agents, theta, mu):
+        self.theta[r, agents] = theta
+        self.inv_theta[r, agents] = 1.0 / theta
+        self.mu[r, agents] = mu
+
+    def minimizer(self, r=slice(None)):
+        return _quadratic_point(self.mu[r], self.inv_theta[r], self.budget)[0]
+
+
+class _LogCoshRows:
+    """One log-cosh roster per row: ``theta``, ``mu`` and ``weight``."""
+
+    def __init__(self, config, theta, mu):
+        self.certificate, self.budget = config.certificate, config.budget
+        self.theta, self.mu = theta, mu
+        self.weight = _logcosh_weight(self.certificate, theta)
+
+    def gradient(self, r, i, x):
+        return _logcosh_gradient(self.theta[r, i], self.mu[r, i], self.weight[r, i], x)
+
+    def replace(self, r, agents, theta, mu):
+        self.theta[r, agents] = theta
+        self.weight[r, agents] = _logcosh_weight(self.certificate, theta)
+        self.mu[r, agents] = mu
+
+    def minimizer(self, r=slice(None)):
+        return _logcosh_point(
+            self.theta[r], self.mu[r], self.weight[r], self.budget, self.certificate
+        )[0]
+
+
+def _simulate_batch(config, seeds, collect_update_mask=False):
+    """Lockstep simulation of many replications of a built-in family.
 
     Row ``r`` reproduces ``run_trajectory(config, seed=seeds[r])``
     exactly: the same uniforms feed the same arithmetic in the same
     order, only batched across rows.
     """
-    n, horizon, budget = config.n, config.horizon, config.budget
+    n, horizon = config.n, config.horizon
     cert = config.certificate
     rows = len(seeds)
     gens = [np.random.default_rng(int(s)) for s in seeds]
@@ -304,17 +363,15 @@ def _simulate_quadratic_batch(config, seeds, collect_update_mask=False):
     # consecutive Generator.random calls continue one stream exactly
     tape = np.empty((rows, min(horizon, _TAPE_STEPS), 5))
 
-    theta, mu = quadratic_quantiles(cert, init_u[..., 0], init_u[..., 1])
-    inv_theta = 1.0 / theta
-    xstar, _ = _quadratic_point(mu, inv_theta, budget)
+    family = _QuadraticRows if config.function_family == "quadratic" else _LogCoshRows
+    roster = family(config, *quadratic_quantiles(cert, init_u[..., 0], init_u[..., 1]))
+    xstar = roster.minimizer()
     x = _initial_point(config, (rows, n), lambda: xstar)
 
     error = np.empty((rows, horizon + 1))
     error[:, 0] = _squared_distance(x, xstar)
 
     ei, ej = complete_graph_edges(n)
-    ei = ei.astype(np.intp)
-    ej = ej.astype(np.intp)
     edge_count = ei.size
     half_h = 0.5 * config.h
     row_index = np.arange(rows)
@@ -339,9 +396,7 @@ def _simulate_quadratic_batch(config, seeds, collect_update_mask=False):
             ii, jj = ei[e], ej[e]
             xi = x[urows, ii]
             xj = x[urows, jj]
-            gi = 2.0 * theta[urows, ii] * (xi - mu[urows, ii])
-            gj = 2.0 * theta[urows, jj] * (xj - mu[urows, jj])
-            dstep = half_h * (gi - gj)
+            dstep = half_h * (roster.gradient(urows, ii, xi) - roster.gradient(urows, jj, xj))
             x[urows, ii] = xi - dstep
             x[urows, jj] = xj + dstep
 
@@ -349,11 +404,8 @@ def _simulate_quadratic_batch(config, seeds, collect_update_mask=False):
         if rrows.size:
             replacement_count += rrows.size
             agents = (u[rrows, 2] * n).astype(np.intp)
-            theta_new, mu_new = quadratic_quantiles(cert, u[rrows, 3], u[rrows, 4])
-            theta[rrows, agents] = theta_new
-            inv_theta[rrows, agents] = 1.0 / theta_new
-            mu[rrows, agents] = mu_new
-            moved, _ = _quadratic_point(mu[rrows], inv_theta[rrows], budget)
+            roster.replace(rrows, agents, *quadratic_quantiles(cert, u[rrows, 3], u[rrows, 4]))
+            moved = roster.minimizer(rrows)
             shift = _squared_distance(moved, xstar[rrows])
             max_shift = max(max_shift, float(shift.max()))
             xstar[rrows] = moved
@@ -375,9 +427,9 @@ def run_ensemble(config, replications=None, base_seed=None):
     """Run independent replications and aggregate the error curves.
 
     Replication ``r`` is seeded ``base_seed + r`` and reproduces the
-    corresponding :func:`run_trajectory` exactly.  Quadratic-family
-    experiments run through the vectorized batch engine in batches of
-    ``_BATCH_ROWS`` rows.  From ``_POOL_MIN_AGENTS`` agents up the
+    corresponding :func:`run_trajectory` exactly.  Both built-in families
+    (quadratic and log-cosh) run through the vectorized batch engine in
+    batches of ``_BATCH_ROWS`` rows.  From ``_POOL_MIN_AGENTS`` agents up the
     batches run on a thread pool of ``min(cpu_count, 8, batches)``
     workers, otherwise on the calling thread; batches are merged in
     deterministic order, so the statistics never depend on scheduling.
@@ -402,32 +454,18 @@ def run_ensemble(config, replications=None, base_seed=None):
     if replications < 1:
         raise ValueError("need at least one replication")
 
-    if config.function_family == "quadratic":
-        ranges = _batch_seed_ranges(base_seed, replications)
-        workers = 1
-        if config.n >= _POOL_MIN_AGENTS:
-            workers = min(os.cpu_count() or 1, 8, len(ranges))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(
-                    pool.map(lambda rng_: _simulate_quadratic_batch(config, rng_), ranges)
-                )
-        else:
-            outcomes = [_simulate_quadratic_batch(config, r) for r in ranges]
-        error = np.concatenate([o.error for o in outcomes], axis=0)
-        replacement_count = sum(o.replacement_count for o in outcomes)
-        max_shift = max((o.max_replacement_shift for o in outcomes), default=0.0)
+    ranges = _batch_seed_ranges(base_seed, replications)
+    workers = 1
+    if config.n >= _POOL_MIN_AGENTS:
+        workers = min(os.cpu_count() or 1, 8, len(ranges))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(lambda rng_: _simulate_batch(config, rng_), ranges))
     else:
-        curves = []
-        replacement_count = 0
-        max_shift = 0.0
-        for r in range(replications):
-            record = run_trajectory(config, seed=base_seed + r)
-            curves.append(record.error)
-            replacement_count += sum(1 for e in record.event if e == "replace")
-            if record.minimizer_shift.size:
-                max_shift = max(max_shift, float(record.minimizer_shift.max()))
-        error = np.vstack(curves)
+        outcomes = [_simulate_batch(config, r) for r in ranges]
+    error = np.concatenate([o.error for o in outcomes], axis=0)
+    replacement_count = sum(o.replacement_count for o in outcomes)
+    max_shift = max((o.max_replacement_shift for o in outcomes), default=0.0)
 
     mean = error.mean(axis=0)
     if replications > 1:

@@ -11,6 +11,7 @@ uniform case when the two weights are equal.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,9 +44,16 @@ def uniform_pair_probability(n):
     return 2.0 / (n * (n - 1))
 
 
+@lru_cache(maxsize=64)
 def complete_graph_edges(n):
-    """Index arrays ``(i, j)`` of all pairs with ``i < j``, lexicographic."""
-    return np.triu_indices(int(n), k=1)
+    """Index arrays ``(i, j)`` of all pairs with ``i < j``, lexicographic.
+
+    Built once per ``n`` and cached; the arrays are read-only.
+    """
+    edges = np.triu_indices(int(n), k=1)
+    for a in edges:
+        a.flags.writeable = False
+    return edges
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from openrcd import allocation
 from openrcd.allocation import (
     Allocation,
     FeasibilityError,
     NonConvergenceError,
+    _logcosh_newton_minimizer,
+    _logcosh_point,
     check_in_ball,
     closed_form_quadratic_minimizer,
     dual_bisection_minimizer,
@@ -12,6 +17,8 @@ from openrcd.allocation import (
 )
 from openrcd.functions import (
     ConvexityCertificate,
+    LogCoshQuadratic,
+    logcosh_quantiles,
     make_logcosh_quadratic,
     make_quadratic,
 )
@@ -140,3 +147,106 @@ def test_minimizers_stay_in_ball():
         b = float(rng.uniform(-5, 5))
         res = closed_form_quadratic_minimizer(fs, b)
         assert check_in_ball(res.point.values, minimizer_ball_radius(n, kappa, b))
+
+
+def logcosh_rosters(cert, rng, rosters, n):
+    """``rosters`` log-cosh rosters of ``n`` agents as stacked parameter arrays."""
+    return logcosh_quantiles(cert, rng.random((rosters, n)), rng.random((rosters, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 50),
+    kappa=st.floats(1.0, 1e3),
+    budget=st.floats(-50.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_newton_agrees_with_dual_bisection(n, kappa, budget, seed):
+    cert = ConvexityCertificate(1.0, kappa)
+    theta, mu, weight = logcosh_rosters(cert, np.random.default_rng(seed), 3, n)
+    alone = []
+    for r in range(3):
+        fs = [LogCoshQuadratic(float(t), float(m), float(w), cert)
+              for t, m, w in zip(theta[r], mu[r], weight[r])]
+        try:
+            reference = dual_bisection_minimizer(fs, budget).point.values
+        except NonConvergenceError:
+            reference = None
+        try:
+            res = _logcosh_newton_minimizer(fs, budget)
+        except NonConvergenceError:
+            # the reference must have failed too
+            assert reference is None
+            return
+        x = res.point.values
+        assert res.method == "newton"
+        assert abs(float(x.sum()) - budget) <= 0.5e-9
+        if reference is not None:
+            assert np.max(np.abs(x - reference)) <= 1e-8
+        alone.append((x, res.multiplier))
+    # the rosters solved together: each row bit for bit as solved alone
+    x_all, nu_all = _logcosh_point(theta, mu, weight, budget, cert)
+    for r, (x, nu) in enumerate(alone):
+        assert np.array_equal(x_all[r], x)
+        assert nu_all[r] == nu
+
+
+def test_newton_multiplier_is_the_common_gradient():
+    cert = ConvexityCertificate(1.0, 8.0)
+    fs = [make_logcosh_quadratic(t, m, cert) for t, m in [(0.6, 0.1), (3.5, -0.9), (1.0, 0.8)]]
+    res = _logcosh_newton_minimizer(fs, 2.0)
+    for f, v in zip(fs, res.point.values):
+        assert f.gradient(v) == pytest.approx(res.multiplier, abs=1e-10)
+
+
+def test_newton_single_agent_and_bad_rosters():
+    cert = ConvexityCertificate(1.0, 3.0)
+    res = _logcosh_newton_minimizer([make_logcosh_quadratic(1.0, 0.2, cert)], 4.0)
+    assert res.point.values[0] == 4.0
+    with pytest.raises(TypeError):
+        _logcosh_newton_minimizer(quad_roster([0.6, 0.9], [0.1, -0.3]), 1.0)
+
+
+def test_newton_falls_back_to_dual_bisection_at_its_step_cap(monkeypatch):
+    cert = ConvexityCertificate(1.0, 30.0)
+    theta, mu, weight = logcosh_rosters(cert, np.random.default_rng(7), 6, 9)
+    fs = [[LogCoshQuadratic(float(t), float(m), float(w), cert)
+           for t, m, w in zip(theta[r], mu[r], weight[r])] for r in range(6)]
+    reference = [dual_bisection_minimizer(f, 12.0).point.values for f in fs]
+    fell_back = {}
+    for cap in (0, 5, allocation._NEWTON_ITERATIONS):
+        monkeypatch.setattr(allocation, "_NEWTON_ITERATIONS", cap)
+        x_all, nu_all = _logcosh_point(theta, mu, weight, 12.0, cert)
+        for r in range(6):
+            alone = _logcosh_newton_minimizer(fs[r], 12.0)
+            assert np.array_equal(x_all[r], alone.point.values) and nu_all[r] == alone.multiplier
+            assert np.max(np.abs(x_all[r] - reference[r])) <= 1e-8
+        fell_back[cap] = [np.array_equal(x_all[r], reference[r]) for r in range(6)]
+    # past the cap a roster gets exactly the reference; 5 steps converge some
+    assert all(fell_back[0]) and not any(fell_back[allocation._NEWTON_ITERATIONS])
+    assert 0 < sum(fell_back[5]) < 6
+
+
+def test_newton_needs_no_fallback_over_a_wide_range(monkeypatch):
+    # wherever the reference converges, Newton converges without it
+    def no_fallback(fs, budget):
+        raise AssertionError("Newton fell back to the dual bisection")
+
+    monkeypatch.setattr(allocation, "dual_bisection_minimizer", no_fallback)
+    rng = np.random.default_rng(3)
+    compared = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 21))
+        cert = ConvexityCertificate(1.0, float(10 ** rng.uniform(3, 5)))
+        budget = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1, 3))
+        theta, mu, weight = logcosh_rosters(cert, rng, 1, n)
+        fs = [LogCoshQuadratic(float(t), float(m), float(w), cert)
+              for t, m, w in zip(theta[0], mu[0], weight[0])]
+        try:
+            reference = dual_bisection_minimizer(fs, budget).point.values
+        except NonConvergenceError:
+            continue
+        x = _logcosh_newton_minimizer(fs, budget).point.values
+        assert np.max(np.abs(x - reference)) <= 1e-8 * max(1.0, np.max(np.abs(reference)))
+        compared += 1
+    assert compared >= 20

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 import bound_oracle as oracle
 from openrcd.bounds import (
+    MAX_ABS_BUDGET,
+    MAX_KAPPA,
     closed_system_rate,
     conjectured_displacement_cap,
     displacement_bound_general,
@@ -176,3 +179,15 @@ def test_against_independent_oracle_spot():
         got_q = quadratic_replacement_offset(n, kappa, b, pu)
         want_q = float(oracle.offset_quadratic(n, kappa, b, pu))
         assert got_q == pytest.approx(want_q, rel=1e-12)
+
+
+def test_overflowing_inputs_are_rejected_and_the_limits_give_no_nan():
+    for beta, b in [(10.0 * MAX_KAPPA, 1.0), (2.0, 10.0 * MAX_ABS_BUDGET), (2.0, -1e300)]:
+        with pytest.raises(ValueError):
+            evaluate_bounds(5, 1.0, beta, b, 0.9)
+    for p_update in (0.9, 1.0):
+        bs = evaluate_bounds(5, 1.0, MAX_KAPPA, MAX_ABS_BUDGET, p_update)
+        assert not any(
+            isinstance(v, float) and math.isnan(v) for v in dataclasses.astuple(bs)
+        )
+    assert quadratic_replacement_offset(5, MAX_KAPPA, MAX_ABS_BUDGET, 1.0) == 0.0

@@ -115,6 +115,11 @@ def test_bounds_bad_pu_list_exits_2(capsys):
         (["worstcase", "--kappa", "2", "--b", "1"], "n"),
         (["worstcase", "--n", "", "--kappa", "2", "--b", "1"], "n"),
         (["worstcase", "--n", "2:3", "--b", "1"], "kappa"),
+        # finite but too large for the bound formulas
+        (["bounds", "--n", "5", "--kappa", "2", "--b", "1e300", "--pu", "0.9"], "b"),
+        (["bounds", "--n", "5", "--kappa", "1e300", "--b", "1", "--pu", "0.9"], "kappa"),
+        (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "1e300"], "b"),
+        (["worstcase", "--n", "2:3", "--kappa", "2,1e300", "--b", "1"], "kappa"),
     ],
 )
 def test_bad_numbers_exit_2_naming_the_flag(argv, key, tmp_path, capsys):
@@ -180,3 +185,26 @@ def test_solver_failure_exits_3(cfg_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "run_ensemble", explode)
     assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path)]) == 3
     assert "stuck bracket" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["b", "beta"])
+def test_simulate_huge_finite_inputs_exit_2(key, tmp_path, capsys):
+    path = tmp_path / "huge.cfg"
+    path.write_text(SMALL_CFG + f"{key} = 1e300\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"config key '{key}'" in captured.err
+    assert captured.out == ""
+
+
+def test_feasibility_drift_exits_3(tmp_path, capsys):
+    # at b = 1e9 rounding in the pair updates alone pushes sum(x) more
+    # than FEASIBILITY_TOL away from the budget within a few steps
+    path = tmp_path / "drift.cfg"
+    path.write_text(
+        "n = 50\nalpha = 1.0\nbeta = 1.2\nb = 1e9\np_U = 0.999\n"
+        "horizon = 20000\nreplications = 1\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "solver failure: sum(values) misses budget" in capsys.readouterr().err

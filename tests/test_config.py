@@ -78,6 +78,8 @@ def test_validation_errors_name_their_key():
         (dict(seed=False), "seed"),
         (dict(n=np.int64(1)), "n"),
         (dict(replications=2.0), "replications"),
+        (dict(budget=-1e300), "b"),
+        (dict(alpha=1e-200, beta=1.0), "beta"),
     ]
     base = dict(n=5, alpha=1.0, beta=1.2, budget=1.0, p_update=0.95)
     for overrides, key in cases:

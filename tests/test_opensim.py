@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from openrcd.config import ExperimentConfig
-from openrcd.functions import ConvexityCertificate, make_quadratic
+from openrcd.functions import ConvexityCertificate, GeneralSmoothFunction, make_quadratic
 import math
 
 import openrcd.opensim as opensim
@@ -11,7 +11,7 @@ from openrcd.opensim import (
     _POOL_MIN_AGENTS,
     _TAPE_STEPS,
     EventSchedule,
-    _simulate_quadratic_batch,
+    _simulate_batch,
     initial_system_state,
     run_ensemble,
     run_trajectory,
@@ -26,6 +26,12 @@ def fig1_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def logcosh_config(**overrides):
+    base = dict(alpha=0.5, beta=6.0, function_family="logcosh_quadratic")
+    base.update(overrides)
+    return fig1_config(**base)
 
 
 def test_event_schedule_probabilities():
@@ -90,19 +96,29 @@ def test_trajectory_matches_batch_engine_bitwise():
                      initial_state="minimizer"), 5),
         (fig1_config(n=9, horizon=80, p_update=0.7,
                      initial_state=(1.0, -0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0)), 3),
+        (logcosh_config(), 123),
+        (logcosh_config(n=12, horizon=_TAPE_STEPS + 45, p_update=0.8, beta=40.0), 11),
+        (logcosh_config(n=7, horizon=150, p_update=0.7, budget=-3.0,
+                        initial_state="minimizer"), 5),
+        (logcosh_config(n=9, horizon=80, p_update=0.7,
+                        initial_state=(1.0, -0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0)), 3),
     ]:
         rec = run_trajectory(cfg, seed=seed)
-        out = _simulate_quadratic_batch(cfg, np.array([seed]))
+        out = _simulate_batch(cfg, np.array([seed]))
         assert np.array_equal(rec.error, out.error[0])
         assert np.array_equal(rec.final_state.allocation.values, out.final_values[0])
+        # a row's result does not depend on the rows simulated beside it
+        crowd = _simulate_batch(cfg, np.arange(seed - 3, seed + 4))
+        assert np.array_equal(crowd.error[3], out.error[0])
 
 
 def test_single_replication_ensemble_equals_trajectory():
-    cfg = fig1_config()
-    rec = run_trajectory(cfg, seed=42)
-    stats = run_ensemble(cfg, replications=1, base_seed=42)
-    assert np.array_equal(stats.mean_error, rec.error)
-    assert np.all(stats.ci_halfwidth == 0.0)
+    for cfg in (fig1_config(), logcosh_config(), logcosh_config(initial_state="minimizer")):
+        rec = run_trajectory(cfg, seed=42)
+        stats = run_ensemble(cfg, replications=1, base_seed=42)
+        assert np.array_equal(stats.mean_error, rec.error)
+        assert np.all(stats.ci_halfwidth == 0.0)
+        assert stats.replacement_count == rec.event.count("replace")
 
 
 def test_trajectory_row_semantics():
@@ -128,7 +144,7 @@ def test_horizon_zero_trajectory():
 
 def test_event_frequency_close_to_p_update():
     cfg = fig1_config(horizon=100, p_update=0.95)
-    out = _simulate_quadratic_batch(cfg, np.arange(1000), collect_update_mask=True)
+    out = _simulate_batch(cfg, np.arange(1000), collect_update_mask=True)
     freq = float(out.update_mask.mean())
     assert abs(freq - 0.95) < 0.005
 
@@ -147,7 +163,7 @@ def test_closed_system_contracts_at_published_rate():
 def test_feasibility_drift_stays_tiny():
     # one vectorized run covering 2000 chains x 500 steps = 1e6 updates
     cfg = fig1_config(horizon=500, p_update=0.9)
-    out = _simulate_quadratic_batch(cfg, np.arange(2000))
+    out = _simulate_batch(cfg, np.arange(2000))
     drift = np.abs(out.final_values.sum(axis=1) - cfg.budget)
     assert float(drift.max()) < 1e-12
 
@@ -155,7 +171,7 @@ def test_feasibility_drift_stays_tiny():
 def test_mean_error_dominates_conditional_update_mean():
     # restricted to update steps the error contracts on average
     cfg = fig1_config(horizon=80, p_update=0.9)
-    out = _simulate_quadratic_batch(cfg, np.arange(4000), collect_update_mask=True)
+    out = _simulate_batch(cfg, np.arange(4000), collect_update_mask=True)
     before = out.error[:, :-1][out.update_mask]
     after = out.error[:, 1:][out.update_mask]
     assert after.mean() < before.mean()
@@ -177,7 +193,7 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
     stats = run_ensemble(cfg, replications=100, base_seed=3)
     assert pools == [3]
 
-    out = _simulate_quadratic_batch(cfg, np.arange(3, 103))
+    out = _simulate_batch(cfg, np.arange(3, 103))
     assert np.array_equal(stats.mean_error, out.error.mean(axis=0))
     assert np.array_equal(
         stats.ci_halfwidth, Z95 * out.error.std(axis=0, ddof=1) / math.sqrt(100)
@@ -213,3 +229,25 @@ def test_custom_replacement_sampler_is_used():
     assert len(cert_seen) == 5
     assert all(c == ConvexityCertificate(1.0, 1.2) for c in cert_seen)
     assert all(ev == "replace" for ev in rec.event[1:])
+
+
+def test_custom_sampler_in_logcosh_runs_tracks_with_dual_bisection(monkeypatch):
+    solves = []
+    real = opensim.dual_bisection_minimizer
+
+    def counting(fs, budget):
+        solves.append(len(fs))
+        return real(fs, budget)
+
+    def sampler(rng, certificate):
+        rng.random(2)
+        return GeneralSmoothFunction(lambda x: x * x, lambda x: 2.0 * x, certificate, 0.0)
+
+    monkeypatch.setattr(opensim, "dual_bisection_minimizer", counting)
+    cfg = logcosh_config(p_update=0.6, horizon=30, initial_state="minimizer")
+    rec = run_trajectory(cfg, seed=4, replacement_sampler=sampler)
+    # the minimizer start and the tracked minimizer come from one solver
+    assert len(solves) == 2 + rec.event.count("replace")
+    assert rec.error[0] == 0.0
+    assert rec.suboptimality[0] == 0.0
+    assert np.all(np.isfinite(rec.error))

@@ -30,6 +30,14 @@ def test_complete_graph_edges():
     assert all(i < j for i, j in zip(ei, ej))
 
 
+def test_complete_graph_edges_are_cached_and_read_only():
+    ei, ej = complete_graph_edges(5)
+    assert complete_graph_edges(5)[0] is ei and complete_graph_edges(5)[1] is ej
+    assert not ei.flags.writeable and not ej.flags.writeable
+    with pytest.raises(ValueError):
+        ei[0] = 3
+
+
 def test_step_config_validation():
     with pytest.raises(ParameterRangeError):
         StepConfig(0.0)
