@@ -207,9 +207,17 @@ def replacement_error_map(c, n, kappa, b):
 
 
 def conjectured_displacement_cap(n, kappa, c1=1.0, c2=1.0):
-    """Two-parameter curve conjectured to cap the true worst displacement."""
+    """Two-parameter curve conjectured to cap the true worst displacement.
+
+    The curve is ``(kappa + 1)^2 - c1 kappa^3 / (n + kappa + c2)``.  It is
+    evaluated over one denominator, with ``m = n + c2``, as
+    ``((1 - c1) kappa^3 + (m + 2) kappa^2 + (2m + 1) kappa + m) / (m + kappa)``:
+    the two terms of the printed form cancel at large ``kappa``.
+    """
     _check(n, kappa)
-    return (kappa + 1.0) ** 2 - c1 * kappa ** 3 / (n + kappa + c2)
+    m = n + c2
+    numerator = (1.0 - c1) * kappa ** 3 + (m + 2.0) * kappa ** 2 + (2.0 * m + 1.0) * kappa + m
+    return numerator / (m + kappa)
 
 
 def recursion_envelope(initial, rate, offset, horizon):

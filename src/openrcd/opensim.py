@@ -23,7 +23,13 @@ track the minimizer with the dual bisection.
 Large rosters (``n >= _POOL_MIN_AGENTS``) spread their replication
 batches over a thread pool; smaller ones run on one thread, where the
 pool measured slower.  The choice is automatic and never changes
-results, because batches are merged in a fixed order.
+results, because each batch writes its own rows of one shared error
+matrix.
+
+An ensemble's memory is one float64 error matrix of
+``replications x (horizon + 1) x 8`` bytes plus, per running batch, a
+random tape of ``_BATCH_ROWS x _TAPE_STEPS x 5 x 8`` bytes (10.5 MB);
+see :func:`run_ensemble`.
 """
 
 import math
@@ -73,6 +79,9 @@ _TAPE_STEPS = 256
 #: agent count from which batches run on a thread pool; below it the
 #: per-step numpy calls are too small for threads to beat one thread
 _POOL_MIN_AGENTS = 64
+
+#: error-matrix columns reduced at a time by ``run_ensemble`` (at least 2)
+_REDUCE_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -298,7 +307,7 @@ def run_trajectory(config, seed=None, replacement_sampler=None):
 
 @dataclass
 class _BatchOutcome:
-    error: np.ndarray                 # (rows, horizon+1)
+    error: np.ndarray                 # (rows, horizon+1), ``out`` when given
     final_values: np.ndarray          # (rows, n)
     replacement_count: int
     max_replacement_shift: float
@@ -347,12 +356,15 @@ class _LogCoshRows:
         )[0]
 
 
-def _simulate_batch(config, seeds, collect_update_mask=False):
+def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
     """Lockstep simulation of many replications of a built-in family.
 
     Row ``r`` reproduces ``run_trajectory(config, seed=seeds[r])``
     exactly: the same uniforms feed the same arithmetic in the same
-    order, only batched across rows.
+    order, only batched across rows.  Each step's errors are written
+    into ``out``, a ``(len(seeds), horizon + 1)`` float64 array (for
+    example rows of a larger matrix), or into a fresh array when it is
+    omitted.
     """
     n, horizon = config.n, config.horizon
     cert = config.certificate
@@ -368,7 +380,7 @@ def _simulate_batch(config, seeds, collect_update_mask=False):
     xstar = roster.minimizer()
     x = _initial_point(config, (rows, n), lambda: xstar)
 
-    error = np.empty((rows, horizon + 1))
+    error = np.empty((rows, horizon + 1)) if out is None else out
     error[:, 0] = _squared_distance(x, xstar)
 
     ei, ej = complete_graph_edges(n)
@@ -415,12 +427,35 @@ def _simulate_batch(config, seeds, collect_update_mask=False):
     return _BatchOutcome(error, x, replacement_count, max_shift, update_mask)
 
 
-def _batch_seed_ranges(base_seed, replications):
-    starts = range(0, replications, _BATCH_ROWS)
-    return [
-        range(base_seed + lo, base_seed + min(lo + _BATCH_ROWS, replications))
-        for lo in starts
-    ]
+def _column_stats(error):
+    """Column means and ``ddof=1`` standard deviations of ``error``.
+
+    numpy reduces axis 0 of a view two or more columns wide row by row,
+    each column on its own, so reducing ``_REDUCE_COLUMNS`` columns at a
+    time gives the bits of the full-matrix reduction with block-sized
+    temporaries.  A one-column view is summed pairwise instead, so a
+    lone last column joins the block before it.
+    """
+    cols = error.shape[1]
+    starts = list(range(0, cols, _REDUCE_COLUMNS))
+    if len(starts) > 1 and cols - starts[-1] == 1:
+        starts.pop()
+    mean = np.empty(cols)
+    std = np.empty(cols)
+    for lo, hi in zip(starts, starts[1:] + [cols]):
+        block = error[:, lo:hi]
+        with np.errstate(over="ignore"):
+            mean[lo:hi] = block.mean(axis=0)
+            std[lo:hi] = block.std(axis=0, ddof=1)
+        # squares (or sums, which make the std inf too) of huge errors
+        # overflowed: redo the block on values scaled by an exact power
+        # of two, then scale back
+        if not np.isfinite(std[lo:hi]).all() and np.isfinite(block).all():
+            scale = np.frexp(np.abs(block).max())[1]
+            scaled = np.ldexp(block, -scale)
+            mean[lo:hi] = np.ldexp(scaled.mean(axis=0), scale)
+            std[lo:hi] = np.ldexp(scaled.std(axis=0, ddof=1), scale)
+    return mean, std
 
 
 def run_ensemble(config, replications=None, base_seed=None):
@@ -429,10 +464,17 @@ def run_ensemble(config, replications=None, base_seed=None):
     Replication ``r`` is seeded ``base_seed + r`` and reproduces the
     corresponding :func:`run_trajectory` exactly.  Both built-in families
     (quadratic and log-cosh) run through the vectorized batch engine in
-    batches of ``_BATCH_ROWS`` rows.  From ``_POOL_MIN_AGENTS`` agents up the
-    batches run on a thread pool of ``min(cpu_count, 8, batches)``
-    workers, otherwise on the calling thread; batches are merged in
-    deterministic order, so the statistics never depend on scheduling.
+    batches of ``_BATCH_ROWS`` rows, each writing its rows of one
+    preallocated ``(replications, horizon + 1)`` error matrix.  From
+    ``_POOL_MIN_AGENTS`` agents up the batches run on a thread pool of
+    ``min(cpu_count, 8, batches)`` workers, otherwise on the calling
+    thread; the rows a batch writes are fixed by its seeds, so the
+    statistics never depend on scheduling.
+
+    Peak memory is about ``replications * (horizon + 1) * 8`` bytes for
+    the matrix plus one batch's random tape per running batch
+    (``_BATCH_ROWS * _TAPE_STEPS * 5 * 8`` bytes); the mean and standard
+    deviation are reduced ``_REDUCE_COLUMNS`` columns at a time.
 
     Parameters
     ----------
@@ -454,22 +496,27 @@ def run_ensemble(config, replications=None, base_seed=None):
     if replications < 1:
         raise ValueError("need at least one replication")
 
-    ranges = _batch_seed_ranges(base_seed, replications)
+    error = np.empty((replications, config.horizon + 1))
+    starts = range(0, replications, _BATCH_ROWS)
+
+    def simulate(lo):
+        hi = min(lo + _BATCH_ROWS, replications)
+        return _simulate_batch(config, range(base_seed + lo, base_seed + hi), out=error[lo:hi])
+
     workers = 1
     if config.n >= _POOL_MIN_AGENTS:
-        workers = min(os.cpu_count() or 1, 8, len(ranges))
+        workers = min(os.cpu_count() or 1, 8, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda rng_: _simulate_batch(config, rng_), ranges))
+            outcomes = list(pool.map(simulate, starts))
     else:
-        outcomes = [_simulate_batch(config, r) for r in ranges]
-    error = np.concatenate([o.error for o in outcomes], axis=0)
+        outcomes = [simulate(lo) for lo in starts]
     replacement_count = sum(o.replacement_count for o in outcomes)
     max_shift = max((o.max_replacement_shift for o in outcomes), default=0.0)
 
-    mean = error.mean(axis=0)
     if replications > 1:
-        halfwidth = Z95 * error.std(axis=0, ddof=1) / math.sqrt(replications)
+        mean, std = _column_stats(error)
+        halfwidth = Z95 * std / math.sqrt(replications)
     else:
-        halfwidth = np.zeros_like(mean)
+        mean, halfwidth = error[0], np.zeros(config.horizon + 1)
     return ReplicationStats(mean, halfwidth, replications, replacement_count, max_shift)

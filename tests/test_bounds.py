@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -113,6 +114,17 @@ def test_replacement_error_map_affine():
 
 def test_conjectured_cap_example():
     assert conjectured_displacement_cap(2, 1.0) == pytest.approx(3.75)
+
+
+def test_conjectured_cap_does_not_cancel_at_large_kappa():
+    # the oracle's printed form cancels too at its own 50 digits, so it
+    # is evaluated at 400 here
+    for n in (2, 3, 5, 12, 100, 1000):
+        for kappa in (1.0, 1.2, 2.0, 3.7, 10.0, 1e3, 1e8, 1e16, 1e50, MAX_KAPPA):
+            with mp.workdps(400):
+                want = oracle.conjectured_displacement_cap(n, kappa)
+                got = mp.mpf(conjectured_displacement_cap(n, kappa))
+                assert abs(got - want) <= 1e-15 * abs(want), (n, kappa)
 
 
 def test_recursion_envelope_iterates():

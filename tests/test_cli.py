@@ -1,4 +1,6 @@
 import csv
+import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -195,6 +197,22 @@ def test_simulate_huge_finite_inputs_exit_2(key, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"config key '{key}'" in captured.err
     assert captured.out == ""
+
+
+def test_simulate_huge_budget_keeps_the_confidence_band_finite(tmp_path):
+    # squared errors near 1e296 overflow when squared again inside std
+    path = tmp_path / "huge.cfg"
+    path.write_text("b = 1e150\nreplications = 50\nhorizon = 50\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--preset", "fig1", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "ensemble.csv")
+    assert len(rows) == 51
+    for row in rows:
+        lo, mean, hi = float(row["ci_lo"]), float(row["mean_C"]), float(row["ci_hi"])
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert lo < mean < hi
 
 
 def test_feasibility_drift_exits_3(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from openrcd.config import ExperimentConfig
 from openrcd.functions import ConvexityCertificate, GeneralSmoothFunction, make_quadratic
-import math
 
 import openrcd.opensim as opensim
 from openrcd.opensim import (
@@ -11,6 +13,7 @@ from openrcd.opensim import (
     _POOL_MIN_AGENTS,
     _TAPE_STEPS,
     EventSchedule,
+    _column_stats,
     _simulate_batch,
     initial_system_state,
     run_ensemble,
@@ -204,6 +207,52 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
     # below the agent-count threshold the batches stay on one thread
     run_ensemble(fig1_config(n=_POOL_MIN_AGENTS - 1, horizon=5), replications=100)
     assert pools == [3]
+
+
+@pytest.mark.parametrize("cfg", [
+    # 64 columns: a lone last column at block width 7
+    fig1_config(horizon=63, p_update=0.9),
+    logcosh_config(horizon=60, p_update=0.8),
+    # from _POOL_MIN_AGENTS up the three batches run on the thread pool
+    fig1_config(n=_POOL_MIN_AGENTS, horizon=50, p_update=0.9),
+])
+def test_ensemble_statistics_match_the_full_matrix(cfg, monkeypatch):
+    monkeypatch.setattr(opensim.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(opensim, "_BATCH_ROWS", 25)
+    monkeypatch.setattr(opensim, "_REDUCE_COLUMNS", 7)
+    stats = run_ensemble(cfg, replications=60, base_seed=3)
+
+    full = np.vstack([_simulate_batch(cfg, [seed]).error for seed in range(3, 63)])
+    assert np.array_equal(stats.mean_error, full.mean(axis=0))
+    assert np.array_equal(
+        stats.ci_halfwidth, Z95 * full.std(axis=0, ddof=1) / math.sqrt(60)
+    )
+
+
+def test_overflowing_column_statistics_are_rescaled_exactly():
+    error = np.random.default_rng(0).standard_exponential((50, 9))
+    mean, std = _column_stats(error)
+    # squaring values near 2**900 overflows; scaling by a power of two is exact
+    with np.errstate(over="raise"):
+        huge_mean, huge_std = _column_stats(np.ldexp(error, 900))
+    assert np.array_equal(huge_mean, np.ldexp(mean, 900))
+    assert np.array_equal(huge_std, np.ldexp(std, 900))
+
+
+def test_ensemble_memory_is_one_error_matrix(monkeypatch):
+    # short tapes and two batches, so one batch's buffers are small next
+    # to the matrix; the batches write straight into it
+    monkeypatch.setattr(opensim, "_BATCH_ROWS", 128)
+    monkeypatch.setattr(opensim, "_TAPE_STEPS", 16)
+    cfg = fig1_config(horizon=600, p_update=0.95)
+    run_ensemble(cfg, replications=3)  # warm lazy imports and caches
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg, replications=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 256 * (cfg.horizon + 1) * 8
 
 
 def test_logcosh_family_trajectory_runs():
