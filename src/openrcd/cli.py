@@ -373,6 +373,8 @@ def cmd_worstcase(args):
     seed = args.seed if args.seed is not None else (preset["seed"] if preset else 0)
     if budget < 1:
         raise ConfigError("budget", f"need a positive search budget, got {budget}")
+    if seed < 0:
+        raise ConfigError("seed", f"need an integer >= 0, got {seed}")
 
     rows = sweep(n_values, kappas, b, search_budget=budget, seed=seed)
     os.makedirs(args.out, exist_ok=True)

@@ -12,8 +12,9 @@ comment, blank lines are skipped.  Recognized keys::
     h                 step size, default 1/beta
     horizon           iterations K, default 600
     replications      default 1
-    seed              base RNG seed, default 0
-    initial_state     uniform_budget | minimizer | comma-separated floats
+    seed              base RNG seed (int, >= 0), default 0
+    initial_state     uniform_budget | minimizer | comma-separated finite
+                      floats of size <= MAX_ABS_BUDGET summing to b
     function_family   quadratic | logcosh_quadratic
 
 Every validation failure raises :class:`ConfigError` carrying the
@@ -90,7 +91,7 @@ class ExperimentConfig:
             raise ConfigError("h", f"need 0 < h <= 1/beta={1.0 / self.beta}, got {self.h!r}")
         self._integer("horizon", 0)
         self._integer("replications", 1)
-        self._integer("seed")
+        self._integer("seed", 0)
         if isinstance(self.initial_state, str):
             if self.initial_state not in _INITIAL_STATE_NAMES:
                 raise ConfigError(
@@ -104,6 +105,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     "initial_state", f"vector has {len(vec)} entries, need n={self.n}"
                 )
+            for v in vec:
+                if not abs(v) <= MAX_ABS_BUDGET:
+                    raise ConfigError(
+                        "initial_state",
+                        f"need finite entries of size <= {MAX_ABS_BUDGET:g}, got {v!r}",
+                    )
             if abs(sum(vec) - self.budget) > 1e-9:
                 raise ConfigError(
                     "initial_state",
@@ -115,17 +122,12 @@ class ExperimentConfig:
                 "function_family", f"{self.function_family!r} is not one of {_FAMILIES}"
             )
 
-    def _integer(self, key, lowest=None):
+    def _integer(self, key, lowest):
         """Check that field ``key`` is an integer (numpy ones too, bool
         not) no smaller than ``lowest``, and store it as a Python int."""
         value = getattr(self, key)
-        if (
-            not isinstance(value, Integral)
-            or isinstance(value, bool)
-            or (lowest is not None and value < lowest)
-        ):
-            need = "an integer" if lowest is None else f"an integer >= {lowest}"
-            raise ConfigError(key, f"need {need}, got {value!r}")
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < lowest:
+            raise ConfigError(key, f"need an integer >= {lowest}, got {value!r}")
         object.__setattr__(self, key, int(value))
 
     @property

@@ -26,10 +26,20 @@ pool measured slower.  The choice is automatic and never changes
 results, because each batch writes its own rows of one shared error
 matrix.
 
+The batch engine solves the roster process first.  Swaps are exogenous:
+which agent leaves, what cost arrives and so where the minimizer moves
+depend on the random tape alone, never on the iterate.  So each chunk
+of ``_TAPE_STEPS`` steps first reads its swaps off the tape and solves
+them in rounds, every row's ``j``-th swap of the chunk in one batched
+minimizer call (:func:`_chunk_swaps`); the step loop then only does
+the pair updates, installs each swap's cost and precomputed minimizer,
+and records the error.
+
 An ensemble's memory is one float64 error matrix of
 ``replications x (horizon + 1) x 8`` bytes plus, per running batch, a
-random tape of ``_BATCH_ROWS x _TAPE_STEPS x 5 x 8`` bytes (10.5 MB);
-see :func:`run_ensemble`.
+random tape of ``_BATCH_ROWS x _TAPE_STEPS x 5 x 8`` bytes (10.5 MB), a
+second copy of the rosters and ``(3 + n) x 8`` bytes per swap of the
+current chunk; see :func:`run_ensemble`.
 """
 
 import math
@@ -314,46 +324,112 @@ class _BatchOutcome:
     update_mask: np.ndarray | None    # (rows, horizon) when collected
 
 
-class _QuadraticRows:
-    """One quadratic roster per row: ``theta``, ``mu`` and the ``1/theta``
-    the closed form needs, each ``(rows, n)``."""
+class _Rows:
+    """One roster per row, held as ``(rows, n)`` parameter arrays.
+
+    Agent ``i`` of row ``r`` sits at flat index ``r * n + i`` of every
+    array, so one flat gather reads any mix of rows and agents.
+    """
 
     def __init__(self, config, theta, mu):
-        self.budget = config.budget
-        self.theta, self.mu, self.inv_theta = theta, mu, 1.0 / theta
+        self.budget, self.certificate = config.budget, config.certificate
+        self.params = (theta, mu, self.derived(theta))
+        self.flat = tuple(p.reshape(-1) for p in self.params)
 
-    def gradient(self, r, i, x):
-        return _quadratic_gradient(self.theta[r, i], self.mu[r, i], x)
-
-    def replace(self, r, agents, theta, mu):
-        self.theta[r, agents] = theta
-        self.inv_theta[r, agents] = 1.0 / theta
-        self.mu[r, agents] = mu
-
-    def minimizer(self, r=slice(None)):
-        return _quadratic_point(self.mu[r], self.inv_theta[r], self.budget)[0]
+    def replace(self, at, theta, mu):
+        """Give the agents at flat indices ``at`` the costs ``(theta, mu)``."""
+        for flat, p in zip(self.flat, (theta, mu, self.derived(theta))):
+            flat[at] = p
 
 
-class _LogCoshRows:
-    """One log-cosh roster per row: ``theta``, ``mu`` and ``weight``."""
+class _QuadraticRows(_Rows):
+    """Quadratic rosters: ``theta``, ``mu`` and the ``1/theta`` the
+    closed form needs."""
 
-    def __init__(self, config, theta, mu):
-        self.certificate, self.budget = config.certificate, config.budget
-        self.theta, self.mu = theta, mu
-        self.weight = _logcosh_weight(self.certificate, theta)
+    def derived(self, theta):
+        return 1.0 / theta
 
-    def gradient(self, r, i, x):
-        return _logcosh_gradient(self.theta[r, i], self.mu[r, i], self.weight[r, i], x)
+    def gradient(self, at, x):
+        theta, mu, _ = self.flat
+        return _quadratic_gradient(theta[at], mu[at], x)
 
-    def replace(self, r, agents, theta, mu):
-        self.theta[r, agents] = theta
-        self.weight[r, agents] = _logcosh_weight(self.certificate, theta)
-        self.mu[r, agents] = mu
+    def minimizer(self, rows=slice(None)):
+        _, mu, inv_theta = self.params
+        return _quadratic_point(mu[rows], inv_theta[rows], self.budget)[0]
 
-    def minimizer(self, r=slice(None)):
+
+class _LogCoshRows(_Rows):
+    """Log-cosh rosters: ``theta``, ``mu`` and ``weight``."""
+
+    def derived(self, theta):
+        return _logcosh_weight(self.certificate, theta)
+
+    def gradient(self, at, x):
+        theta, mu, weight = self.flat
+        return _logcosh_gradient(theta[at], mu[at], weight[at], x)
+
+    def minimizer(self, rows=slice(None)):
+        theta, mu, weight = self.params
         return _logcosh_point(
-            self.theta[r], self.mu[r], self.weight[r], self.budget, self.certificate
+            theta[rows], mu[rows], weight[rows], self.budget, self.certificate
         )[0]
+
+
+@dataclass
+class _ChunkSwaps:
+    """One tape chunk's swaps in step-major order, solved ahead of its steps.
+
+    The swaps of chunk step ``c`` are entries ``bounds[c]:bounds[c + 1]``.
+    ``at`` is the flat index ``row * n + agent`` of the agent each swap
+    replaces, ``theta`` and ``mu`` the new cost and ``moved`` the row's
+    constrained minimizer after the swap.
+    """
+
+    bounds: list
+    at: np.ndarray
+    theta: np.ndarray
+    mu: np.ndarray
+    moved: np.ndarray
+    max_shift: float
+
+
+def _chunk_swaps(config, tape, steps, roster, xstar):
+    """Read the swaps off the first ``steps`` tape steps and solve them ahead.
+
+    Which rows swap, which agent leaves and what cost arrives depend on
+    the tape alone, never on the iterate.  So the chunk's swaps are
+    drawn with one quantile call on 1-D arrays and applied to ``roster``
+    and its minimizers ``xstar`` in rounds: round ``j`` takes every
+    row's ``j``-th swap of the chunk and solves those rows with one
+    ``minimizer`` call.  A chunk costs as many solves as the most swaps
+    any row has in it.  Once the chunk-sized swap mask is gone, what
+    stays is ``(3 + n) * 8`` bytes per swap.
+    """
+    n = config.n
+    step, rows = np.nonzero(tape[:, :steps, 0].T >= config.p_update)
+    bounds = np.searchsorted(step, np.arange(steps + 1)).tolist()
+    at = rows * n + (tape[rows, step, 2] * n).astype(np.intp)
+    theta, mu = quadratic_quantiles(
+        config.certificate, tape[rows, step, 3], tape[rows, step, 4]
+    )
+    moved = np.empty((rows.size, n))
+    by_row = np.argsort(rows, kind="stable")   # each row's swaps in step order
+    counts = np.bincount(rows, minlength=len(xstar))
+    first = np.cumsum(counts) - counts
+    del step, rows
+
+    max_shift = 0.0
+    row_index = np.arange(len(xstar))
+    for j in range(int(counts.max(initial=0))):
+        swapping = row_index[counts > j]
+        sel = by_row[first[swapping] + j]
+        roster.replace(at[sel], theta[sel], mu[sel])
+        point = roster.minimizer(swapping)
+        shift = _squared_distance(point, xstar[swapping])
+        max_shift = max(max_shift, float(shift.max()))
+        xstar[swapping] = point
+        moved[sel] = point
+    return _ChunkSwaps(bounds, at, theta, mu, moved, max_shift)
 
 
 def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
@@ -365,6 +441,17 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
     into ``out``, a ``(len(seeds), horizon + 1)`` float64 array (for
     example rows of a larger matrix), or into a fresh array when it is
     omitted.
+
+    The roster process does not depend on the iterate, so it is solved
+    first, one tape chunk (``_TAPE_STEPS`` steps) at a time: the chunk's
+    swaps are read off the tape and applied, in rounds of one swap per
+    row, to a second copy of the rosters that runs ahead of the steps
+    (:func:`_chunk_swaps`).  Each step then does three things: the pair
+    updates, as one flat gather and one flat scatter on ``x``; the
+    step's swaps, written into the rosters the gradients read together
+    with their precomputed minimizers; and the error column.  Besides
+    the tape and the two roster copies, a chunk holds ``(3 + n) * 8``
+    bytes per swap.
     """
     n, horizon = config.n, config.horizon
     cert = config.certificate
@@ -376,53 +463,61 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
     tape = np.empty((rows, min(horizon, _TAPE_STEPS), 5))
 
     family = _QuadraticRows if config.function_family == "quadratic" else _LogCoshRows
-    roster = family(config, *quadratic_quantiles(cert, init_u[..., 0], init_u[..., 1]))
+    theta, mu = quadratic_quantiles(cert, init_u[..., 0], init_u[..., 1])
+    del init_u
+    roster = family(config, theta, mu)                # as of the current step
+    ahead = family(config, theta.copy(), mu.copy())   # as of the chunk's end
     xstar = roster.minimizer()
+    ahead_xstar = xstar.copy()
     x = _initial_point(config, (rows, n), lambda: xstar)
+    flat_x = x.reshape(-1)
 
     error = np.empty((rows, horizon + 1)) if out is None else out
     error[:, 0] = _squared_distance(x, xstar)
 
-    ei, ej = complete_graph_edges(n)
-    edge_count = ei.size
+    edges = np.stack(complete_graph_edges(n))
+    edge_count = edges.shape[1]
     half_h = 0.5 * config.h
     row_index = np.arange(rows)
     update_mask = np.empty((rows, horizon), dtype=bool) if collect_update_mask else None
     replacement_count = 0
     max_shift = 0.0
 
-    for k in range(horizon):
-        c = k % _TAPE_STEPS
-        if c == 0:
-            steps = min(_TAPE_STEPS, horizon - k)
-            for r, g in enumerate(gens):
-                tape[r, :steps] = g.random((steps, 5))
-        u = tape[:, c, :]
-        is_update = u[:, 0] < config.p_update
-        if update_mask is not None:
-            update_mask[:, k] = is_update
+    for start in range(0, horizon, _TAPE_STEPS):
+        steps = min(_TAPE_STEPS, horizon - start)
+        for r, g in enumerate(gens):
+            tape[r, :steps] = g.random((steps, 5))
+        swaps = _chunk_swaps(config, tape, steps, ahead, ahead_xstar)
+        replacement_count += swaps.at.size
+        max_shift = max(max_shift, swaps.max_shift)
+        bounds = swaps.bounds
 
-        urows = row_index[is_update]
-        if urows.size:
-            e = (u[urows, 1] * edge_count).astype(np.intp)
-            ii, jj = ei[e], ej[e]
-            xi = x[urows, ii]
-            xj = x[urows, jj]
-            dstep = half_h * (roster.gradient(urows, ii, xi) - roster.gradient(urows, jj, xj))
-            x[urows, ii] = xi - dstep
-            x[urows, jj] = xj + dstep
+        for c in range(steps):
+            k = start + c
+            u = tape[:, c, :]
+            is_update = u[:, 0] < config.p_update
+            if update_mask is not None:
+                update_mask[:, k] = is_update
 
-        rrows = row_index[~is_update]
-        if rrows.size:
-            replacement_count += rrows.size
-            agents = (u[rrows, 2] * n).astype(np.intp)
-            roster.replace(rrows, agents, *quadratic_quantiles(cert, u[rrows, 3], u[rrows, 4]))
-            moved = roster.minimizer(rrows)
-            shift = _squared_distance(moved, xstar[rrows])
-            max_shift = max(max_shift, float(shift.max()))
-            xstar[rrows] = moved
+            urows = row_index[is_update]
+            if urows.size:
+                e = (u[:, 1][is_update] * edge_count).astype(np.intp)
+                pair = edges.take(e, axis=1) + urows * n   # flat i (row 0) and j (row 1)
+                xp = flat_x[pair]
+                grad = roster.gradient(pair, xp)
+                dstep = half_h * (grad[0] - grad[1])
+                xp[0] -= dstep
+                xp[1] += dstep
+                flat_x[pair] = xp
 
-        error[:, k + 1] = _squared_distance(x, xstar)
+            lo, hi = bounds[c], bounds[c + 1]
+            if hi > lo:
+                at = swaps.at[lo:hi]
+                roster.replace(at, swaps.theta[lo:hi], swaps.mu[lo:hi])
+                xstar[at // n] = swaps.moved[lo:hi]
+
+            error[:, k + 1] = _squared_distance(x, xstar)
+        del swaps  # before the next chunk's swaps are drawn
 
     return _BatchOutcome(error, x, replacement_count, max_shift, update_mask)
 
@@ -471,10 +566,16 @@ def run_ensemble(config, replications=None, base_seed=None):
     thread; the rows a batch writes are fixed by its seeds, so the
     statistics never depend on scheduling.
 
+    Each batch solves its rosters' swaps ahead of its steps, one tape
+    chunk at a time, so a chunk costs as many minimizer calls as the
+    most swaps any row has in it (see :func:`_simulate_batch`).
+
     Peak memory is about ``replications * (horizon + 1) * 8`` bytes for
-    the matrix plus one batch's random tape per running batch
-    (``_BATCH_ROWS * _TAPE_STEPS * 5 * 8`` bytes); the mean and standard
-    deviation are reduced ``_REDUCE_COLUMNS`` columns at a time.
+    the matrix plus, per running batch, its random tape
+    (``_BATCH_ROWS * _TAPE_STEPS * 5 * 8`` bytes), a second copy of its
+    rosters and ``(3 + n) * 8`` bytes per swap of the current chunk;
+    the mean and standard deviation are reduced ``_REDUCE_COLUMNS``
+    columns at a time.
 
     Parameters
     ----------

@@ -122,6 +122,8 @@ def test_bounds_bad_pu_list_exits_2(capsys):
         (["bounds", "--n", "5", "--kappa", "1e300", "--b", "1", "--pu", "0.9"], "kappa"),
         (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "1e300"], "b"),
         (["worstcase", "--n", "2:3", "--kappa", "2,1e300", "--b", "1"], "kappa"),
+        (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "1", "--seed", "-1"], "seed"),
+        (["worstcase", "--preset", "fig2-analogue", "--seed", "-5"], "seed"),
     ],
 )
 def test_bad_numbers_exit_2_naming_the_flag(argv, key, tmp_path, capsys):
@@ -197,6 +199,21 @@ def test_simulate_huge_finite_inputs_exit_2(key, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"config key '{key}'" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("line, key", [
+    ("seed = -1", "seed"),
+    ("initial_state = nan,0,0,1", "initial_state"),
+    ("initial_state = 1e300,-1e300,0,1", "initial_state"),
+])
+def test_simulate_bad_seed_or_start_exits_2(line, key, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL_CFG + line + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"config key '{key}'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "ensemble.csv").exists()
 
 
 def test_simulate_huge_budget_keeps_the_confidence_band_finite(tmp_path):

@@ -80,6 +80,8 @@ def test_validation_errors_name_their_key():
         (dict(replications=2.0), "replications"),
         (dict(budget=-1e300), "b"),
         (dict(alpha=1e-200, beta=1.0), "beta"),
+        (dict(seed=-1), "seed"),
+        (dict(seed=np.int64(-3)), "seed"),
     ]
     base = dict(n=5, alpha=1.0, beta=1.2, budget=1.0, p_update=0.95)
     for overrides, key in cases:
@@ -107,6 +109,19 @@ def test_explicit_initial_state_checked_against_budget():
         ExperimentConfig(initial_state=(0.5, 0.25), **base)
     with pytest.raises(ConfigError):
         ExperimentConfig(initial_state=(1.0, 1.0, 1.0), **base)
+
+
+@pytest.mark.parametrize("vector", [
+    (float("nan"), 0.0, 0.0, 0.0, 1.0),
+    (float("inf"), float("-inf"), 0.0, 0.0, 1.0),
+    # finite, sums to the budget, but beyond what the formulas take
+    (1e300, -1e300, 0.0, 0.0, 1.0),
+])
+def test_initial_state_entries_must_be_finite(vector):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(n=5, alpha=1.0, beta=1.2, budget=1.0, p_update=0.95,
+                         initial_state=vector)
+    assert err.value.key == "initial_state"
 
 
 def test_file_keys_beat_preset_defaults():

@@ -3,7 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from openrcd import allocation
+from openrcd.allocation import NonConvergenceError
+from openrcd.cli import main
 from openrcd.config import ExperimentConfig
 from openrcd.functions import ConvexityCertificate, GeneralSmoothFunction, make_quadratic
 
@@ -113,6 +118,48 @@ def test_trajectory_matches_batch_engine_bitwise():
         # a row's result does not depend on the rows simulated beside it
         crowd = _simulate_batch(cfg, np.arange(seed - 3, seed + 4))
         assert np.array_equal(crowd.error[3], out.error[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["quadratic", "logcosh_quadratic"]),
+    n=st.integers(2, 12),
+    alpha=st.floats(1e-2, 1e2),
+    kappa=st.floats(1.0, 1e3),
+    budget=st.floats(-1e6, 1e6),
+    p_update=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    initial_state=st.sampled_from(["uniform_budget", "minimizer"]),
+    tape_steps=st.sampled_from([1, 7, 37]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_rows_match_trajectories_at_extreme_parameters(
+    family, n, alpha, kappa, budget, p_update, initial_state, tape_steps, seed
+):
+    cfg = ExperimentConfig(
+        n=n, alpha=alpha, beta=alpha * kappa, budget=budget, p_update=p_update,
+        horizon=60, initial_state=initial_state, function_family=family,
+    )
+    seeds = [seed, seed + 1, seed + 2]
+    records = []
+    for s in seeds:
+        try:
+            records.append(run_trajectory(cfg, seed=s))
+        except NonConvergenceError:
+            records.append(None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opensim, "_TAPE_STEPS", tape_steps)
+        if None in records:
+            # a roster the scalar path cannot solve stops the batch too
+            with pytest.raises(NonConvergenceError):
+                _simulate_batch(cfg, seeds, collect_update_mask=True)
+            return
+        out = _simulate_batch(cfg, seeds, collect_update_mask=True)
+    for r, rec in enumerate(records):
+        assert np.array_equal(out.error[r], rec.error)
+        assert np.array_equal(out.final_values[r], rec.final_state.allocation.values)
+        assert np.array_equal(out.update_mask[r], np.array(rec.event[1:]) == "update")
+    assert out.replacement_count == sum(rec.event.count("replace") for rec in records)
+    assert out.max_replacement_shift == max(float(rec.minimizer_shift.max()) for rec in records)
 
 
 def test_single_replication_ensemble_equals_trajectory():
@@ -300,3 +347,72 @@ def test_custom_sampler_in_logcosh_runs_tracks_with_dual_bisection(monkeypatch):
     assert rec.error[0] == 0.0
     assert rec.suboptimality[0] == 0.0
     assert np.all(np.isfinite(rec.error))
+
+
+def _swap_steps(cfg, seeds):
+    """Which steps swap an agent, per row, read straight off the documented
+    stream order: ``2 n`` uniforms for the roster, then 5 per step."""
+    swaps = []
+    for s in seeds:
+        rng = np.random.default_rng(s)
+        rng.random(2 * cfg.n)
+        swaps.append(rng.random((cfg.horizon, 5))[:, 0] >= cfg.p_update)
+    return np.array(swaps)
+
+
+def test_logcosh_ensemble_solves_each_chunk_in_rounds(monkeypatch):
+    monkeypatch.setattr(opensim, "_TAPE_STEPS", 37)
+    calls = []
+    real = opensim._logcosh_point
+
+    def counting(theta, *args):
+        calls.append(len(theta))
+        return real(theta, *args)
+
+    monkeypatch.setattr(opensim, "_logcosh_point", counting)
+    cfg = logcosh_config(horizon=150, p_update=0.9)
+    stats = run_ensemble(cfg, replications=64, base_seed=5)
+    swaps = _swap_steps(cfg, range(5, 69))
+    assert stats.replacement_count == swaps.sum()
+    # one solve for the starting rosters, then one per round: a chunk has
+    # as many rounds as the most swaps any row has in it
+    most = sum(int(swaps[:, lo:lo + 37].sum(axis=1).max()) for lo in range(0, 150, 37))
+    assert calls[0] == 64
+    assert len(calls) <= 1 + most
+    # far fewer than one solve per step in which some row swaps
+    assert len(calls) < swaps.any(axis=0).sum() // 2
+
+
+def _fail_after(calls_allowed):
+    """A dual bisection that solves ``calls_allowed`` rosters, then fails."""
+    real = allocation.dual_bisection_minimizer
+    calls = []
+
+    def failing(fs, budget):
+        calls.append(1)
+        if len(calls) > calls_allowed:
+            raise NonConvergenceError("bracket stuck in a round")
+        return real(fs, budget)
+
+    return failing
+
+
+def test_solver_failure_in_a_round_surfaces(monkeypatch, tmp_path, capsys):
+    # Newton gets no steps, so every roster goes to the dual bisection;
+    # the starting rosters solve, the first round's swaps do not
+    monkeypatch.setattr(allocation, "_NEWTON_ITERATIONS", 0)
+    cfg = logcosh_config(horizon=40, p_update=0.8)
+    monkeypatch.setattr(allocation, "dual_bisection_minimizer", _fail_after(30))
+    with pytest.raises(NonConvergenceError, match="in a round"):
+        run_ensemble(cfg, replications=30)
+
+    monkeypatch.setattr(allocation, "dual_bisection_minimizer", _fail_after(30))
+    path = tmp_path / "logcosh.cfg"
+    path.write_text(
+        "n = 5\nalpha = 0.5\nbeta = 6.0\nb = 1.0\np_U = 0.8\nhorizon = 40\n"
+        "replications = 30\nfunction_family = logcosh_quadratic\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "solver failure: bracket stuck in a round" in capsys.readouterr().err
+    assert not (tmp_path / "ensemble.csv").exists()
