@@ -158,13 +158,8 @@ def _quadratic_point(mu, inv_theta, budget):
 
 
 def _logcosh_newton_minimizer(fs, budget):
-    """Constrained minimizer of a log-cosh roster sharing one certificate.
-
-    Meets the targets of :func:`dual_bisection_minimizer` at its default
-    tolerance: ``|sum(x) - budget| <= FEASIBILITY_TOL/2`` and every
-    gradient within ``0.1 * FEASIBILITY_TOL * alpha / n`` of the returned
-    multiplier.
-    """
+    """Constrained minimizer of a log-cosh roster sharing one certificate,
+    to the targets :func:`_solver_targets` gives for ``FEASIBILITY_TOL``."""
     budget = float(budget)
     if len(fs) == 1:
         point = Allocation(np.array([budget]), budget)
@@ -181,7 +176,7 @@ def _logcosh_point(theta, mu, weight, budget, certificate):
     ``theta + weight/2`` at the cost's minimizer) and iterates
     ``x <- x - (g - nu) / h`` with ``nu`` chosen so that the step lands
     on ``sum(x) == budget``.  Each roster stops on its own once it meets
-    the targets of :func:`_logcosh_newton_minimizer`, so its result never
+    the targets of :func:`_solver_targets`, so its result never
     depends on the other rosters solved with it.  Newton has no bracket,
     so a roster still unconverged after ``_NEWTON_ITERATIONS`` steps is
     solved by :func:`dual_bisection_minimizer` instead, which fails only
@@ -193,7 +188,9 @@ def _logcosh_point(theta, mu, weight, budget, certificate):
     theta, mu, weight = (np.reshape(a, (-1, n)) for a in (theta, mu, weight))
     x, _ = _quadratic_point(mu, 1.0 / (theta + 0.5 * weight), budget)
     point, nu = np.empty_like(x), np.empty(len(x))
-    inner_tol = 0.1 * FEASIBILITY_TOL * certificate.alpha / n
+    radius = minimizer_ball_radius(n, certificate.kappa, budget)
+    sum_tol, grad_tol, _ = _solver_targets(
+        FEASIBILITY_TOL, n, certificate.alpha, certificate.beta, radius)
     rows = np.arange(len(x))  # where the unconverged rosters go in the output
     for _ in range(_NEWTON_ITERATIONS):
         g = _logcosh_gradient(theta, mu, weight, x)
@@ -202,8 +199,8 @@ def _logcosh_point(theta, mu, weight, budget, certificate):
         total = x.sum(axis=-1)
         nu_step = (budget - total + (g * inv_h).sum(axis=-1)) / inv_h.sum(axis=-1)
         resid = g - nu_step[:, None]
-        done = (np.abs(total - budget) <= 0.5 * FEASIBILITY_TOL) & (
-            np.abs(resid).max(axis=-1) <= inner_tol
+        done = (np.abs(total - budget) <= sum_tol) & (
+            np.abs(resid).max(axis=-1) <= grad_tol
         )
         if done.any():
             point[rows[done]] = x[done]
@@ -221,6 +218,22 @@ def _logcosh_point(theta, mu, weight, budget, certificate):
         res = dual_bisection_minimizer(fs, budget)
         point[r], nu[r] = res.point.values, res.multiplier
     return point.reshape(shape), nu.reshape(shape[:-1])
+
+
+def _solver_targets(tol, n, alpha, beta, radius):
+    """Where both iterative solvers stop: ``|sum(x) - budget| <= sum_tol``,
+    every gradient within ``grad_tol`` of the multiplier and, for the dual
+    bisection, a multiplier bracket within ``width_tol`` (for coordinatewise
+    agreement, not just a feasible sum).
+
+    ``n`` residuals of ``grad_tol`` cannot spend the feasibility budget
+    ``tol``.  No target is finer than ``beta`` times a few ulps of the
+    largest coordinate the minimizer ball of ``radius`` allows, which
+    rounding alone can miss.
+    """
+    floor = 4.0 * beta * math.ulp(radius)
+    width = 0.1 * tol * alpha
+    return 0.5 * tol, max(width / n, floor), max(width, floor)
 
 
 def _inverse_gradient(f, nu, tol, max_iterations=200):
@@ -290,26 +303,20 @@ def dual_bisection_minimizer(fs, budget, tol=FEASIBILITY_TOL, max_iterations=200
 
     kappa = max(f.certificate.kappa for f in fs)
     alpha_min = min(f.certificate.alpha for f in fs)
+    beta_max = max(f.certificate.beta for f in fs)
     radius = minimizer_ball_radius(n, kappa, budget)
     lo = min(f.gradient(-radius) for f in fs)
     hi = max(f.gradient(radius) for f in fs)
-
-    # per-coordinate gradient residual small enough that n of them
-    # cannot spend the feasibility budget
-    inner_tol = 0.1 * tol * alpha_min / n
+    sum_tol, inner_tol, width_target = _solver_targets(tol, n, alpha_min, beta_max, radius)
 
     def primal_sum(nu):
         return math.fsum(_inverse_gradient(f, nu, inner_tol) for f in fs)
-
-    # the multiplier bracket must be tight enough for coordinatewise
-    # agreement, not just feasibility of the sum
-    width_target = 0.1 * tol * alpha_min
 
     nu = 0.5 * (lo + hi)
     for _ in range(max_iterations):
         nu = 0.5 * (lo + hi)
         total = primal_sum(nu)
-        if abs(total - budget) <= 0.5 * tol and hi - lo <= width_target:
+        if abs(total - budget) <= sum_tol and hi - lo <= width_target:
             break
         if total > budget:
             hi = nu

@@ -97,9 +97,8 @@ def replacement_offset(n, kappa, b, p_update):
     return 8.0 * (1.0 - p_update) * paren * paren * n * kappa
 
 
-def quadratic_replacement_offset(n, kappa, b, p_update):
-    """Per-iteration additive error inflation, quadratic rosters."""
-    _check(n, kappa, b)
+def _quadratic_bracket(n, kappa, b):
+    # reused by the quadratic offset and displacement cap
     first = (kappa ** 3 + kappa * n - 2.0) / (kappa * n)
     second = (
         (abs(b) + n) ** 2
@@ -108,10 +107,16 @@ def quadratic_replacement_offset(n, kappa, b, p_update):
         * (kappa ** 2 * n ** 2 + n - 1.0)
         / n ** 4
     )
+    return first + second
+
+
+def quadratic_replacement_offset(n, kappa, b, p_update):
+    """Per-iteration additive error inflation, quadratic rosters."""
+    _check(n, kappa, b)
     if p_update == 1.0:
         # no replacements; an overflowed (inf) bracket must not turn 0 into nan
         return 0.0
-    return 8.0 * (1.0 - p_update) * (first + second)
+    return 8.0 * (1.0 - p_update) * _quadratic_bracket(n, kappa, b)
 
 
 def open_recursion(n, kappa, b, p_update):
@@ -189,16 +194,8 @@ def displacement_bound_general(n, kappa, b):
 def displacement_bound_quadratic(n, kappa, b):
     """Quadratic-roster cap on the squared minimizer jump of one replacement."""
     _check(n, kappa, b)
-    first = 8.0 * (kappa ** 3 + kappa * n - 2.0) / (kappa * n)
-    second = (
-        8.0
-        * (abs(b) + n) ** 2
-        * (kappa - 1.0) ** 2
-        * kappa ** 2
-        * (kappa ** 2 * n ** 2 + n - 1.0)
-        / n ** 4
-    )
-    return first + second
+    # 8 is a power of two, so 8 (first + second) rounds as 8 first + 8 second
+    return 8.0 * _quadratic_bracket(n, kappa, b)
 
 
 def replacement_error_map(c, n, kappa, b):

@@ -349,28 +349,23 @@ def _parse_range(raw):
 
 
 def cmd_worstcase(args):
-    preset = WORSTCASE_PRESETS.get(args.preset) if args.preset else None
-    if args.preset and preset is None:
-        raise ConfigError("preset", f"unknown preset {args.preset!r}")
-    if preset is None:
-        for key in ("n", "kappa", "b"):
-            if getattr(args, key) is None:
-                raise ConfigError(key, f"need --{key} or a preset")
-    if args.n is not None:
-        n_values = _parse_range(args.n)
-    else:
-        n_values = range(preset["n_lo"], preset["n_hi"] + 1)
-    if args.kappa is not None:
-        kappas = _float_list(args.kappa, "kappa")
-    else:
-        kappas = list(preset["kappas"])
+    # defaults < preset < given flags; float() and int() read either form
+    flags = {"budget": "64", "seed": "0"}
+    if args.preset:
+        if args.preset not in WORSTCASE_PRESETS:
+            raise ConfigError("preset", f"unknown preset {args.preset!r}")
+        flags.update(WORSTCASE_PRESETS[args.preset])
+    for key in ("n", "kappa", "b", "budget", "seed"):
+        if getattr(args, key) is not None:
+            flags[key] = getattr(args, key)
+        elif key not in flags:
+            raise ConfigError(key, f"need --{key} or a preset")
+    n_values = _parse_range(flags["n"])
+    kappas = _float_list(flags["kappa"], "kappa")
     for kappa in kappas:
         _finite("kappa", kappa, 1.0, MAX_KAPPA)
-    b = _finite("b", args.b if args.b is not None else preset["b"], None, MAX_ABS_BUDGET)
-    budget = args.budget if args.budget is not None else (
-        preset["budget"] if preset else 64
-    )
-    seed = args.seed if args.seed is not None else (preset["seed"] if preset else 0)
+    b = _finite("b", float(flags["b"]), None, MAX_ABS_BUDGET)
+    budget, seed = int(flags["budget"]), int(flags["seed"])
     if budget < 1:
         raise ConfigError("budget", f"need a positive search budget, got {budget}")
     if seed < 0:

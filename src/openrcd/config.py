@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
+from .allocation import FEASIBILITY_TOL
 from .bounds import MAX_ABS_BUDGET, MAX_KAPPA
 from .functions import ConvexityCertificate
 
@@ -111,7 +112,7 @@ class ExperimentConfig:
                         "initial_state",
                         f"need finite entries of size <= {MAX_ABS_BUDGET:g}, got {v!r}",
                     )
-            if abs(sum(vec) - self.budget) > 1e-9:
+            if abs(sum(vec) - self.budget) > FEASIBILITY_TOL:
                 raise ConfigError(
                     "initial_state",
                     f"vector sums to {sum(vec)!r}, budget is {self.budget!r}",
@@ -238,14 +239,7 @@ SIMULATE_PRESETS = {
     },
 }
 
-#: named worst-case sweep presets
+#: named worst-case sweep presets (raw strings, as the ``worstcase`` flags)
 WORSTCASE_PRESETS = {
-    "fig2-analogue": {
-        "n_lo": 2,
-        "n_hi": 12,
-        "kappas": (2.0, 5.0),
-        "b": 1.0,
-        "budget": 48,
-        "seed": 7,
-    },
+    "fig2-analogue": {"n": "2:12", "kappa": "2,5", "b": "1", "budget": "48", "seed": "7"},
 }

@@ -15,10 +15,14 @@ edge pick, agent pick, theta quantile, mu quantile); draws not needed
 by the realized event are discarded.  ``run_ensemble`` exploits this by
 simulating all replications of an experiment in either built-in family
 (quadratic or log-cosh) in lockstep with vectorized arithmetic that is
-operation-for-operation identical to the scalar path.  Runs with a
-custom ``replacement_sampler`` (which may return any certified cost,
-e.g. a ``GeneralSmoothFunction``) exist only on the scalar path and
-track the minimizer with the dual bisection.
+operation-for-operation identical to the scalar path, because both call
+one copy of each formula: ``rcd._pair_update``, ``quadratic_quantiles``,
+``allocation._quadratic_point``, ``allocation._logcosh_point`` (which
+stops on ``allocation._solver_targets``), :func:`_initial_point` and
+:func:`_squared_distance`.  Runs with a custom ``replacement_sampler``
+(which may return any certified cost, e.g. a ``GeneralSmoothFunction``)
+exist only on the scalar path and track the minimizer with the dual
+bisection, in either family.
 
 Large rosters (``n >= _POOL_MIN_AGENTS``) spread their replication
 batches over a thread pool; smaller ones run on one thread, where the
@@ -64,7 +68,7 @@ from .functions import (
     _quadratic_gradient,
     quadratic_quantiles,
 )
-from .rcd import PairSelection, StepConfig, complete_graph_edges, rcd_pair_step
+from .rcd import PairSelection, StepConfig, _pair_update, complete_graph_edges, rcd_pair_step
 
 __all__ = [
     "EventSchedule",
@@ -162,11 +166,11 @@ class ReplicationStats:
 
 
 def _solver_for(family, custom_replacements=False):
-    if family == "quadratic":
-        return closed_form_quadratic_minimizer
     if custom_replacements:
         # a custom sampler may return any certified cost
         return dual_bisection_minimizer
+    if family == "quadratic":
+        return closed_form_quadratic_minimizer
     return _logcosh_newton_minimizer
 
 
@@ -393,8 +397,9 @@ class _ChunkSwaps:
     max_shift: float
 
 
-def _chunk_swaps(config, tape, steps, roster, xstar):
-    """Read the swaps off the first ``steps`` tape steps and solve them ahead.
+def _chunk_swaps(config, tape, swap, roster, xstar):
+    """Read the swaps marked in ``swap`` (rows x chunk steps) off the tape
+    and solve them ahead of the steps.
 
     Which rows swap, which agent leaves and what cost arrives depend on
     the tape alone, never on the iterate.  So the chunk's swaps are
@@ -406,8 +411,8 @@ def _chunk_swaps(config, tape, steps, roster, xstar):
     stays is ``(3 + n) * 8`` bytes per swap.
     """
     n = config.n
-    step, rows = np.nonzero(tape[:, :steps, 0].T >= config.p_update)
-    bounds = np.searchsorted(step, np.arange(steps + 1)).tolist()
+    step, rows = np.nonzero(swap.T)
+    bounds = np.searchsorted(step, np.arange(swap.shape[1] + 1)).tolist()
     at = rows * n + (tape[rows, step, 2] * n).astype(np.intp)
     theta, mu = quadratic_quantiles(
         config.certificate, tape[rows, step, 3], tape[rows, step, 4]
@@ -477,7 +482,6 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
 
     edges = np.stack(complete_graph_edges(n))
     edge_count = edges.shape[1]
-    half_h = 0.5 * config.h
     row_index = np.arange(rows)
     update_mask = np.empty((rows, horizon), dtype=bool) if collect_update_mask else None
     replacement_count = 0
@@ -487,27 +491,22 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
         steps = min(_TAPE_STEPS, horizon - start)
         for r, g in enumerate(gens):
             tape[r, :steps] = g.random((steps, 5))
-        swaps = _chunk_swaps(config, tape, steps, ahead, ahead_xstar)
+        coin = tape[:, :steps, 0] < config.p_update   # True: a pair update
+        if update_mask is not None:
+            update_mask[:, start:start + steps] = coin
+        swaps = _chunk_swaps(config, tape, ~coin, ahead, ahead_xstar)
         replacement_count += swaps.at.size
         max_shift = max(max_shift, swaps.max_shift)
         bounds = swaps.bounds
 
         for c in range(steps):
-            k = start + c
-            u = tape[:, c, :]
-            is_update = u[:, 0] < config.p_update
-            if update_mask is not None:
-                update_mask[:, k] = is_update
-
-            urows = row_index[is_update]
+            urows = row_index[coin[:, c]]
             if urows.size:
-                e = (u[:, 1][is_update] * edge_count).astype(np.intp)
+                e = (tape[urows, c, 1] * edge_count).astype(np.intp)
                 pair = edges.take(e, axis=1) + urows * n   # flat i (row 0) and j (row 1)
                 xp = flat_x[pair]
                 grad = roster.gradient(pair, xp)
-                dstep = half_h * (grad[0] - grad[1])
-                xp[0] -= dstep
-                xp[1] += dstep
+                _pair_update(xp, 0, 1, grad[0], grad[1], config.h)
                 flat_x[pair] = xp
 
             lo, hi = bounds[c], bounds[c + 1]
@@ -516,7 +515,7 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
                 roster.replace(at, swaps.theta[lo:hi], swaps.mu[lo:hi])
                 xstar[at // n] = swaps.moved[lo:hi]
 
-            error[:, k + 1] = _squared_distance(x, xstar)
+            error[:, start + c + 1] = _squared_distance(x, xstar)
         del swaps  # before the next chunk's swaps are drawn
 
     return _BatchOutcome(error, x, replacement_count, max_shift, update_mask)

@@ -114,11 +114,16 @@ def rcd_pair_step(x, fs, sel, step):
     """
     v = x.values.copy()
     i, j = sel.i, sel.j
-    g = fs[i].gradient(v[i]) - fs[j].gradient(v[j])
-    d = 0.5 * step.h * g
+    _pair_update(v, i, j, fs[i].gradient(v[i]), fs[j].gradient(v[j]), step.h)
+    return Allocation(v, x.budget)
+
+
+def _pair_update(v, i, j, gi, gj, h):
+    # in place; rcd_pair_step passes a 1-D vector, the batch simulator a
+    # gathered (2, m) block of pairs with i, j = 0, 1
+    d = 0.5 * h * (gi - gj)
     v[i] -= d
     v[j] += d
-    return Allocation(v, x.budget)
 
 
 def general_weight_pair_step(x, fs, a_i, a_j, sel, step):

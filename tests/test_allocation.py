@@ -250,3 +250,17 @@ def test_newton_needs_no_fallback_over_a_wide_range(monkeypatch):
         assert np.max(np.abs(x - reference)) <= 1e-8 * max(1.0, np.max(np.abs(reference)))
         compared += 1
     assert compared >= 20
+
+
+@pytest.mark.parametrize("budget", [1e6, -1e6])
+def test_both_solvers_converge_at_a_large_budget(budget):
+    # coordinates near 2e5 and multipliers near 1e6: one ulp of either is
+    # coarser than the targets the solvers used to demand here
+    cert = ConvexityCertificate(0.5, 6.0)
+    theta, mu, weight = logcosh_rosters(cert, np.random.default_rng(11), 20, 5)
+    for r in range(20):
+        fs = [LogCoshQuadratic(float(t), float(m), float(w), cert)
+              for t, m, w in zip(theta[r], mu[r], weight[r])]
+        reference = dual_bisection_minimizer(fs, budget).point.values
+        x = _logcosh_newton_minimizer(fs, budget).point.values
+        assert np.max(np.abs(x - reference)) <= 1e-8 * np.max(np.abs(reference))

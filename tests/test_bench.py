@@ -1,0 +1,43 @@
+"""The benchmark's traced mode still finds every name it wraps."""
+
+import json
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+
+
+def traced_counts(tmp_path, argv):
+    """Run ``bench/child.py`` with the tracer on, require exit status 0
+    and return the spans file's counts summed by name."""
+    result, spans = tmp_path / "result.json", tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(CHILD), str(result), str(spans), *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    counts = Counter()
+    for name, _, amount in json.loads(spans.read_text(encoding="utf-8"))["counts"]:
+        counts[name] += amount
+    return counts
+
+
+def test_traced_logcosh_simulate_reconciles_replacements(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        "function_family = logcosh_quadratic\np_U = 0.6\nreplications = 8\nhorizon = 20\n",
+        encoding="utf-8",
+    )
+    counts = traced_counts(tmp_path, ["simulate", "--preset", "fig1", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+    assert counts["opensim.reported_replacements"] > 0
+    assert counts["opensim.replacement_draws"] == counts["opensim.reported_replacements"]
+
+
+def test_traced_worstcase_counts_its_starts(tmp_path):
+    counts = traced_counts(tmp_path, ["worstcase", "--preset", "fig2-analogue", "--n", "2:3",
+                                      "--budget", "4", "--out", str(tmp_path / "out")])
+    assert counts["opensim.replacement_draws"] == counts["opensim.reported_replacements"]
+    assert counts["worstcase.starts"] == 2 * 2 * 4   # n in 2:3, kappa in {2, 5}

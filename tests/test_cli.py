@@ -124,11 +124,17 @@ def test_bounds_bad_pu_list_exits_2(capsys):
         (["worstcase", "--n", "2:3", "--kappa", "2,1e300", "--b", "1"], "kappa"),
         (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "1", "--seed", "-1"], "seed"),
         (["worstcase", "--preset", "fig2-analogue", "--seed", "-5"], "seed"),
+        (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "1", "--budget", "0"], "budget"),
+        (["worstcase", "--n", "2:3", "--kappa", ",", "--b", "1"], "kappa"),
+        (["worstcase", "--preset", "nope"], "preset"),
+        (["simulate", "--preset", "nope"], "preset"),
     ],
 )
 def test_bad_numbers_exit_2_naming_the_flag(argv, key, tmp_path, capsys):
     if argv[0] == "worstcase":
-        argv = argv + ["--budget", "4", "--out", str(tmp_path)]
+        if "--budget" not in argv:
+            argv = argv + ["--budget", "4"]
+        argv = argv + ["--out", str(tmp_path)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"config key '{key}'" in captured.err

@@ -55,6 +55,12 @@ def test_parse_rejects_bad_value_types():
     with pytest.raises(ConfigError) as err:
         parse_config_text(GOOD.replace("horizon = 100", "horizon = 10.5"))
     assert err.value.key == "horizon"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(GOOD + "mystery value\n")
+    assert err.value.key == "mystery"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(GOOD + "initial_state = 1,x,0,0,0\n")
+    assert err.value.key == "initial_state"
 
 
 def test_validation_errors_name_their_key():

@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openrcd import allocation
-from openrcd.allocation import NonConvergenceError
+from openrcd.allocation import NonConvergenceError, dual_bisection_minimizer
 from openrcd.cli import main
 from openrcd.config import ExperimentConfig
-from openrcd.functions import ConvexityCertificate, GeneralSmoothFunction, make_quadratic
+from openrcd.functions import (
+    ConvexityCertificate,
+    GeneralSmoothFunction,
+    make_quadratic,
+    sample_logcosh_replacement,
+)
 
 import openrcd.opensim as opensim
 from openrcd.opensim import (
@@ -347,6 +352,41 @@ def test_custom_sampler_in_logcosh_runs_tracks_with_dual_bisection(monkeypatch):
     assert rec.error[0] == 0.0
     assert rec.suboptimality[0] == 0.0
     assert np.all(np.isfinite(rec.error))
+
+
+def test_custom_sampler_in_quadratic_runs_tracks_with_dual_bisection():
+    # log-cosh arrivals in a quadratic roster: the closed form would read
+    # only their theta and mu
+    cfg = fig1_config(n=4, beta=3.0, p_update=0.5, horizon=40)
+    rec = run_trajectory(cfg, seed=3, replacement_sampler=sample_logcosh_replacement)
+    assert "replace" in rec.event
+    xstar = dual_bisection_minimizer(rec.final_state.roster, cfg.budget).point.values
+    d = rec.final_state.allocation.values - xstar
+    assert rec.error[-1] == (d * d).sum()
+
+
+def test_custom_sampler_in_quadratic_runs_takes_any_certified_cost():
+    def sampler(rng, certificate):
+        rng.random(2)
+        return GeneralSmoothFunction(lambda x: x * x, lambda x: 2.0 * x, certificate, 0.0)
+
+    cfg = fig1_config(beta=3.0, p_update=0.6, horizon=30, initial_state="minimizer")
+    rec = run_trajectory(cfg, seed=4, replacement_sampler=sampler)
+    assert rec.error[0] == 0.0
+    assert np.all(np.isfinite(rec.error))
+
+
+@pytest.mark.parametrize("budget", [1e6, -1e6])
+def test_logcosh_runs_at_a_large_budget_converge(budget):
+    # the solvers' gradient targets used to sit below one ulp of the
+    # coordinates (about 2e5) here; from |b| = 1e7 on the sum's own
+    # rounding exceeds the absolute FEASIBILITY_TOL
+    cfg = fig1_config(function_family="logcosh_quadratic", budget=budget)
+    for seed in range(10):
+        rec = run_trajectory(cfg, seed=seed)
+        assert np.all(np.isfinite(rec.error))
+    out = _simulate_batch(cfg, [seed])
+    assert np.array_equal(out.error[0], rec.error)
 
 
 def _swap_steps(cfg, seeds):

@@ -41,7 +41,8 @@ def test_search_recovers_unit_condition_closed_form():
 
 
 def test_search_result_witness_is_reproducible():
-    res = maximize_displacement(4, 3.0, 1.0, search_budget=32, seed=1)
+    # past the 729 fixed templates, so the witness may come from the seeded tail
+    res = maximize_displacement(4, 3.0, 1.0, search_budget=760, seed=1)
     assert displacement(res.witness) == pytest.approx(res.value, rel=1e-12)
     # independent solver agrees on both minimizers of the witness
     before, after = res.witness.rosters()
@@ -74,9 +75,9 @@ def test_search_dominates_naive_sampling():
 def test_search_budget_monotone():
     values = [
         maximize_displacement(5, 2.0, 1.0, search_budget=budget, seed=9).value
-        for budget in (8, 32, 128)
+        for budget in (8, 32, 128, 760)   # 760 reaches the seeded random tail
     ]
-    assert values[0] <= values[1] <= values[2]
+    assert values[0] <= values[1] <= values[2] <= values[3]
 
 
 def test_search_value_below_caps():
