@@ -67,10 +67,11 @@ class Allocation:
     budget: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        # a private copy: the caller's array can neither break nor be frozen by it
+        v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise FeasibilityError("values must be a 1-D array with n >= 1")
-        gap = abs(float(np.sum(v)) - self.budget)
+        gap = abs(float(v.sum()) - self.budget)
         if not (gap <= FEASIBILITY_TOL):
             raise FeasibilityError(
                 f"sum(values) misses budget by {gap:.3e} (> {FEASIBILITY_TOL:.0e})"

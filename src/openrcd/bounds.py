@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allocation import minimizer_ball_radius
+
 __all__ = [
     "closed_system_rate",
     "open_contraction_rate",
@@ -295,8 +297,6 @@ def evaluate_bounds(n, alpha, beta, b, p_update, h=None):
     -------
     BoundSet
     """
-    from .allocation import minimizer_ball_radius
-
     if h is None:
         h = 1.0 / beta
     kappa = beta / alpha

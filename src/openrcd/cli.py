@@ -442,8 +442,13 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads only -1 and -2.5 shapes as negative numbers, so it takes
+    # a budget such as -1e6 or -inf for an option: attach it to its flag
+    while "--b" in argv[:-1]:
+        i = argv.index("--b")
+        argv[i:i + 2] = ["--b=" + argv[i + 1]]
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -37,13 +37,8 @@ of ``_TAPE_STEPS`` steps first reads its swaps off the tape and solves
 them in rounds, every row's ``j``-th swap of the chunk in one batched
 minimizer call (:func:`_chunk_swaps`); the step loop then only does
 the pair updates, installs each swap's cost and precomputed minimizer,
-and records the error.
-
-An ensemble's memory is one float64 error matrix of
-``replications x (horizon + 1) x 8`` bytes plus, per running batch, a
-random tape of ``_BATCH_ROWS x _TAPE_STEPS x 5 x 8`` bytes (10.5 MB), a
-second copy of the rosters and ``(3 + n) x 8`` bytes per swap of the
-current chunk; see :func:`run_ensemble`.
+and records the error.  :func:`run_ensemble` states what an ensemble
+holds in memory.
 """
 
 import math
@@ -94,16 +89,12 @@ _TAPE_STEPS = 256
 #: per-step numpy calls are too small for threads to beat one thread
 _POOL_MIN_AGENTS = 64
 
-#: error-matrix columns reduced at a time by ``run_ensemble`` (at least 2)
-_REDUCE_COLUMNS = 64
-
 
 @dataclass(frozen=True)
 class EventSchedule:
     """Per-iteration event mix of the open system."""
 
     p_update: float
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.p_update <= 1.0):
@@ -454,9 +445,8 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
     (:func:`_chunk_swaps`).  Each step then does three things: the pair
     updates, as one flat gather and one flat scatter on ``x``; the
     step's swaps, written into the rosters the gradients read together
-    with their precomputed minimizers; and the error column.  Besides
-    the tape and the two roster copies, a chunk holds ``(3 + n) * 8``
-    bytes per swap.
+    with their precomputed minimizers; and the error column.  What a
+    batch holds in memory is stated in :func:`run_ensemble`.
     """
     n, horizon = config.n, config.horizon
     cert = config.certificate
@@ -522,34 +512,25 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
 
 
 def _column_stats(error):
-    """Column means and ``ddof=1`` standard deviations of ``error``.
+    """Column means and ``ddof=1`` standard deviations of ``error``,
+    reduced in place: the matrix is consumed.
 
-    numpy reduces axis 0 of a view two or more columns wide row by row,
-    each column on its own, so reducing ``_REDUCE_COLUMNS`` columns at a
-    time gives the bits of the full-matrix reduction with block-sized
-    temporaries.  A one-column view is summed pairwise instead, so a
-    lone last column joins the block before it.
+    The steps are ``np.mean`` and ``np.std(ddof=1)``'s own, in their
+    order, so the bits are numpy's; one row gives its own values and a
+    zero spread.  Errors are never negative, so ``rows * max**2`` bounds
+    every sum; columns where that could overflow are first scaled by an
+    exact power of two, and their statistics scaled back.
     """
-    cols = error.shape[1]
-    starts = list(range(0, cols, _REDUCE_COLUMNS))
-    if len(starts) > 1 and cols - starts[-1] == 1:
-        starts.pop()
-    mean = np.empty(cols)
-    std = np.empty(cols)
-    for lo, hi in zip(starts, starts[1:] + [cols]):
-        block = error[:, lo:hi]
-        with np.errstate(over="ignore"):
-            mean[lo:hi] = block.mean(axis=0)
-            std[lo:hi] = block.std(axis=0, ddof=1)
-        # squares (or sums, which make the std inf too) of huge errors
-        # overflowed: redo the block on values scaled by an exact power
-        # of two, then scale back
-        if not np.isfinite(std[lo:hi]).all() and np.isfinite(block).all():
-            scale = np.frexp(np.abs(block).max())[1]
-            scaled = np.ldexp(block, -scale)
-            mean[lo:hi] = np.ldexp(scaled.mean(axis=0), scale)
-            std[lo:hi] = np.ldexp(scaled.std(axis=0, ddof=1), scale)
-    return mean, std
+    rows = error.shape[0]
+    top = error.max(axis=0)
+    shift = np.where(top > math.sqrt(np.finfo(float).max / (2 * rows)), np.frexp(top)[1], 0)
+    if shift.any():
+        np.ldexp(error, -shift, out=error)
+    mean = error.sum(axis=0) / rows
+    error -= mean
+    error *= error
+    std = np.sqrt(error.sum(axis=0) / max(rows - 1, 1))
+    return np.ldexp(mean, shift), np.ldexp(std, shift)
 
 
 def run_ensemble(config, replications=None, base_seed=None):
@@ -572,9 +553,9 @@ def run_ensemble(config, replications=None, base_seed=None):
     Peak memory is about ``replications * (horizon + 1) * 8`` bytes for
     the matrix plus, per running batch, its random tape
     (``_BATCH_ROWS * _TAPE_STEPS * 5 * 8`` bytes), a second copy of its
-    rosters and ``(3 + n) * 8`` bytes per swap of the current chunk;
-    the mean and standard deviation are reduced ``_REDUCE_COLUMNS``
-    columns at a time.
+    rosters and ``(3 + n) * 8`` bytes per swap of the current chunk.
+    The mean and standard deviation are then reduced in place in the
+    matrix (:func:`_column_stats`), which adds only a few columns.
 
     Parameters
     ----------
@@ -614,9 +595,6 @@ def run_ensemble(config, replications=None, base_seed=None):
     replacement_count = sum(o.replacement_count for o in outcomes)
     max_shift = max((o.max_replacement_shift for o in outcomes), default=0.0)
 
-    if replications > 1:
-        mean, std = _column_stats(error)
-        halfwidth = Z95 * std / math.sqrt(replications)
-    else:
-        mean, halfwidth = error[0], np.zeros(config.horizon + 1)
+    mean, std = _column_stats(error)
+    halfwidth = Z95 * std / math.sqrt(replications)
     return ReplicationStats(mean, halfwidth, replications, replacement_count, max_shift)

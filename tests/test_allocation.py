@@ -42,6 +42,16 @@ def test_allocation_validates_budget():
         Allocation(np.array([]), 0.0)
 
 
+def test_allocation_keeps_a_private_copy():
+    a = np.array([0.25, 0.75, 5.0])
+    x = Allocation(a[:2], 1.0)
+    a[0] = 100.0
+    assert x.values.tolist() == [0.25, 0.75]    # still feasible
+    b = np.array([0.5, 0.5])
+    Allocation(b, 1.0)
+    assert b.flags.writeable
+
+
 def test_allocation_uniform():
     a = Allocation.uniform(4, 2.0)
     assert np.allclose(a.values, 0.5)

@@ -128,6 +128,9 @@ def test_bounds_bad_pu_list_exits_2(capsys):
         (["worstcase", "--n", "2:3", "--kappa", ",", "--b", "1"], "kappa"),
         (["worstcase", "--preset", "nope"], "preset"),
         (["simulate", "--preset", "nope"], "preset"),
+        # argparse alone takes "-inf" for an option
+        (["bounds", "--n", "5", "--kappa", "2", "--b", "-inf", "--pu", "0.9"], "b"),
+        (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "-inf"], "b"),
     ],
 )
 def test_bad_numbers_exit_2_naming_the_flag(argv, key, tmp_path, capsys):
@@ -139,6 +142,21 @@ def test_bad_numbers_exit_2_naming_the_flag(argv, key, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"config key '{key}'" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "5", "--kappa", "2", "--pu", "0.9"],
+    ["worstcase", "--n", "2:3", "--kappa", "2", "--budget", "4"],
+])
+@pytest.mark.parametrize("value", ["-1e6", "-1e-3"])
+def test_negative_exponent_values_read_as_numbers(argv, value, tmp_path, capsys):
+    # argparse alone takes "-1e6" for an option and exits 2
+    if argv[0] == "worstcase":
+        argv = argv + ["--out", str(tmp_path)]
+    assert main(argv + ["--b", value]) == 0
+    spaced = capsys.readouterr().out
+    assert main(argv + [f"--b={value}"]) == 0
+    assert spaced == capsys.readouterr().out
 
 
 def test_worstcase_csv_and_svg(tmp_path):

@@ -262,16 +262,17 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg", [
-    # 64 columns: a lone last column at block width 7
+    # 64 columns, reduced in place in one pass
     fig1_config(horizon=63, p_update=0.9),
     logcosh_config(horizon=60, p_update=0.8),
     # from _POOL_MIN_AGENTS up the three batches run on the thread pool
     fig1_config(n=_POOL_MIN_AGENTS, horizon=50, p_update=0.9),
+    # one column: numpy sums a one-column matrix's axis 0 pairwise
+    fig1_config(horizon=0),
 ])
 def test_ensemble_statistics_match_the_full_matrix(cfg, monkeypatch):
     monkeypatch.setattr(opensim.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(opensim, "_BATCH_ROWS", 25)
-    monkeypatch.setattr(opensim, "_REDUCE_COLUMNS", 7)
     stats = run_ensemble(cfg, replications=60, base_seed=3)
 
     full = np.vstack([_simulate_batch(cfg, [seed]).error for seed in range(3, 63)])
@@ -283,12 +284,35 @@ def test_ensemble_statistics_match_the_full_matrix(cfg, monkeypatch):
 
 def test_overflowing_column_statistics_are_rescaled_exactly():
     error = np.random.default_rng(0).standard_exponential((50, 9))
-    mean, std = _column_stats(error)
+    mean, std = _column_stats(error.copy())
     # squaring values near 2**900 overflows; scaling by a power of two is exact
     with np.errstate(over="raise"):
         huge_mean, huge_std = _column_stats(np.ldexp(error, 900))
     assert np.array_equal(huge_mean, np.ldexp(mean, 900))
     assert np.array_equal(huge_std, np.ldexp(std, 900))
+
+
+def test_only_overflowing_columns_are_rescaled():
+    error = np.random.default_rng(1).standard_exponential((40, 6))
+    error[:, 4:] = np.ldexp(error[:, 4:], 1000)
+    mean, std = error.mean(axis=0), error[:, :4].std(axis=0, ddof=1)
+    with np.errstate(over="raise"):
+        got_mean, got_std = _column_stats(error.copy())
+    assert np.array_equal(got_mean, mean)
+    assert np.array_equal(got_std[:4], std)
+    scaled = np.ldexp(error[:, 4:], -1000)
+    assert np.array_equal(got_std[4:], np.ldexp(scaled.std(axis=0, ddof=1), 1000))
+
+
+def test_column_statistics_reduce_in_place():
+    error = np.random.default_rng(2).standard_exponential((2000, 601))
+    tracemalloc.start()
+    try:
+        _column_stats(error)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.02 * error.nbytes
 
 
 def test_ensemble_memory_is_one_error_matrix(monkeypatch):
