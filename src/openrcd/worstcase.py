@@ -18,6 +18,15 @@ Coordinate ascent exploits the objective's structure: it is convex in
 every location parameter (so those line maxima sit at box endpoints)
 and rational in every curvature weight (searched by grid plus
 golden-section refinement).
+
+The curvature line maxima are pure functions of the inputs their line
+objective reads, and the ascents of one search converge to a few
+states, so one ``maximize_displacement`` call shares them across its
+starts in a cache keyed by exactly those inputs.  The cache is exact:
+every start ends on the same value and vector, bit for bit, as it would
+alone, so the result is still nondecreasing in the budget.  It is
+bounded: past a fixed number of entries it stops storing (the seeded
+random tail's first-sweep lines never repeat) and only serves lookups.
 """
 
 import itertools
@@ -28,6 +37,7 @@ import numpy as np
 
 from .allocation import closed_form_quadratic_minimizer
 from .bounds import (
+    _check,
     conjectured_displacement_cap,
     displacement_bound_general,
     displacement_bound_quadratic,
@@ -132,12 +142,43 @@ def _line_max(func, lo, hi):
     return x, v
 
 
-def _ascend(start, n, theta_box, b, max_sweeps=60):
+#: most line maxima one search stores; the fig2-analogue cells hold at
+#: most a few hundred, the random tail adds about n + 1 per start
+_LINE_CACHE_CAP = 1 << 14
+
+
+class _LineMaxima:
+    """Curvature line maxima on ``[lo, hi]``, shared by one search's starts.
+
+    ``key`` is a kind tag plus every input of the line objective except
+    ``b``, ``lo`` and ``hi``, which one search holds fixed.  Python float
+    keys alias ``0.0`` with ``-0.0``; that is harmless because every
+    input reaches the objective's value only through sums, products and
+    quotients that end in a square, and ``x + 0.0 == x - 0.0 == x`` for
+    ``x != 0``, so a zero's sign can flip only the sign of an
+    intermediate zero, which the square drops.  ``cap = 0`` stores
+    nothing and recomputes every line.
+    """
+
+    def __init__(self, lo, hi, cap):
+        self.lo, self.hi, self.cap = lo, hi, cap
+        self.store = {}
+
+    def argmax(self, key, func):
+        x = self.store.get(key)
+        if x is None:
+            x, _ = _line_max(func, self.lo, self.hi)
+            if len(self.store) < self.cap:
+                self.store[key] = x
+        return x
+
+
+def _ascend(start, n, b, lines, max_sweeps=60):
     """Coordinate-wise ascent from one start; returns (value, vector).
 
     Vector layout: ``kt[0..n-2], t1, t2, km[0..n-2], m1, m2``.
+    ``lines`` supplies the curvature line maxima.
     """
-    lo, hi = theta_box
     kt = list(start[: n - 1])
     t1, t2 = start[n - 1], start[n]
     km = list(start[n + 1: 2 * n])
@@ -160,16 +201,18 @@ def _ascend(start, n, theta_box, b, max_sweeps=60):
                     s, z0_rest + 1.0 / t, q0_rest + 1.0 / (t * t), b, t1, m1, t2, m2
                 )
 
-            kt[idx], _ = _line_max(on_theta, lo, hi)
+            kt[idx] = lines.argmax(("kept", s, z0_rest, q0_rest, t1, m1, t2, m2), on_theta)
             z0 = z0_rest + 1.0 / kt[idx]
             q0 = q0_rest + 1.0 / (kt[idx] * kt[idx])
 
         # curvature weights of the replaced agent, old and new
-        t1, _ = _line_max(
-            lambda t: _objective(s, z0, q0, b, t, m1, t2, m2), lo, hi
+        t1 = lines.argmax(
+            ("t1", s, z0, q0, m1, t2, m2),
+            lambda t: _objective(s, z0, q0, b, t, m1, t2, m2),
         )
-        t2, _ = _line_max(
-            lambda t: _objective(s, z0, q0, b, t1, m1, t, m2), lo, hi
+        t2 = lines.argmax(
+            ("t2", s, z0, q0, t1, m1, m2),
+            lambda t: _objective(s, z0, q0, b, t1, m1, t, m2),
         )
 
         # location parameters: convex coordinatewise, endpoints suffice
@@ -246,14 +289,16 @@ def maximize_displacement(n, kappa, b, search_budget=64, seed=0):
     Parameters
     ----------
     n : int
-        Agents, >= 2.
+        Agents, an integer >= 2.
     kappa : float
-        Condition ratio of the certificate (normalized alpha=1).
+        Condition ratio of the certificate (normalized alpha=1), in
+        ``[1, MAX_KAPPA]``.
     b : float
-        Budget.
+        Budget, ``|b| <= MAX_ABS_BUDGET``.
     search_budget : int
-        Number of ascent starts consumed from the deterministic start
-        sequence; the result is nondecreasing in this number.
+        Number of ascent starts, an integer >= 1, consumed from the
+        deterministic start sequence; the result is nondecreasing in
+        this number.
     seed : int
         Seed for the random tail of the start sequence.
 
@@ -261,20 +306,18 @@ def maximize_displacement(n, kappa, b, search_budget=64, seed=0):
     -------
     SearchResult
     """
+    _check(n, kappa, b)
+    if not (1 <= search_budget < math.inf and int(search_budget) == search_budget):
+        raise ValueError(f"need an integer search_budget >= 1, got {search_budget!r}")
     n = int(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if kappa < 1.0:
-        raise ValueError("need kappa >= 1")
-    if search_budget < 1:
-        raise ValueError("need search_budget >= 1")
     theta_box = (0.5, 0.5 * kappa)
     rng = np.random.default_rng(seed)
+    lines = _LineMaxima(*theta_box, _LINE_CACHE_CAP)
 
     best_value = -math.inf
     best_vec = None
     for _, start in zip(range(int(search_budget)), _start_sequence(n, theta_box, rng)):
-        value, vec = _ascend(start, n, theta_box, float(b))
+        value, vec = _ascend(start, n, float(b), lines)
         if value > best_value:
             best_value, best_vec = value, vec
 

@@ -11,7 +11,8 @@ CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
 def traced_counts(tmp_path, argv):
     """Run ``bench/child.py`` with the tracer on, require exit status 0
-    and return the spans file's counts summed by name."""
+    and return the spans file's counts summed by name, with each span
+    name's call count under ``"span:<name>"``."""
     result, spans = tmp_path / "result.json", tmp_path / "spans.json"
     done = subprocess.run(
         [sys.executable, str(CHILD), str(result), str(spans), *argv],
@@ -19,8 +20,10 @@ def traced_counts(tmp_path, argv):
     )
     assert done.returncode == 0, done.stderr
     counts = Counter()
-    for name, _, amount in json.loads(spans.read_text(encoding="utf-8"))["counts"]:
+    doc = json.loads(spans.read_text(encoding="utf-8"))
+    for name, _, amount in doc["counts"]:
         counts[name] += amount
+    counts.update("span:" + name for name, *_ in doc["spans"])
     return counts
 
 
@@ -41,3 +44,5 @@ def test_traced_worstcase_counts_its_starts(tmp_path):
                                       "--budget", "4", "--out", str(tmp_path / "out")])
     assert counts["opensim.replacement_draws"] == counts["opensim.reported_replacements"]
     assert counts["worstcase.starts"] == 2 * 2 * 4   # n in 2:3, kappa in {2, 5}
+    # the benchmark counts cells as calls of maximize_displacement
+    assert counts["span:worstcase.cell"] == 2 * 2

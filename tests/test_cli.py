@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import warnings
 import xml.etree.ElementTree as ET
@@ -186,6 +187,18 @@ def test_worstcase_preset(tmp_path):
                  "--budget", "8", "--out", out]) == 0
     rows = read_rows(f"{out}/worstcase.csv")
     assert {row["kappa"] for row in rows} == {"2", "5"}
+
+
+def test_worstcase_fig2_preset_outputs_are_pinned(tmp_path):
+    # digests of the full fig2-analogue sweep as the uncached ascent wrote it
+    out = tmp_path / "w"
+    assert main(["worstcase", "--preset", "fig2-analogue", "--out", str(out)]) == 0
+    expected = {
+        "worstcase.csv": "7ce2ec8baa2515ea9937d9258b467dbab9e0411db29738bec03be75d84cf7c23",
+        "worstcase.svg": "8299254853fd49a6c4ddae5c4be86737d946f1a5019aba9a80f623f2a4f5bdcf",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_worstcase_rerun_is_byte_identical(tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from openrcd import worstcase
 
 from openrcd.allocation import dual_bisection_minimizer
 from openrcd.bounds import (
@@ -10,6 +14,9 @@ from openrcd.bounds import (
 from openrcd.functions import ConvexityCertificate
 from openrcd.worstcase import (
     ReplacementInstance,
+    _ascend,
+    _LineMaxima,
+    _start_sequence,
     displacement,
     maximize_displacement,
     sweep,
@@ -94,6 +101,67 @@ def test_search_validation():
         maximize_displacement(3, 0.5, 0.0)
     with pytest.raises(ValueError):
         maximize_displacement(3, 2.0, 0.0, search_budget=0)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((3, 2.0, math.nan), {}),
+        ((3, 2.0, math.inf), {}),
+        ((3, math.nan, 0.0), {}),
+        ((2.7, 2.0, 0.0), {}),
+        ((3, 2.0, 0.0), {"search_budget": 2.5}),
+        ((3, 2.0, 0.0), {"search_budget": math.nan}),
+        ((3, 2.0, 0.0), {"search_budget": math.inf}),
+    ],
+)
+def test_search_rejects_bad_inputs_before_searching(monkeypatch, args, kwargs):
+    # a NaN kappa used to run the whole search first; n = 2.7 and a budget
+    # of 2.5 used to be truncated to 2
+    def no_ascent(*_):
+        raise AssertionError("searched before checking its inputs")
+
+    monkeypatch.setattr(worstcase, "_ascend", no_ascent)
+    with pytest.raises(ValueError):
+        maximize_displacement(*args, **kwargs)
+
+
+def test_sweep_rejects_infinite_budget():
+    with pytest.raises(ValueError, match=r"\|b\|"):
+        sweep([3], [2.0], math.inf, 4)
+
+
+def _bits(value, vec):
+    return np.float64(value).tobytes(), np.asarray(vec, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n, kappa, b", [(2, 3.0, 0.0), (4, 3.0, 1.0), (7, 5.0, -2.0)])
+def test_shared_line_maxima_are_exact(n, kappa, b):
+    # 760 starts reach the seeded random tail; cap 0 recomputes every line
+    box = (0.5, 0.5 * kappa)
+    shared = _LineMaxima(*box, worstcase._LINE_CACHE_CAP)
+    alone = _LineMaxima(*box, 0)
+    rng = np.random.default_rng(1)
+    for _, start in zip(range(760), _start_sequence(n, box, rng)):
+        assert _bits(*_ascend(start, n, b, shared)) == _bits(*_ascend(start, n, b, alone))
+    assert shared.store and not alone.store
+
+
+def test_line_maxima_stop_storing_at_the_cap(monkeypatch):
+    cap = 64
+    sizes = []
+
+    def ascend_and_measure(start, n, b, lines):
+        found = _ascend(start, n, b, lines)
+        sizes.append(len(lines.store))
+        return found
+
+    unbounded = maximize_displacement(3, 4.0, 1.0, search_budget=760, seed=3)
+    monkeypatch.setattr(worstcase, "_LINE_CACHE_CAP", cap)
+    monkeypatch.setattr(worstcase, "_ascend", ascend_and_measure)
+    bounded = maximize_displacement(3, 4.0, 1.0, search_budget=760, seed=3)
+    assert len(sizes) == 760 and max(sizes) == cap
+    assert bounded == unbounded
 
 
 def test_sweep_table_shape_and_columns():
