@@ -116,6 +116,12 @@ def check_in_ball(x, radius):
     return bool(np.linalg.norm(values) <= radius)
 
 
+def _squared_distance(a, b):
+    """``||a - b||^2`` along the last axis, for every squared distance measured."""
+    d = a - b
+    return (d * d).sum(axis=-1)
+
+
 def _roster_arrays(fs, names, solver):
     try:
         return [np.array([getattr(f, name) for f in fs], dtype=np.float64) for name in names]

@@ -8,7 +8,8 @@ Subcommands::
               [--preset fig2-analogue] [--out DIR]
 
 Exit status: 0 on success, 2 on configuration or argument validation
-failure (the message names the offending key), 3 on solver failure
+failure, an unreadable ``--config`` or an unusable ``--out`` (the
+message names the offending key or flag), 3 on solver failure
 (no convergence, or a scalar run drifting off its budget).
 
 File formats (stable schemas, UTF-8, LF line endings, floats printed
@@ -63,6 +64,13 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+
+
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot create directory {path!r}: {exc.strerror}") from None
 
 
 def _bound_block(bs):
@@ -218,13 +226,16 @@ def cmd_simulate(args):
             raise ConfigError("preset", f"unknown preset {args.preset!r}")
         table.update(SIMULATE_PRESETS[args.preset])
     if args.config:
-        config = load_config(args.config, defaults=table)
+        try:
+            config = load_config(args.config, defaults=table)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("config", f"cannot read {args.config!r}: {exc}") from None
     elif table:
         config = config_from_table(table)
     else:
         raise ConfigError("config", "need --config PATH or --preset NAME")
 
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     bs = evaluate_bounds(
         config.n, config.alpha, config.beta, config.budget, config.p_update, config.h
     )
@@ -371,8 +382,8 @@ def cmd_worstcase(args):
     if seed < 0:
         raise ConfigError("seed", f"need an integer >= 0, got {seed}")
 
+    _make_out_dir(args.out)
     rows = sweep(n_values, kappas, b, search_budget=budget, seed=seed)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "worstcase.csv")
     _write_csv(
         path,

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .allocation import FEASIBILITY_TOL
+from .allocation import Allocation, FeasibilityError
 from .bounds import MAX_ABS_BUDGET, MAX_KAPPA
 from .functions import ConvexityCertificate
 
@@ -112,11 +112,10 @@ class ExperimentConfig:
                         "initial_state",
                         f"need finite entries of size <= {MAX_ABS_BUDGET:g}, got {v!r}",
                     )
-            if abs(sum(vec) - self.budget) > FEASIBILITY_TOL:
-                raise ConfigError(
-                    "initial_state",
-                    f"vector sums to {sum(vec)!r}, budget is {self.budget!r}",
-                )
+            try:
+                Allocation(vec, self.budget)
+            except FeasibilityError as exc:
+                raise ConfigError("initial_state", str(exc)) from None
             object.__setattr__(self, "initial_state", vec)
         if self.function_family not in _FAMILIES:
             raise ConfigError(

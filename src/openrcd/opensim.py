@@ -17,9 +17,10 @@ simulating all replications of an experiment in either built-in family
 (quadratic or log-cosh) in lockstep with vectorized arithmetic that is
 operation-for-operation identical to the scalar path, because both call
 one copy of each formula: ``rcd._pair_update``, ``quadratic_quantiles``,
-``allocation._quadratic_point``, ``allocation._logcosh_point`` (which
-stops on ``allocation._solver_targets``), :func:`_initial_point` and
-:func:`_squared_distance`.  Runs with a custom ``replacement_sampler``
+``functions._logcosh_weight``, ``allocation._quadratic_point``,
+``allocation._logcosh_point`` (which stops on
+``allocation._solver_targets``), :func:`_initial_point` and
+``allocation._squared_distance``.  Runs with a custom ``replacement_sampler``
 (which may return any certified cost, e.g. a ``GeneralSmoothFunction``)
 exist only on the scalar path and track the minimizer with the dual
 bisection, in either family.
@@ -53,6 +54,7 @@ from .allocation import (
     _logcosh_newton_minimizer,
     _logcosh_point,
     _quadratic_point,
+    _squared_distance,
     closed_form_quadratic_minimizer,
     dual_bisection_minimizer,
 )
@@ -250,12 +252,6 @@ def _roster_value(roster, values):
     return math.fsum(f.value(v) for f, v in zip(roster, values))
 
 
-def _squared_distance(a, b):
-    # along the last axis, so both engines measure C_k with one formula
-    d = a - b
-    return (d * d).sum(axis=-1)
-
-
 def run_trajectory(config, seed=None, replacement_sampler=None):
     """Simulate one run and log it per iteration.
 
@@ -320,54 +316,41 @@ class _BatchOutcome:
 
 
 class _Rows:
-    """One roster per row, held as ``(rows, n)`` parameter arrays.
+    """One roster per row: only the drawn ``(rows, n)`` arrays ``theta`` and
+    ``mu``; ``1/theta`` and the log-cosh weight are computed where read.
 
-    Agent ``i`` of row ``r`` sits at flat index ``r * n + i`` of every
-    array, so one flat gather reads any mix of rows and agents.
+    Agent ``i`` of row ``r`` is flat index ``r * n + i`` of both arrays, so
+    one flat ``take`` or ``put`` reaches any mix of rows and agents.
     """
 
     def __init__(self, config, theta, mu):
         self.budget, self.certificate = config.budget, config.certificate
-        self.params = (theta, mu, self.derived(theta))
-        self.flat = tuple(p.reshape(-1) for p in self.params)
+        self.theta, self.mu = theta, mu
 
     def replace(self, at, theta, mu):
         """Give the agents at flat indices ``at`` the costs ``(theta, mu)``."""
-        for flat, p in zip(self.flat, (theta, mu, self.derived(theta))):
-            flat[at] = p
+        self.theta.put(at, theta)
+        self.mu.put(at, mu)
 
 
 class _QuadraticRows(_Rows):
-    """Quadratic rosters: ``theta``, ``mu`` and the ``1/theta`` the
-    closed form needs."""
-
-    def derived(self, theta):
-        return 1.0 / theta
-
     def gradient(self, at, x):
-        theta, mu, _ = self.flat
-        return _quadratic_gradient(theta[at], mu[at], x)
+        return _quadratic_gradient(self.theta.take(at), self.mu.take(at), x)
 
     def minimizer(self, rows=slice(None)):
-        _, mu, inv_theta = self.params
-        return _quadratic_point(mu[rows], inv_theta[rows], self.budget)[0]
+        return _quadratic_point(self.mu[rows], 1.0 / self.theta[rows], self.budget)[0]
 
 
 class _LogCoshRows(_Rows):
-    """Log-cosh rosters: ``theta``, ``mu`` and ``weight``."""
-
-    def derived(self, theta):
-        return _logcosh_weight(self.certificate, theta)
-
     def gradient(self, at, x):
-        theta, mu, weight = self.flat
-        return _logcosh_gradient(theta[at], mu[at], weight[at], x)
+        theta = self.theta.take(at)
+        weight = _logcosh_weight(self.certificate, theta)
+        return _logcosh_gradient(theta, self.mu.take(at), weight, x)
 
     def minimizer(self, rows=slice(None)):
-        theta, mu, weight = self.params
-        return _logcosh_point(
-            theta[rows], mu[rows], weight[rows], self.budget, self.certificate
-        )[0]
+        theta = self.theta[rows]
+        weight = _logcosh_weight(self.certificate, theta)
+        return _logcosh_point(theta, self.mu[rows], weight, self.budget, self.certificate)[0]
 
 
 @dataclass
@@ -552,8 +535,9 @@ def run_ensemble(config, replications=None, base_seed=None):
 
     Peak memory is about ``replications * (horizon + 1) * 8`` bytes for
     the matrix plus, per running batch, its random tape
-    (``_BATCH_ROWS * _TAPE_STEPS * 5 * 8`` bytes), a second copy of its
-    rosters and ``(3 + n) * 8`` bytes per swap of the current chunk.
+    (``_BATCH_ROWS * _TAPE_STEPS * 5 * 8`` bytes), two copies of its
+    rosters (``theta`` and ``mu``, ``2 * n * 8`` bytes per row each) and
+    ``(3 + n) * 8`` bytes per swap of the current chunk.
     The mean and standard deviation are then reduced in place in the
     matrix (:func:`_column_stats`), which adds only a few columns.
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .allocation import Allocation
+from .allocation import Allocation, _squared_distance
 from .functions import ParameterRangeError
 
 __all__ = [
@@ -223,6 +223,5 @@ def exact_onestep_expectation(x, fs, xstar, step):
     total = 0.0
     for i, j in zip(ei, ej):
         after = rcd_pair_step(x, fs, PairSelection(int(i), int(j)), step)
-        d = after.values - target
-        total += float((d * d).sum())
+        total += float(_squared_distance(after.values, target))
     return total / ei.size

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import closed_form_quadratic_minimizer
+from .allocation import _squared_distance, closed_form_quadratic_minimizer
 from .bounds import (
     _check,
     conjectured_displacement_cap,
@@ -95,8 +95,7 @@ def displacement(instance):
     before, after = instance.rosters()
     a = closed_form_quadratic_minimizer(before, instance.budget).point.values
     b = closed_form_quadratic_minimizer(after, instance.budget).point.values
-    d = b - a
-    return float((d * d).sum())
+    return float(_squared_distance(b, a))
 
 
 def _objective(s, z0, q0, b, t1, m1, t2, m2):

@@ -20,6 +20,11 @@ seed = 3
 """
 
 
+# sums to exactly 1 in Python, but numpy's sum misses b = 1 by 1.4e-9
+NUMPY_SUM_MISSES_B = ("963485.023,343637.366,736601.421,986104.285,"
+                      "106141.99,10991.927,749019.8,-3895980.812000001")
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -201,6 +206,23 @@ def test_worstcase_fig2_preset_outputs_are_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize("keys, name, digest", [
+    # two batches of rows, three tape chunks
+    ("replications = 2000\n", "ensemble.csv",
+     "2c20fb1298e5c02f9f5722115b9095a2debe540b947f1e1747d4fedf48289acc"),
+    ("replications = 1\nhorizon = 2000\n", "trajectory.csv",
+     "71a01208eb8a6dc31366a788981261ecc41d8cb74f882f4ff5714968db31a59a"),
+])
+def test_simulate_fig1_outputs_are_pinned(keys, name, digest, tmp_path):
+    # quadratic only: log-cosh runs go through np.tanh, whose last bit may
+    # differ between numpy builds and CPUs
+    path = tmp_path / "fig1.cfg"
+    path.write_text(keys, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "fig1", "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 def test_worstcase_rerun_is_byte_identical(tmp_path):
     args = ["worstcase", "--n", "2:3", "--kappa", "2", "--b", "1",
             "--budget", "8", "--seed", "5"]
@@ -242,6 +264,11 @@ def test_simulate_huge_finite_inputs_exit_2(key, tmp_path, capsys):
     ("seed = -1", "seed"),
     ("initial_state = nan,0,0,1", "initial_state"),
     ("initial_state = 1e300,-1e300,0,1", "initial_state"),
+    # the batch and the scalar engine must both refuse it
+    pytest.param("n = 8\ninitial_state = " + NUMPY_SUM_MISSES_B, "initial_state",
+                 id="numpy-sum-misses-b-ensemble"),
+    pytest.param("n = 8\nreplications = 1\ninitial_state = " + NUMPY_SUM_MISSES_B,
+                 "initial_state", id="numpy-sum-misses-b-trajectory"),
 ])
 def test_simulate_bad_seed_or_start_exits_2(line, key, tmp_path, capsys):
     path = tmp_path / "bad.cfg"
@@ -251,6 +278,30 @@ def test_simulate_bad_seed_or_start_exits_2(line, key, tmp_path, capsys):
     assert f"config key '{key}'" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "ensemble.csv").exists()
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--config", "{tmp}/missing.cfg"], "config"),
+    (["simulate", "--config", "{tmp}"], "config"),
+    (["simulate", "--config", "{tmp}/latin1.cfg"], "config"),
+    (["simulate", "--preset", "fig1", "--out", "{tmp}/a_file"], "out"),
+    (["worstcase", "--preset", "fig2-analogue", "--out", "{tmp}/a_file"], "out"),
+], ids=["missing-config", "directory-config", "non-utf8-config",
+        "simulate-out-is-a-file", "worstcase-out-is-a-file"])
+def test_bad_paths_exit_2(argv, flag, tmp_path, capsys, monkeypatch):
+    import openrcd.cli as cli_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli_mod, "sweep", no_sweep)
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    (tmp_path / "latin1.cfg").write_bytes(b"n = 4 # \xe9\n")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert f"config key '{flag}'" in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_huge_budget_keeps_the_confidence_band_finite(tmp_path):

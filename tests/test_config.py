@@ -115,6 +115,12 @@ def test_explicit_initial_state_checked_against_budget():
         ExperimentConfig(initial_state=(0.5, 0.25), **base)
     with pytest.raises(ConfigError):
         ExperimentConfig(initial_state=(1.0, 1.0, 1.0), **base)
+    # Python's sum is exactly 1, numpy's (Allocation's) misses by 1.4e-9
+    vec = (963485.023, 343637.366, 736601.421, 986104.285, 106141.99, 10991.927,
+           749019.8, -3895980.812000001)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(initial_state=vec, **dict(base, n=8))
+    assert err.value.key == "initial_state"
 
 
 @pytest.mark.parametrize("vector", [
