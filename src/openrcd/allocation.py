@@ -105,7 +105,7 @@ def minimizer_ball_radius(n, kappa, budget):
     ``kappa``, minimizers in ``[-1, 1]`` and the given budget.
     """
     n = int(n)
-    if n < 1 or kappa < 1.0:
+    if n < 1 or not kappa >= 1.0:
         raise ValueError("need n >= 1 and kappa >= 1")
     return math.sqrt(n) + (1.0 + abs(budget) / n) * math.sqrt(kappa * n)
 

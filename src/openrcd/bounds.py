@@ -21,7 +21,8 @@ squared.  They genuinely differ; ``BoundSet`` records both so the
 discrepancy is visible in every report.
 
 Divergent regimes return ``math.inf`` as an explicit sentinel, never a
-floating overflow.
+floating overflow.  Each argument out of its :mod:`openrcd.config`
+rule, ``nan`` included, raises ``ConfigError`` naming the argument.
 """
 
 import math
@@ -30,6 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import minimizer_ball_radius
+from .config import (
+    MAX_ABS_BUDGET,
+    MAX_KAPPA,
+    _check_budget,
+    _check_count,
+    _check_curvature,
+    _check_kappa,
+    _check_nonnegative,
+    _check_probability,
+    _check_step,
+)
 
 __all__ = [
     "closed_system_rate",
@@ -54,36 +66,25 @@ __all__ = [
     "MAX_ABS_BUDGET",
 ]
 
-#: largest ``kappa`` the calculators accept; ``kappa ** 3`` overflows a
-#: float from about 5.6e102 on
-MAX_KAPPA = 1e100
-
-#: largest ``|b|`` the calculators accept; ``(|b| + n) ** 2`` overflows a
-#: float from about 1.3e154 on
-MAX_ABS_BUDGET = 1e150
-
-
-def _check(n, kappa, b=0.0):
-    if int(n) != n or n < 2:
-        raise ValueError(f"need an integer n >= 2, got {n!r}")
-    if not 1.0 <= kappa <= MAX_KAPPA:
-        raise ValueError(f"need 1 <= kappa <= {MAX_KAPPA:g}, got {kappa!r}")
-    if not abs(b) <= MAX_ABS_BUDGET:
-        raise ValueError(f"need |b| <= {MAX_ABS_BUDGET:g}, got {b!r}")
+def _check(n, kappa, b=0.0, p_update=0.0):
+    _check_count("n", n, 2)
+    _check_kappa("kappa", kappa)
+    _check_budget("b", b)
+    _check_probability("p_update", p_update)
 
 
 def closed_system_rate(n, alpha, h):
     """Expected one-step contraction with a fixed roster: ``1 - h*alpha/(n-1)``."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if alpha <= 0.0 or h <= 0.0:
-        raise ValueError("need alpha > 0 and h > 0")
+    _check_count("n", n, 2)
+    # the curvature and step rules at the smallest beta, beta = alpha
+    _check_curvature(alpha, alpha)
+    _check_step(h, alpha)
     return 1.0 - h * alpha / (n - 1)
 
 
 def open_contraction_rate(n, kappa, p_update):
     """Contraction factor of the open-system mean-error recursion."""
-    _check(n, kappa)
+    _check(n, kappa, p_update=p_update)
     return 2.0 - p_update * (1.0 + 1.0 / ((n - 1) * kappa))
 
 
@@ -94,7 +95,7 @@ def _error_bracket(n, kappa, b):
 
 def replacement_offset(n, kappa, b, p_update):
     """Per-iteration additive error inflation, general certified rosters."""
-    _check(n, kappa, b)
+    _check(n, kappa, b, p_update)
     paren = _error_bracket(n, kappa, b)
     return 8.0 * (1.0 - p_update) * paren * paren * n * kappa
 
@@ -114,7 +115,7 @@ def _quadratic_bracket(n, kappa, b):
 
 def quadratic_replacement_offset(n, kappa, b, p_update):
     """Per-iteration additive error inflation, quadratic rosters."""
-    _check(n, kappa, b)
+    _check(n, kappa, b, p_update)
     if p_update == 1.0:
         # no replacements; an overflowed (inf) bracket must not turn 0 into nan
         return 0.0
@@ -144,15 +145,14 @@ def stability_thresholds(n, kappa):
 def max_agent_probability(edge_probability, kappa):
     """Largest per-agent replacement probability a per-edge update
     probability can stabilize: ``edge_probability / (2 kappa)``."""
-    if kappa < 1.0 or edge_probability < 0.0:
-        raise ValueError("need kappa >= 1 and a nonnegative probability")
+    _check_probability("edge_probability", edge_probability)
+    _check_kappa("kappa", kappa)
     return edge_probability / (2.0 * kappa)
 
 
 def replacement_ratio(p_update):
     """Expected replacements per update, ``(1 - p_update)/p_update``."""
-    if not (0.0 <= p_update <= 1.0):
-        raise ValueError(f"p_update={p_update} outside [0, 1]")
+    _check_probability("p_update", p_update)
     if p_update == 0.0:
         return math.inf
     return (1.0 - p_update) / p_update
@@ -166,8 +166,7 @@ def steady_state_level(n, kappa, b, ratio):
     Returns ``math.inf`` at or beyond the stability frontier.
     """
     _check(n, kappa, b)
-    if ratio < 0.0:
-        raise ValueError(f"replacement ratio must be >= 0, got {ratio!r}")
+    _check_nonnegative("ratio", ratio)
     cap = 1.0 / ((n - 1) * kappa)
     if ratio >= cap:
         return math.inf
@@ -180,10 +179,10 @@ def steady_state_from_recursion(n, kappa, b, p_update):
 
     Returns ``math.inf`` when the recursion does not contract.
     """
-    rate = open_contraction_rate(n, kappa, p_update)
+    rate, offset = open_recursion(n, kappa, b, p_update)
     if rate >= 1.0:
         return math.inf
-    return replacement_offset(n, kappa, b, p_update) / (1.0 - rate)
+    return offset / (1.0 - rate)
 
 
 def displacement_bound_general(n, kappa, b):
@@ -202,6 +201,7 @@ def displacement_bound_quadratic(n, kappa, b):
 
 def replacement_error_map(c, n, kappa, b):
     """Bound on ``E[C_{k+1}]`` given ``E[C_k] = c`` when a replacement hits."""
+    _check_nonnegative("c", c)
     return 2.0 * c + 2.0 * displacement_bound_general(n, kappa, b)
 
 
@@ -225,12 +225,13 @@ def recursion_envelope(initial, rate, offset, horizon):
     Returns the array ``B_0 .. B_horizon``; with the rate and an offset
     from this module it upper-bounds the mean error curve.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    out = np.empty(int(horizon) + 1)
+    for key, value in (("initial", initial), ("rate", rate), ("offset", offset)):
+        _check_nonnegative(key, value)
+    horizon = _check_count("horizon", horizon, 0)
+    out = np.empty(horizon + 1)
     out[0] = initial
     value = float(initial)
-    for k in range(int(horizon)):
+    for k in range(horizon):
         value = rate * value + offset
         out[k + 1] = value
     return out
@@ -244,16 +245,17 @@ def steady_state_envelope(initial, n, kappa, b, ratio, horizon):
     frontier, and the printed steady-state level.  Beyond the frontier
     the level is infinite and every entry after ``k = 0`` is ``inf``.
     """
-    _check(n, kappa, b)
+    _check_nonnegative("initial", initial)
     gamma = steady_state_level(n, kappa, b, ratio)
-    out = np.empty(int(horizon) + 1)
+    horizon = _check_count("horizon", horizon, 0)
+    out = np.empty(horizon + 1)
     out[0] = initial
     if math.isinf(gamma):
         out[1:] = math.inf
         return out
     cap = 1.0 / ((n - 1) * kappa)
     rate = 1.0 + (ratio - cap) / (1.0 + ratio)
-    ks = np.arange(1, int(horizon) + 1)
+    ks = np.arange(1, horizon + 1)
     out[1:] = gamma + rate ** ks * (initial - gamma)
     return out
 
@@ -297,9 +299,8 @@ def evaluate_bounds(n, alpha, beta, b, p_update, h=None):
     -------
     BoundSet
     """
-    if h is None:
-        h = 1.0 / beta
-    kappa = beta / alpha
+    kappa = _check_curvature(alpha, beta)
+    h = 1.0 / beta if h is None else _check_step(h, beta)
     p_min, ratio_max = stability_thresholds(n, kappa)
     ratio = replacement_ratio(p_update)
     return BoundSet(

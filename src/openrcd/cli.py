@@ -8,9 +8,10 @@ Subcommands::
               [--preset fig2-analogue] [--out DIR]
 
 Exit status: 0 on success, 2 on configuration or argument validation
-failure, an unreadable ``--config`` or an unusable ``--out`` (the
-message names the offending key or flag), 3 on solver failure
-(no convergence, or a scalar run drifting off its budget).
+failure (numbers by the library's own rules in :mod:`openrcd.config`,
+before ``--out`` is created), an unreadable ``--config`` or an unusable
+``--out`` (the message names the offending key or flag), 3 on solver
+failure (no convergence, or a scalar run drifting off its budget).
 
 File formats (stable schemas, UTF-8, LF line endings, floats printed
 with 17 significant digits so they round-trip):
@@ -35,11 +36,15 @@ import os
 import sys
 
 from .allocation import FeasibilityError, NonConvergenceError
-from .bounds import MAX_ABS_BUDGET, MAX_KAPPA, evaluate_bounds, recursion_envelope
+from .bounds import evaluate_bounds, recursion_envelope
 from .config import (
     SIMULATE_PRESETS,
     WORSTCASE_PRESETS,
     ConfigError,
+    _check_budget,
+    _check_count,
+    _check_kappa,
+    _check_probability,
     config_from_table,
     load_config,
 )
@@ -296,26 +301,11 @@ def _float_list(raw, key):
     return values
 
 
-def _finite(key, value, at_least, magnitude):
-    """Return ``value`` if it is not below ``at_least`` (``None``: no floor)
-    and its size is at most ``magnitude``."""
-    if abs(value) <= magnitude and (at_least is None or value >= at_least):
-        return value
-    need = f"a number of size <= {magnitude:g}"
-    if at_least is not None:
-        need += f" and >= {at_least:g}"
-    raise ConfigError(key, f"need {need}, got {value!r}")
-
-
 def cmd_bounds(args):
-    if args.n < 2:
-        raise ConfigError("n", f"need an integer >= 2, got {args.n}")
-    pu_values = _float_list(args.pu, "pu")
-    for pu in pu_values:
-        if not 0.0 <= pu <= 1.0:
-            raise ConfigError("pu", f"need probabilities in [0, 1], got {pu!r}")
-    _finite("kappa", args.kappa, 1.0, MAX_KAPPA)
-    _finite("b", args.b, None, MAX_ABS_BUDGET)
+    _check_count("n", args.n, 2)
+    pu_values = [_check_probability("pu", pu) for pu in _float_list(args.pu, "pu")]
+    _check_kappa("kappa", args.kappa)
+    _check_budget("b", args.b)
     header = (
         "p_U",
         "stable",
@@ -354,9 +344,7 @@ def _parse_range(raw):
         lo_v, hi_v = int(lo), int(hi if hi else lo)
     except ValueError:
         raise ConfigError("n", f"cannot parse {raw!r} as LO:HI") from None
-    if lo_v < 2 or hi_v < lo_v:
-        raise ConfigError("n", f"need 2 <= LO <= HI, got {raw!r}")
-    return range(lo_v, hi_v + 1)
+    return range(_check_count("n", lo_v, 2), _check_count("n", hi_v, lo_v) + 1)
 
 
 def cmd_worstcase(args):
@@ -372,15 +360,10 @@ def cmd_worstcase(args):
         elif key not in flags:
             raise ConfigError(key, f"need --{key} or a preset")
     n_values = _parse_range(flags["n"])
-    kappas = _float_list(flags["kappa"], "kappa")
-    for kappa in kappas:
-        _finite("kappa", kappa, 1.0, MAX_KAPPA)
-    b = _finite("b", float(flags["b"]), None, MAX_ABS_BUDGET)
-    budget, seed = int(flags["budget"]), int(flags["seed"])
-    if budget < 1:
-        raise ConfigError("budget", f"need a positive search budget, got {budget}")
-    if seed < 0:
-        raise ConfigError("seed", f"need an integer >= 0, got {seed}")
+    kappas = [_check_kappa("kappa", kappa) for kappa in _float_list(flags["kappa"], "kappa")]
+    b = _check_budget("b", float(flags["b"]))
+    budget = _check_count("budget", int(flags["budget"]), 1)
+    seed = _check_count("seed", int(flags["seed"]), 0)
 
     _make_out_dir(args.out)
     rows = sweep(n_values, kappas, b, search_budget=budget, seed=seed)

@@ -3,22 +3,21 @@
 The on-disk format is flat ``key = value`` lines; ``#`` starts a
 comment, blank lines are skipped.  Recognized keys::
 
-    n                 agent count (int, >= 2)            required
-    alpha             strong-convexity modulus (> 0)     required
-    beta              smoothness modulus (>= alpha,      required
-                      beta/alpha <= MAX_KAPPA)
-    b                 budget (|b| <= MAX_ABS_BUDGET)     required
+    n                 agent count (count >= 2)           required
+    alpha, beta       curvature pair                     required
+    b                 budget                             required
     p_U               per-iteration update probability   required
     h                 step size, default 1/beta
-    horizon           iterations K, default 600
-    replications      default 1
-    seed              base RNG seed (int, >= 0), default 0
-    initial_state     uniform_budget | minimizer | comma-separated finite
-                      floats of size <= MAX_ABS_BUDGET summing to b
+    horizon           iterations K (count >= 0), default 600
+    replications      count >= 1, default 1
+    seed              base RNG seed (count >= 0), default 0
+    initial_state     uniform_budget | minimizer | comma-separated
+                      floats, each a budget, summing to b
     function_family   quadratic | logcosh_quadratic
 
-Every validation failure raises :class:`ConfigError` carrying the
-offending key, which the CLI maps to exit status 2.
+Each parameter rule is stated once, in the ``_check_*`` helpers below,
+which the CLI and the library call too: a bad value raises
+:class:`ConfigError` (a ``ValueError``) naming its key or argument.
 """
 
 import math
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .allocation import Allocation, FeasibilityError
-from .bounds import MAX_ABS_BUDGET, MAX_KAPPA
 from .functions import ConvexityCertificate
 
 __all__ = [
@@ -46,6 +44,54 @@ class ConfigError(ValueError):
     def __init__(self, key, message):
         self.key = key
         super().__init__(f"config key '{key}': {message}")
+
+
+#: largest ``kappa`` the calculators accept; ``kappa ** 3`` overflows a
+#: float from about 5.6e102 on
+MAX_KAPPA = 1e100
+
+#: largest ``|b|`` the calculators accept; ``(|b| + n) ** 2`` overflows a
+#: float from about 1.3e154 on
+MAX_ABS_BUDGET = 1e150
+
+
+def _need(ok, key, need, value):
+    if not ok:
+        raise ConfigError(key, f"need {need}, got {value!r}")
+    return value
+
+
+def _check_count(key, value, lowest):
+    """An integer (numpy ones too; no bool, no float) >= ``lowest``, as an int."""
+    ok = isinstance(value, Integral) and not isinstance(value, bool) and value >= lowest
+    return int(_need(ok, key, f"an integer >= {lowest}", value))
+
+
+def _check_kappa(key, kappa):
+    return _need(1.0 <= kappa <= MAX_KAPPA, key, f"1 <= kappa <= {MAX_KAPPA:g}", kappa)
+
+
+def _check_budget(key, b):
+    return _need(abs(b) <= MAX_ABS_BUDGET, key, f"|{key}| <= {MAX_ABS_BUDGET:g}", b)
+
+
+def _check_probability(key, p):
+    return _need(0.0 <= p <= 1.0, key, "a probability in [0, 1]", p)
+
+
+def _check_nonnegative(key, value):
+    return _need(value >= 0.0, key, "a number >= 0", value)
+
+
+def _check_curvature(alpha, beta):
+    """A finite pair ``0 < alpha <= beta``; returns ``kappa = beta / alpha``."""
+    _need(0.0 < alpha < math.inf, "alpha", "a finite alpha > 0", alpha)
+    _need(alpha <= beta < math.inf, "beta", f"a finite beta >= alpha={alpha}", beta)
+    return _check_kappa("beta", beta / alpha)
+
+
+def _check_step(h, beta):
+    return _need(0.0 < h <= 1.0 / beta < math.inf, "h", f"0 < h <= 1/beta={1.0 / beta}", h)
 
 
 _INITIAL_STATE_NAMES = ("uniform_budget", "minimizer")
@@ -69,66 +115,29 @@ class ExperimentConfig:
     function_family: str = "quadratic"
 
     def __post_init__(self):
-        self._integer("n", 2)
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ConfigError("alpha", f"need a finite alpha > 0, got {self.alpha!r}")
-        if not (math.isfinite(self.beta) and self.beta >= self.alpha):
-            raise ConfigError(
-                "beta", f"need a finite beta >= alpha={self.alpha}, got {self.beta!r}"
-            )
-        if not self.kappa <= MAX_KAPPA:
-            raise ConfigError(
-                "beta", f"need kappa = beta/alpha <= {MAX_KAPPA:g}, got {self.kappa!r}"
-            )
-        if not abs(self.budget) <= MAX_ABS_BUDGET:
-            raise ConfigError(
-                "b", f"need a budget of size <= {MAX_ABS_BUDGET:g}, got {self.budget!r}"
-            )
-        if not (0.0 <= self.p_update <= 1.0):
-            raise ConfigError("p_U", f"need a probability in [0, 1], got {self.p_update!r}")
+        for key, lowest in (("n", 2), ("horizon", 0), ("replications", 1), ("seed", 0)):
+            object.__setattr__(self, key, _check_count(key, getattr(self, key), lowest))
+        _check_curvature(self.alpha, self.beta)
+        _check_budget("b", self.budget)
+        _check_probability("p_U", self.p_update)
         if self.h is None:
             object.__setattr__(self, "h", 1.0 / self.beta)
-        if not (0.0 < self.h <= 1.0 / self.beta):
-            raise ConfigError("h", f"need 0 < h <= 1/beta={1.0 / self.beta}, got {self.h!r}")
-        self._integer("horizon", 0)
-        self._integer("replications", 1)
-        self._integer("seed", 0)
+        _check_step(self.h, self.beta)
         if isinstance(self.initial_state, str):
-            if self.initial_state not in _INITIAL_STATE_NAMES:
-                raise ConfigError(
-                    "initial_state",
-                    f"{self.initial_state!r} is not one of {_INITIAL_STATE_NAMES} "
-                    "or a comma-separated vector",
-                )
+            _need(self.initial_state in _INITIAL_STATE_NAMES, "initial_state",
+                  f"one of {_INITIAL_STATE_NAMES} or a vector", self.initial_state)
         else:
             vec = tuple(float(v) for v in self.initial_state)
-            if len(vec) != self.n:
-                raise ConfigError(
-                    "initial_state", f"vector has {len(vec)} entries, need n={self.n}"
-                )
+            _need(len(vec) == self.n, "initial_state", f"n={self.n} entries", vec)
             for v in vec:
-                if not abs(v) <= MAX_ABS_BUDGET:
-                    raise ConfigError(
-                        "initial_state",
-                        f"need finite entries of size <= {MAX_ABS_BUDGET:g}, got {v!r}",
-                    )
+                _check_budget("initial_state", v)
             try:
                 Allocation(vec, self.budget)
             except FeasibilityError as exc:
                 raise ConfigError("initial_state", str(exc)) from None
             object.__setattr__(self, "initial_state", vec)
-        if self.function_family not in _FAMILIES:
-            raise ConfigError(
-                "function_family", f"{self.function_family!r} is not one of {_FAMILIES}"
-            )
-
-    def _integer(self, key, lowest):
-        """Check that field ``key`` is an integer (numpy ones too, bool
-        not) no smaller than ``lowest``, and store it as a Python int."""
-        value = getattr(self, key)
-        if not isinstance(value, Integral) or isinstance(value, bool) or value < lowest:
-            raise ConfigError(key, f"need an integer >= {lowest}, got {value!r}")
-        object.__setattr__(self, key, int(value))
+        _need(self.function_family in _FAMILIES, "function_family", f"one of {_FAMILIES}",
+              self.function_family)
 
     @property
     def kappa(self):
@@ -163,9 +172,9 @@ def _convert(key, raw):
         return raw
     try:
         if kind is int:
-            # tolerate "600.0"-style ints but reject fractional values
+            # tolerate "600.0"-style ints but reject fractional and non-finite values
             value = float(raw)
-            if value != int(value):
+            if not value.is_integer():
                 raise ValueError
             return int(value)
         return float(raw)
@@ -188,22 +197,20 @@ def parse_config_text(text, defaults=None):
         if "=" not in body:
             raise ConfigError(body.split()[0], f"line {lineno} is not 'key = value'")
         key, _, raw = body.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _KEY_TYPES:
-            raise ConfigError(key, "unknown key")
-        table[key] = raw
+        table[key.strip()] = raw.strip()
     return config_from_table(table)
 
 
 def config_from_table(table):
     """Build a config from a raw string table, reporting bad keys."""
+    for key in table:
+        if key not in _KEY_TYPES:
+            raise ConfigError(key, "unknown key")
     for key in _REQUIRED:
         if key not in table:
             raise ConfigError(key, "required key is missing")
     kwargs = {}
     for key, raw in table.items():
-        if key not in _KEY_TYPES:
-            raise ConfigError(key, "unknown key")
         value = _convert(key, raw) if isinstance(raw, str) else raw
         if key == "initial_state" and isinstance(value, str):
             if value not in _INITIAL_STATE_NAMES:

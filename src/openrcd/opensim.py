@@ -58,6 +58,7 @@ from .allocation import (
     closed_form_quadratic_minimizer,
     dual_bisection_minimizer,
 )
+from .config import _check_count, _check_probability
 from .functions import (
     _cost_from_uniforms,
     _logcosh_gradient,
@@ -99,8 +100,7 @@ class EventSchedule:
     p_update: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p_update <= 1.0):
-            raise ValueError(f"p_update={self.p_update} outside [0, 1]")
+        _check_probability("p_update", self.p_update)
 
     @property
     def p_replace(self):
@@ -272,7 +272,7 @@ def run_trajectory(config, seed=None, replacement_sampler=None):
         minimizer, and ``minimizer_shift`` the squared minimizer jump
         (zero except on replacement rows).
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(_check_count("seed", config.seed if seed is None else seed, 0))
     schedule = EventSchedule(config.p_update)
     step_config = StepConfig(config.h, config.beta)
     solver = _solver_for(config.function_family, replacement_sampler is not None)
@@ -556,10 +556,10 @@ def run_ensemble(config, replications=None, base_seed=None):
         95% normal-approximation half-widths (zero when only one
         replication ran).
     """
-    replications = config.replications if replications is None else int(replications)
-    base_seed = config.seed if base_seed is None else int(base_seed)
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    replications = _check_count(
+        "replications", config.replications if replications is None else replications, 1
+    )
+    base_seed = _check_count("base_seed", config.seed if base_seed is None else base_seed, 0)
 
     error = np.empty((replications, config.horizon + 1))
     starts = range(0, replications, _BATCH_ROWS)

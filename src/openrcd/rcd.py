@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .allocation import Allocation, _squared_distance
+from .config import _check_count
 from .functions import ParameterRangeError
 
 __all__ = [
@@ -38,9 +39,7 @@ class DegenerateWeightsError(ValueError):
 
 def uniform_pair_probability(n):
     """Probability ``2 / (n (n-1))`` of any one pair on the complete graph."""
-    n = int(n)
-    if n < 2:
-        raise ValueError("need at least two agents")
+    n = _check_count("n", n, 2)
     return 2.0 / (n * (n - 1))
 
 

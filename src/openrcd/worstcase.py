@@ -42,6 +42,7 @@ from .bounds import (
     displacement_bound_general,
     displacement_bound_quadratic,
 )
+from .config import _check_budget, _check_count, _check_kappa
 from .functions import ConvexityCertificate, QuadraticFunction
 
 __all__ = [
@@ -299,23 +300,22 @@ def maximize_displacement(n, kappa, b, search_budget=64, seed=0):
         deterministic start sequence; the result is nondecreasing in
         this number.
     seed : int
-        Seed for the random tail of the start sequence.
+        Seed for the random tail of the start sequence, an integer >= 0.
 
     Returns
     -------
     SearchResult
     """
     _check(n, kappa, b)
-    if not (1 <= search_budget < math.inf and int(search_budget) == search_budget):
-        raise ValueError(f"need an integer search_budget >= 1, got {search_budget!r}")
     n = int(n)
+    search_budget = _check_count("search_budget", search_budget, 1)
     theta_box = (0.5, 0.5 * kappa)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     lines = _LineMaxima(*theta_box, _LINE_CACHE_CAP)
 
     best_value = -math.inf
     best_vec = None
-    for _, start in zip(range(int(search_budget)), _start_sequence(n, theta_box, rng)):
+    for _, start in zip(range(search_budget), _start_sequence(n, theta_box, rng)):
         value, vec = _ascend(start, n, float(b), lines)
         if value > best_value:
             best_value, best_vec = value, vec
@@ -335,7 +335,7 @@ def maximize_displacement(n, kappa, b, search_budget=64, seed=0):
         min(t - lo, hi - t) <= edge_tol
         for t in (*witness.kept_theta, witness.replaced_before[0], witness.replaced_after[0])
     )
-    return SearchResult(best_value, witness, int(search_budget), on_edge)
+    return SearchResult(best_value, witness, search_budget, on_edge)
 
 
 @dataclass(frozen=True)
@@ -351,13 +351,21 @@ class SweepRow:
 def sweep(n_values, kappa_values, b, search_budget=64, seed=0):
     """Run the search over a grid and table it against the caps.
 
+    ``n_values`` and ``kappa_values`` are sequences (a ``range`` too).
     Returns one :class:`SweepRow` per ``(n, kappa)`` pair, in grid
-    order (kappa outer, n inner).
+    order (kappa outer, n inner).  Every input is checked before the first search.
     """
+    for n in n_values:
+        _check_count("n", n, 2)
+    for kappa in kappa_values:
+        _check_kappa("kappa", kappa)
+    _check_budget("b", b)
+    _check_count("search_budget", search_budget, 1)
+    seed = _check_count("seed", seed, 0)
     rows = []
     for ki, kappa in enumerate(kappa_values):
         for ni, n in enumerate(n_values):
-            cell_seed = int(seed) + 7919 * (ki * 1000 + ni)
+            cell_seed = seed + 7919 * (ki * 1000 + ni)
             found = maximize_displacement(n, kappa, b, search_budget, seed=cell_seed)
             rows.append(
                 SweepRow(

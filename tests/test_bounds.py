@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import mpmath as mp
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 import bound_oracle as oracle
+from openrcd import bounds
+from openrcd.allocation import minimizer_ball_radius
 from openrcd.bounds import (
     MAX_ABS_BUDGET,
     MAX_KAPPA,
@@ -27,6 +30,8 @@ from openrcd.bounds import (
     steady_state_from_recursion,
     steady_state_level,
 )
+from openrcd.rcd import uniform_pair_probability
+from openrcd.worstcase import maximize_displacement
 
 
 def test_closed_rate_examples():
@@ -203,3 +208,53 @@ def test_overflowing_inputs_are_rejected_and_the_limits_give_no_nan():
             isinstance(v, float) and math.isnan(v) for v in dataclasses.astuple(bs)
         )
     assert quadratic_replacement_offset(5, MAX_KAPPA, MAX_ABS_BUDGET, 1.0) == 0.0
+
+
+# one good value per argument name, and bad ones: non-finite or out of range
+_GOOD = dict(n=5, kappa=2.0, b=1.0, budget=1.0, p_update=0.9, edge_probability=0.2,
+             ratio=0.1, alpha=1.0, beta=2.0, h=0.5, horizon=3, initial=1.0, rate=0.5,
+             offset=0.1, c=1.0, search_budget=1, seed=0)
+_BAD = dict(
+    n=(1, 5.5, math.inf, math.nan),
+    kappa=(0.5, math.nan, 10.0 * MAX_KAPPA),
+    b=(math.nan, -math.inf, 10.0 * MAX_ABS_BUDGET),
+    p_update=(1.5, math.nan),
+    edge_probability=(-0.1, math.nan),
+    ratio=(-0.1, math.nan),
+    alpha=(0.0, math.nan, math.inf),
+    beta=(0.5, math.nan, 10.0 * MAX_KAPPA),
+    h=(0.0, math.nan, 2.0),
+    horizon=(-1, 2.5),
+    initial=(-1.0, math.nan),
+    rate=(-1.0, math.nan),
+    offset=(-1.0, math.nan),
+    c=(-1.0, math.nan),
+    search_budget=(0, 2.5, math.inf),
+    seed=(-1, 1.5),
+)
+# the conjectured curve's two constants are free reals
+_FREE = {"c1", "c2"}
+_CALCULATORS = [
+    f for _, f in inspect.getmembers(bounds, inspect.isfunction) if f.__name__ in bounds.__all__
+] + [uniform_pair_probability, maximize_displacement]
+
+
+def _bad_argument_cases():
+    for func in _CALCULATORS:
+        for name in inspect.signature(func).parameters:
+            for bad in () if name in _FREE else _BAD[name]:
+                yield pytest.param(func, name, bad, id=f"{func.__name__}-{name}={bad!r}")
+    # config imports allocation, so the ball radius keeps its own kappa check
+    for bad in (0.5, math.nan):
+        yield pytest.param(minimizer_ball_radius, "kappa", bad,
+                           id=f"minimizer_ball_radius-kappa={bad!r}")
+
+
+@pytest.mark.parametrize("func, name, bad", _bad_argument_cases())
+def test_every_calculator_refuses_a_bad_argument_by_name(func, name, bad):
+    kwargs = {arg: _GOOD[arg] for arg in inspect.signature(func).parameters if arg in _GOOD}
+    func(**kwargs)
+    kwargs[name] = bad
+    with pytest.raises(ValueError, match=rf"\b{name}\b") as err:
+        func(**kwargs)
+    assert getattr(err.value, "key", name) == name

@@ -331,3 +331,21 @@ def test_feasibility_drift_exits_3(tmp_path, capsys):
     )
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3
     assert "solver failure: sum(values) misses budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("alpha = 5e-324\nbeta = 5e-324", "h"),
+    ("n = inf", "n"),
+    ("horizon = inf", "horizon"),
+    ("replications = -inf", "replications"),
+    ("seed = inf", "seed"),
+])
+def test_simulate_infinite_values_exit_2(line, key, tmp_path, capsys):
+    # float("inf") has no int, and 1/beta overflows at a subnormal beta: both
+    # used to end in a traceback
+    path = tmp_path / "inf.cfg"
+    path.write_text(SMALL_CFG + line + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"config key '{key}'" in captured.err
+    assert captured.out == ""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from openrcd import allocation
 from openrcd.allocation import NonConvergenceError, dual_bisection_minimizer
 from openrcd.cli import main
-from openrcd.config import ExperimentConfig
+from openrcd.config import ConfigError, ExperimentConfig
 from openrcd.functions import (
     ConvexityCertificate,
     GeneralSmoothFunction,
@@ -480,3 +480,17 @@ def test_solver_failure_in_a_round_surfaces(monkeypatch, tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3
     assert "solver failure: bracket stuck in a round" in capsys.readouterr().err
     assert not (tmp_path / "ensemble.csv").exists()
+
+
+@pytest.mark.parametrize("run, kwargs, key", [
+    (run_ensemble, {"replications": 2.5}, "replications"),
+    (run_ensemble, {"replications": 0}, "replications"),
+    (run_ensemble, {"base_seed": -1}, "base_seed"),
+    (run_trajectory, {"seed": 1.5}, "seed"),
+    (run_trajectory, {"seed": -1}, "seed"),
+])
+def test_run_counts_and_seeds_are_refused_not_truncated(run, kwargs, key):
+    # replications = 2.5 used to run 2 replications
+    with pytest.raises(ConfigError) as err:
+        run(fig1_config(horizon=5), **kwargs)
+    assert err.value.key == key

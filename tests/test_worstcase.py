@@ -6,6 +6,7 @@ import pytest
 from openrcd import worstcase
 
 from openrcd.allocation import dual_bisection_minimizer
+from openrcd.config import ConfigError
 from openrcd.bounds import (
     conjectured_displacement_cap,
     displacement_bound_general,
@@ -179,3 +180,26 @@ def test_sweep_deterministic():
     a = sweep([2, 3], [2.0], 1.0, search_budget=8, seed=7)
     b = sweep([2, 3], [2.0], 1.0, search_budget=8, seed=7)
     assert a == b
+
+
+@pytest.mark.parametrize("search, args, kwargs, key", [
+    (sweep, ([3, 4], [2.0, 1e300], 1.0, 2), {}, "kappa"),
+    (sweep, ([3, 4], [2.0, math.nan], 1.0, 2), {}, "kappa"),
+    (sweep, ([3, 2.5], [2.0], 1.0, 2), {}, "n"),
+    (sweep, ([3, 4], [2.0, 5.0], math.nan, 2), {}, "b"),
+    (sweep, ([3, 4], [2.0, 5.0], 1.0, 2.5), {}, "search_budget"),
+    (sweep, ([3, 4], [2.0, 5.0], 1.0, 2), {"seed": 1.5}, "seed"),
+    (sweep, ([3, 4], [2.0, 5.0], 1.0, 2), {"seed": -1}, "seed"),
+    (maximize_displacement, (3, 2.0, 1.0, 2), {"seed": 1.5}, "seed"),
+    (maximize_displacement, (3, 2.0, 1.0, 2), {"seed": -1}, "seed"),
+])
+def test_sweep_checks_every_input_before_searching(monkeypatch, search, args, kwargs, key):
+    # the bad entry is the grid's last: a kappa of 1e300 used to be refused
+    # only after three cells, n = 2.5 after n = 3, and a seed of 1.5 ran as 1
+    def no_ascent(*_):
+        raise AssertionError("searched before checking its inputs")
+
+    monkeypatch.setattr(worstcase, "_ascend", no_ascent)
+    with pytest.raises(ConfigError) as err:
+        search(*args, **kwargs)
+    assert err.value.key == key
