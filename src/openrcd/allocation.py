@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functions import LogCoshQuadratic, _logcosh_gradient
+from .rules import _check_budget, _check_count, _check_kappa
 
 __all__ = [
     "FeasibilityError",
@@ -104,9 +105,9 @@ def minimizer_ball_radius(n, kappa, budget):
     Valid for any roster of certified costs with condition ratio at most
     ``kappa``, minimizers in ``[-1, 1]`` and the given budget.
     """
-    n = int(n)
-    if n < 1 or not kappa >= 1.0:
-        raise ValueError("need n >= 1 and kappa >= 1")
+    n = _check_count("n", n, 1)
+    _check_kappa("kappa", kappa)
+    _check_budget("budget", budget)
     return math.sqrt(n) + (1.0 + abs(budget) / n) * math.sqrt(kappa * n)
 
 

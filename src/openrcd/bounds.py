@@ -21,7 +21,7 @@ squared.  They genuinely differ; ``BoundSet`` records both so the
 discrepancy is visible in every report.
 
 Divergent regimes return ``math.inf`` as an explicit sentinel, never a
-floating overflow.  Each argument out of its :mod:`openrcd.config`
+floating overflow.  Each argument out of its :mod:`openrcd.rules`
 rule, ``nan`` included, raises ``ConfigError`` naming the argument.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import minimizer_ball_radius
-from .config import (
+from .rules import (
     MAX_ABS_BUDGET,
     MAX_KAPPA,
     _check_budget,
@@ -41,6 +41,7 @@ from .config import (
     _check_nonnegative,
     _check_probability,
     _check_step,
+    _need,
 )
 
 __all__ = [
@@ -211,9 +212,14 @@ def conjectured_displacement_cap(n, kappa, c1=1.0, c2=1.0):
     The curve is ``(kappa + 1)^2 - c1 kappa^3 / (n + kappa + c2)``.  It is
     evaluated over one denominator, with ``m = n + c2``, as
     ``((1 - c1) kappa^3 + (m + 2) kappa^2 + (2m + 1) kappa + m) / (m + kappa)``:
-    the two terms of the printed form cancel at large ``kappa``.
+    the two terms of the printed form cancel at large ``kappa``.  Both
+    constants must be finite, and the denominator ``n + c2 + kappa``
+    positive.
     """
     _check(n, kappa)
+    _need(math.isfinite(c1), "c1", "a finite c1", c1)
+    _need(math.isfinite(c2) and n + c2 + kappa > 0.0, "c2",
+          f"a finite c2 > -(n + kappa) = {-(n + kappa)}", c2)
     m = n + c2
     numerator = (1.0 - c1) * kappa ** 3 + (m + 2.0) * kappa ** 2 + (2.0 * m + 1.0) * kappa + m
     return numerator / (m + kappa)

@@ -8,7 +8,7 @@ Subcommands::
               [--preset fig2-analogue] [--out DIR]
 
 Exit status: 0 on success, 2 on configuration or argument validation
-failure (numbers by the library's own rules in :mod:`openrcd.config`,
+failure (numbers by the library's own rules in :mod:`openrcd.rules`,
 before ``--out`` is created), an unreadable ``--config`` or an unusable
 ``--out`` (the message names the offending key or flag), 3 on solver
 failure (no convergence, or a scalar run drifting off its budget).
@@ -37,18 +37,15 @@ import sys
 
 from .allocation import FeasibilityError, NonConvergenceError
 from .bounds import evaluate_bounds, recursion_envelope
-from .config import (
-    SIMULATE_PRESETS,
-    WORSTCASE_PRESETS,
+from .config import SIMULATE_PRESETS, WORSTCASE_PRESETS, config_from_table, load_config
+from .opensim import run_ensemble, run_trajectory
+from .rules import (
     ConfigError,
     _check_budget,
     _check_count,
     _check_kappa,
     _check_probability,
-    config_from_table,
-    load_config,
 )
-from .opensim import run_ensemble, run_trajectory
 from .worstcase import sweep
 
 __all__ = ["main", "cmd_simulate", "cmd_bounds", "cmd_worstcase"]

@@ -15,17 +15,28 @@ comment, blank lines are skipped.  Recognized keys::
                       floats, each a budget, summing to b
     function_family   quadratic | logcosh_quadratic
 
-Each parameter rule is stated once, in the ``_check_*`` helpers below,
-which the CLI and the library call too: a bad value raises
-:class:`ConfigError` (a ``ValueError``) naming its key or argument.
+Each parameter rule is stated once, in :mod:`openrcd.rules`, which the
+CLI and the library call too: a bad value raises :class:`ConfigError`
+(a ``ValueError``) naming its key or argument.
 """
 
-import math
 from dataclasses import dataclass
-from numbers import Integral
 
 from .allocation import Allocation, FeasibilityError
 from .functions import ConvexityCertificate
+from .rules import (  # noqa: F401  (ConfigError and the limits are re-exported)
+    MAX_ABS_BUDGET,
+    MAX_KAPPA,
+    ConfigError,
+    _check_budget,
+    _check_count,
+    _check_curvature,
+    _check_kappa,
+    _check_nonnegative,
+    _check_probability,
+    _check_step,
+    _need,
+)
 
 __all__ = [
     "ConfigError",
@@ -36,62 +47,6 @@ __all__ = [
     "SIMULATE_PRESETS",
     "WORSTCASE_PRESETS",
 ]
-
-
-class ConfigError(ValueError):
-    """Invalid or missing configuration value; ``key`` names the culprit."""
-
-    def __init__(self, key, message):
-        self.key = key
-        super().__init__(f"config key '{key}': {message}")
-
-
-#: largest ``kappa`` the calculators accept; ``kappa ** 3`` overflows a
-#: float from about 5.6e102 on
-MAX_KAPPA = 1e100
-
-#: largest ``|b|`` the calculators accept; ``(|b| + n) ** 2`` overflows a
-#: float from about 1.3e154 on
-MAX_ABS_BUDGET = 1e150
-
-
-def _need(ok, key, need, value):
-    if not ok:
-        raise ConfigError(key, f"need {need}, got {value!r}")
-    return value
-
-
-def _check_count(key, value, lowest):
-    """An integer (numpy ones too; no bool, no float) >= ``lowest``, as an int."""
-    ok = isinstance(value, Integral) and not isinstance(value, bool) and value >= lowest
-    return int(_need(ok, key, f"an integer >= {lowest}", value))
-
-
-def _check_kappa(key, kappa):
-    return _need(1.0 <= kappa <= MAX_KAPPA, key, f"1 <= kappa <= {MAX_KAPPA:g}", kappa)
-
-
-def _check_budget(key, b):
-    return _need(abs(b) <= MAX_ABS_BUDGET, key, f"|{key}| <= {MAX_ABS_BUDGET:g}", b)
-
-
-def _check_probability(key, p):
-    return _need(0.0 <= p <= 1.0, key, "a probability in [0, 1]", p)
-
-
-def _check_nonnegative(key, value):
-    return _need(value >= 0.0, key, "a number >= 0", value)
-
-
-def _check_curvature(alpha, beta):
-    """A finite pair ``0 < alpha <= beta``; returns ``kappa = beta / alpha``."""
-    _need(0.0 < alpha < math.inf, "alpha", "a finite alpha > 0", alpha)
-    _need(alpha <= beta < math.inf, "beta", f"a finite beta >= alpha={alpha}", beta)
-    return _check_kappa("beta", beta / alpha)
-
-
-def _check_step(h, beta):
-    return _need(0.0 < h <= 1.0 / beta < math.inf, "h", f"0 < h <= 1/beta={1.0 / beta}", h)
 
 
 _INITIAL_STATE_NAMES = ("uniform_budget", "minimizer")

@@ -58,7 +58,6 @@ from .allocation import (
     closed_form_quadratic_minimizer,
     dual_bisection_minimizer,
 )
-from .config import _check_count, _check_probability
 from .functions import (
     _cost_from_uniforms,
     _logcosh_gradient,
@@ -67,6 +66,7 @@ from .functions import (
     quadratic_quantiles,
 )
 from .rcd import PairSelection, StepConfig, _pair_update, complete_graph_edges, rcd_pair_step
+from .rules import _check_count, _check_probability
 
 __all__ = [
     "EventSchedule",
@@ -435,7 +435,9 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
     cert = config.certificate
     rows = len(seeds)
     gens = [np.random.default_rng(int(s)) for s in seeds]
-    init_u = np.stack([g.random((n, 2)) for g in gens])
+    init_u = np.empty((rows, n, 2))
+    for g, u in zip(gens, init_u):
+        g.random(out=u)
     # the rest of each row's stream is drawn _TAPE_STEPS steps at a time;
     # consecutive Generator.random calls continue one stream exactly
     tape = np.empty((rows, min(horizon, _TAPE_STEPS), 5))
@@ -462,8 +464,8 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
 
     for start in range(0, horizon, _TAPE_STEPS):
         steps = min(_TAPE_STEPS, horizon - start)
-        for r, g in enumerate(gens):
-            tape[r, :steps] = g.random((steps, 5))
+        for g, row in zip(gens, tape):
+            g.random(out=row[:steps])
         coin = tape[:, :steps, 0] < config.p_update   # True: a pair update
         if update_mask is not None:
             update_mask[:, start:start + steps] = coin

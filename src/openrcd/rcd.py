@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .allocation import Allocation, _squared_distance
-from .config import _check_count
 from .functions import ParameterRangeError
+from .rules import _check_count
 
 __all__ = [
     "DegenerateWeightsError",

@@ -19,6 +19,15 @@ every location parameter (so those line maxima sit at box endpoints)
 and rational in every curvature weight (searched by grid plus
 golden-section refinement).
 
+``_objective`` is the reference closed form.  The lines of one sweep
+(each kept curvature, ``t1``, ``t2``, and the kept locations as one
+phase) are evaluated by builders that compute once what stays fixed:
+``b - s - m1``, ``b - s - m2``, ``m1 - m2``, ``1/t1``, ``1/t2``,
+``z0 + 1/t`` and ``t * z``, with ``_objective``'s operands in its order,
+so each value carries ``_objective``'s exact bits.  ``_objective`` still
+scores the ``m1``/``m2`` steps and each sweep's value.  The grid of a
+curvature line depends only on the box, so one search computes it once.
+
 The curvature line maxima are pure functions of the inputs their line
 objective reads, and the ascents of one search converge to a few
 states, so one ``maximize_displacement`` call shares them across its
@@ -42,8 +51,8 @@ from .bounds import (
     displacement_bound_general,
     displacement_bound_quadratic,
 )
-from .config import _check_budget, _check_count, _check_kappa
 from .functions import ConvexityCertificate, QuadraticFunction
+from .rules import _check_budget, _check_count, _check_kappa
 
 __all__ = [
     "ReplacementInstance",
@@ -111,18 +120,91 @@ def _objective(s, z0, q0, b, t1, m1, t2, m2):
     return a * a * q0 + c * c
 
 
+def _kept_theta_line(s, z0_rest, q0_rest, b, t1, m1, t2, m2):
+    """``t -> _objective(s, z0_rest + 1/t, q0_rest + 1/t^2, b, t1, m1, t2, m2)``."""
+    bs = b - s
+    big_t1 = bs - m1
+    big_t2 = bs - m2
+    dm = m1 - m2
+    r1 = 1.0 / t1
+    r2 = 1.0 / t2
+
+    def value(t):
+        z0 = z0_rest + 1.0 / t
+        z1 = z0 + r1
+        z2 = z0 + r2
+        a = big_t1 / z1 - big_t2 / z2
+        c = dm + big_t1 / (t1 * z1) - big_t2 / (t2 * z2)
+        return a * a * (q0_rest + 1.0 / (t * t)) + c * c
+
+    return value
+
+
+def _t1_line(s, z0, q0, b, m1, t2, m2):
+    """``t -> _objective(s, z0, q0, b, t, m1, t2, m2)``."""
+    bs = b - s
+    big_t1 = bs - m1
+    big_t2 = bs - m2
+    dm = m1 - m2
+    z2 = z0 + 1.0 / t2
+    a2 = big_t2 / z2
+    c2 = big_t2 / (t2 * z2)
+
+    def value(t):
+        z1 = z0 + 1.0 / t
+        a = big_t1 / z1 - a2
+        c = dm + big_t1 / (t * z1) - c2
+        return a * a * q0 + c * c
+
+    return value
+
+
+def _t2_line(s, z0, q0, b, t1, m1, m2):
+    """``t -> _objective(s, z0, q0, b, t1, m1, t, m2)``."""
+    bs = b - s
+    big_t1 = bs - m1
+    big_t2 = bs - m2
+    z1 = z0 + 1.0 / t1
+    a1 = big_t1 / z1
+    c1 = (m1 - m2) + big_t1 / (t1 * z1)
+
+    def value(t):
+        z2 = z0 + 1.0 / t
+        a = a1 - big_t2 / z2
+        c = c1 - big_t2 / (t * z2)
+        return a * a * q0 + c * c
+
+    return value
+
+
+def _location_line(z0, q0, b, t1, m1, t2, m2):
+    """``s -> _objective(s, z0, q0, b, t1, m1, t2, m2)``."""
+    dm = m1 - m2
+    z1 = z0 + 1.0 / t1
+    z2 = z0 + 1.0 / t2
+    t1z1 = t1 * z1
+    t2z2 = t2 * z2
+
+    def value(s):
+        bs = b - s
+        big_t1 = bs - m1
+        big_t2 = bs - m2
+        a = big_t1 / z1 - big_t2 / z2
+        c = dm + big_t1 / t1z1 - big_t2 / t2z2
+        return a * a * q0 + c * c
+
+    return value
+
+
 _THETA_GRID = 17
 _GOLDEN_ITERS = 28
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _line_max(func, lo, hi):
-    """Grid scan plus golden refinement; deterministic."""
-    if hi <= lo:
-        return lo, func(lo)
-    xs = [lo + (hi - lo) * g / (_THETA_GRID - 1) for g in range(_THETA_GRID)]
-    vals = [func(x) for x in xs]
-    best = max(range(_THETA_GRID), key=vals.__getitem__)
+def _line_max(func, xs):
+    """Argmax of ``func`` by a scan of the grid ``xs`` plus golden refinement."""
+    vals = list(map(func, xs))
+    best = vals.index(max(vals))   # the first maximum
     a = xs[max(best - 1, 0)]
     c = xs[min(best + 1, _THETA_GRID - 1)]
     x1 = c - _INVPHI * (c - a)
@@ -137,9 +219,8 @@ def _line_max(func, lo, hi):
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (c - a)
             f2 = func(x2)
-    candidates = [(vals[best], xs[best]), (f1, x1), (f2, x2)]
-    v, x = max(candidates)
-    return x, v
+    _, x = max((vals[best], xs[best]), (f1, x1), (f2, x2))
+    return x
 
 
 #: most line maxima one search stores; the fig2-analogue cells hold at
@@ -150,8 +231,10 @@ _LINE_CACHE_CAP = 1 << 14
 class _LineMaxima:
     """Curvature line maxima on ``[lo, hi]``, shared by one search's starts.
 
-    ``key`` is a kind tag plus every input of the line objective except
-    ``b``, ``lo`` and ``hi``, which one search holds fixed.  Python float
+    A line is a builder (``_kept_theta_line``, ``_t1_line`` or
+    ``_t2_line``) and its arguments, which together are the cache key;
+    the grid of ``_THETA_GRID`` points depends only on ``lo`` and ``hi``,
+    which one search holds fixed, so it is computed once.  Python float
     keys alias ``0.0`` with ``-0.0``; that is harmless because every
     input reaches the objective's value only through sums, products and
     quotients that end in a square, and ``x + 0.0 == x - 0.0 == x`` for
@@ -161,13 +244,15 @@ class _LineMaxima:
     """
 
     def __init__(self, lo, hi, cap):
-        self.lo, self.hi, self.cap = lo, hi, cap
+        self.grid = [lo + (hi - lo) * g / (_THETA_GRID - 1) for g in range(_THETA_GRID)]
+        self.cap = cap
         self.store = {}
 
-    def argmax(self, key, func):
+    def argmax(self, line, *args):
+        key = (line, *args)
         x = self.store.get(key)
         if x is None:
-            x, _ = _line_max(func, self.lo, self.hi)
+            x = _line_max(line(*args), self.grid)
             if len(self.store) < self.cap:
                 self.store[key] = x
         return x
@@ -195,35 +280,19 @@ def _ascend(start, n, b, lines, max_sweeps=60):
         for idx in range(n - 1):
             z0_rest = z0 - 1.0 / kt[idx]
             q0_rest = q0 - 1.0 / (kt[idx] * kt[idx])
-
-            def on_theta(t, z0_rest=z0_rest, q0_rest=q0_rest):
-                return _objective(
-                    s, z0_rest + 1.0 / t, q0_rest + 1.0 / (t * t), b, t1, m1, t2, m2
-                )
-
-            kt[idx] = lines.argmax(("kept", s, z0_rest, q0_rest, t1, m1, t2, m2), on_theta)
+            kt[idx] = lines.argmax(_kept_theta_line, s, z0_rest, q0_rest, b, t1, m1, t2, m2)
             z0 = z0_rest + 1.0 / kt[idx]
             q0 = q0_rest + 1.0 / (kt[idx] * kt[idx])
 
         # curvature weights of the replaced agent, old and new
-        t1 = lines.argmax(
-            ("t1", s, z0, q0, m1, t2, m2),
-            lambda t: _objective(s, z0, q0, b, t, m1, t2, m2),
-        )
-        t2 = lines.argmax(
-            ("t2", s, z0, q0, t1, m1, m2),
-            lambda t: _objective(s, z0, q0, b, t1, m1, t, m2),
-        )
+        t1 = lines.argmax(_t1_line, s, z0, q0, b, m1, t2, m2)
+        t2 = lines.argmax(_t2_line, s, z0, q0, b, t1, m1, m2)
 
         # location parameters: convex coordinatewise, endpoints suffice
+        on_s = _location_line(z0, q0, b, t1, m1, t2, m2)
         for idx in range(n - 1):
             s_rest = s - km[idx]
-            if _objective(s_rest + 1.0, z0, q0, b, t1, m1, t2, m2) >= _objective(
-                s_rest - 1.0, z0, q0, b, t1, m1, t2, m2
-            ):
-                km[idx] = 1.0
-            else:
-                km[idx] = -1.0
+            km[idx] = 1.0 if on_s(s_rest + 1.0) >= on_s(s_rest - 1.0) else -1.0
             s = s_rest + km[idx]
         m1 = (
             1.0

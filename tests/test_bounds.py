@@ -213,11 +213,12 @@ def test_overflowing_inputs_are_rejected_and_the_limits_give_no_nan():
 # one good value per argument name, and bad ones: non-finite or out of range
 _GOOD = dict(n=5, kappa=2.0, b=1.0, budget=1.0, p_update=0.9, edge_probability=0.2,
              ratio=0.1, alpha=1.0, beta=2.0, h=0.5, horizon=3, initial=1.0, rate=0.5,
-             offset=0.1, c=1.0, search_budget=1, seed=0)
+             offset=0.1, c=1.0, search_budget=1, seed=0, c1=1.0, c2=1.0)
 _BAD = dict(
     n=(1, 5.5, math.inf, math.nan),
     kappa=(0.5, math.nan, 10.0 * MAX_KAPPA),
     b=(math.nan, -math.inf, 10.0 * MAX_ABS_BUDGET),
+    budget=(math.nan, -math.inf, 10.0 * MAX_ABS_BUDGET),
     p_update=(1.5, math.nan),
     edge_probability=(-0.1, math.nan),
     ratio=(-0.1, math.nan),
@@ -231,23 +232,22 @@ _BAD = dict(
     c=(-1.0, math.nan),
     search_budget=(0, 2.5, math.inf),
     seed=(-1, 1.5),
+    c1=(math.nan, math.inf),
+    # c2 = -7.0 zeroes the conjecture's denominator n + c2 + kappa at the good n, kappa
+    c2=(math.nan, -math.inf, -7.0),
 )
-# the conjectured curve's two constants are free reals
-_FREE = {"c1", "c2"}
+# the ball radius holds for a single agent, so its count floor is 1, not 2
+_OWN_BAD = {(minimizer_ball_radius, "n"): (0, 5.5, math.inf, math.nan)}
 _CALCULATORS = [
     f for _, f in inspect.getmembers(bounds, inspect.isfunction) if f.__name__ in bounds.__all__
-] + [uniform_pair_probability, maximize_displacement]
+] + [uniform_pair_probability, maximize_displacement, minimizer_ball_radius]
 
 
 def _bad_argument_cases():
     for func in _CALCULATORS:
         for name in inspect.signature(func).parameters:
-            for bad in () if name in _FREE else _BAD[name]:
+            for bad in _OWN_BAD.get((func, name), _BAD[name]):
                 yield pytest.param(func, name, bad, id=f"{func.__name__}-{name}={bad!r}")
-    # config imports allocation, so the ball radius keeps its own kappa check
-    for bad in (0.5, math.nan):
-        yield pytest.param(minimizer_ball_radius, "kappa", bad,
-                           id=f"minimizer_ball_radius-kappa={bad!r}")
 
 
 @pytest.mark.parametrize("func, name, bad", _bad_argument_cases())

@@ -154,3 +154,25 @@ def test_load_config(tmp_path):
     path.write_text(GOOD, encoding="utf-8")
     cfg = load_config(str(path))
     assert cfg == parse_config_text(GOOD)
+
+
+def test_rules_are_a_leaf_module_reexported_by_config_and_bounds():
+    # allocation calls the rules, and config imports allocation, so the
+    # rules may import nothing from the package
+    import ast
+    import inspect
+
+    from openrcd import bounds, config, rules
+
+    tree = ast.parse(inspect.getsource(rules))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("openrcd")
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("openrcd") for alias in node.names)
+    names = ["ConfigError", "MAX_KAPPA", "MAX_ABS_BUDGET", "_need"] + [
+        name for name in vars(rules) if name.startswith("_check_")]
+    for name in names:
+        assert getattr(config, name) is getattr(rules, name), name
+    for name in ("MAX_KAPPA", "MAX_ABS_BUDGET", "_check_count", "_check_kappa"):
+        assert getattr(bounds, name) is getattr(rules, name), name

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openrcd import worstcase
 
@@ -16,8 +18,13 @@ from openrcd.functions import ConvexityCertificate
 from openrcd.worstcase import (
     ReplacementInstance,
     _ascend,
+    _kept_theta_line,
     _LineMaxima,
+    _location_line,
+    _objective,
     _start_sequence,
+    _t1_line,
+    _t2_line,
     displacement,
     maximize_displacement,
     sweep,
@@ -203,3 +210,61 @@ def test_sweep_checks_every_input_before_searching(monkeypatch, search, args, kw
     with pytest.raises(ConfigError) as err:
         search(*args, **kwargs)
     assert err.value.key == key
+
+
+def test_sweep_bits_are_pinned_past_the_corner_starts():
+    # budget 100 passes the 64 corner starts into the mixed templates, at
+    # b < 0 and kappa = 50; the fig2-analogue digests (budget 48) reach neither
+    rows = sweep(range(2, 6), [3.0, 50.0], -2.0, 100, seed=11)
+    assert [row.empirical_max.hex() for row in rows] == [
+        "0x1.0000000000000p+3", "0x1.0fac687d6343fp+3",
+        "0x1.2000000000001p+3", "0x1.2f684bda12f6ap+3",
+        "0x1.5dc635f36b274p+4", "0x1.e1623276449cep+4",
+        "0x1.37a670b913b51p+5", "0x1.82ed561928f1ap+5",
+    ]
+
+
+def test_search_bits_are_pinned_in_the_seeded_tail():
+    res = maximize_displacement(4, 20.0, 0.5, 760, seed=3)
+    w = res.witness
+    assert res.value.hex() == "0x1.1ae4ba0c7cad3p+4"
+    assert [t.hex() for t in w.kept_theta] == [
+        "0x1.4000000000000p+3", "0x1.4000000000000p+3", "0x1.0f71786912ddap+0"]
+    assert w.kept_mu == (-1.0, -1.0, -1.0)
+    assert w.replaced_before == (10.0, -1.0) and w.replaced_after == (0.5, 1.0)
+
+
+# budgets at the sign changes and far out, locations at the box ends and inside
+_B = st.sampled_from([0.0, 1.0, -1.0, 1e6, -1e6]) | st.floats(-1e6, 1e6)
+_MU = st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa=st.floats(1.0, 100.0), b=_B, data=st.data())
+def test_line_objectives_return_the_reference_bits(kappa, b, data):
+    # each line hoists what stays fixed along it; every value must still be
+    # _objective's, bit for bit, or the search's pinned outputs would move
+    theta = st.floats(0.5, 0.5 * kappa)
+    kt = data.draw(st.lists(theta, min_size=1, max_size=11), label="kept theta")
+    km = data.draw(st.lists(_MU, min_size=len(kt), max_size=len(kt)), label="kept mu")
+    t, t1, t2 = (data.draw(theta, label=name) for name in ("t", "t1", "t2"))
+    m1, m2 = data.draw(_MU, label="m1"), data.draw(_MU, label="m2")
+    # the aggregates as _ascend forms them
+    s = sum(km)
+    z0 = sum(1.0 / x for x in kt)
+    q0 = sum(1.0 / (x * x) for x in kt)
+    z0_rest = z0 - 1.0 / kt[0]
+    q0_rest = q0 - 1.0 / (kt[0] * kt[0])
+    s_rest = s - km[0]
+
+    pairs = [
+        (_kept_theta_line(s, z0_rest, q0_rest, b, t1, m1, t2, m2)(t),
+         _objective(s, z0_rest + 1.0 / t, q0_rest + 1.0 / (t * t), b, t1, m1, t2, m2)),
+        (_t1_line(s, z0, q0, b, m1, t2, m2)(t), _objective(s, z0, q0, b, t, m1, t2, m2)),
+        (_t2_line(s, z0, q0, b, t1, m1, m2)(t), _objective(s, z0, q0, b, t1, m1, t, m2)),
+    ] + [
+        (_location_line(z0, q0, b, t1, m1, t2, m2)(x), _objective(x, z0, q0, b, t1, m1, t2, m2))
+        for x in (s_rest + 1.0, s_rest - 1.0)
+    ]
+    for got, want in pairs:
+        assert got.hex() == want.hex()
