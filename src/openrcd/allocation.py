@@ -6,9 +6,12 @@ closed form valid for quadratic rosters, an equality-constrained Newton
 iteration for log-cosh rosters, and a dual bisection valid for any
 certified smooth strongly convex roster.  The dual bisection is kept
 independent on purpose: it is the reference the other two are checked
-against.  The closed form and the Newton iteration work on rosters laid
-out on the last axis of arrays, so the batch simulator solves many
-rosters in one call with the same arithmetic as a single solve.
+against.  The closed form and the Newton iteration take agents on axis
+0: one roster is an ``(n,)`` array and a batch of rosters an ``(n, rows)``
+array, so the batch simulator solves many rosters in one call with the
+same arithmetic as a single solve.  Every sum over agents goes through
+:func:`_agent_sum`, which adds them in agent order whatever the shape or
+memory layout, so a roster's bits never depend on the rosters beside it.
 
 Sign convention: ``MinimizerResult.multiplier`` stores the common
 stationary gradient value ``g = f_i'(x*_i)``, identical across agents
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functions import LogCoshQuadratic, _logcosh_gradient
-from .rules import _check_budget, _check_count, _check_kappa
+from .rules import _check_agents, _check_budget, _check_kappa
 
 __all__ = [
     "FeasibilityError",
@@ -105,7 +108,7 @@ def minimizer_ball_radius(n, kappa, budget):
     Valid for any roster of certified costs with condition ratio at most
     ``kappa``, minimizers in ``[-1, 1]`` and the given budget.
     """
-    n = _check_count("n", n, 1)
+    n = _check_agents("n", n, 1)
     _check_kappa("kappa", kappa)
     _check_budget("budget", budget)
     return math.sqrt(n) + (1.0 + abs(budget) / n) * math.sqrt(kappa * n)
@@ -117,10 +120,25 @@ def check_in_ball(x, radius):
     return bool(np.linalg.norm(values) <= radius)
 
 
-def _squared_distance(a, b):
-    """``||a - b||^2`` along the last axis, for every squared distance measured."""
-    d = a - b
-    return (d * d).sum(axis=-1)
+def _agent_sum(a):
+    """``a[0] + a[1] + ...`` in agent order, for ``(n,)`` or ``(n, rows)`` input.
+
+    numpy adds axis 0 of a C-contiguous 2-D array row after row only when
+    it has at least two columns; a 1-D array, one column or another
+    memory layout gets its pairwise sum, whose order differs from n = 8
+    on.  ``accumulate`` is sequential in every case, and slower on 2-D.
+    """
+    if a.ndim == 2 and a.shape[1] > 1:
+        return np.ascontiguousarray(a).sum(axis=0)
+    return np.add.accumulate(a, axis=0)[-1]
+
+
+def _squared_distance(a, b, out=None):
+    """``||a - b||^2`` over the agents on axis 0, for every squared distance
+    measured; ``out``, shaped like ``a``, takes the differences in place of
+    fresh temporaries."""
+    d = np.subtract(a, b, out=out)
+    return _agent_sum(np.multiply(d, d, out=d))
 
 
 def _roster_arrays(fs, names, solver):
@@ -157,12 +175,12 @@ def closed_form_quadratic_minimizer(fs, budget):
 
 
 def _quadratic_point(mu, inv_theta, budget):
-    """``(x, t)`` of the closed form for rosters laid out on the last axis.
+    """``(x, t)`` of the closed form for agents on axis 0.
 
     Shared with the batch simulator, which keeps the two bit-identical.
     """
-    t = (budget - mu.sum(axis=-1)) / inv_theta.sum(axis=-1)
-    return mu + t[..., None] * inv_theta, t
+    t = (budget - _agent_sum(mu)) / _agent_sum(inv_theta)
+    return mu + t * inv_theta, t
 
 
 def _logcosh_newton_minimizer(fs, budget):
@@ -178,7 +196,7 @@ def _logcosh_newton_minimizer(fs, budget):
 
 
 def _logcosh_point(theta, mu, weight, budget, certificate):
-    """``(x, nu)`` of the log-cosh minimizer for rosters laid out on the last axis.
+    """``(x, nu)`` of the log-cosh minimizer for agents on axis 0.
 
     Starts from the closed form of the local quadratic model (curvature
     ``theta + weight/2`` at the cost's minimizer) and iterates
@@ -192,40 +210,40 @@ def _logcosh_point(theta, mu, weight, budget, certificate):
     which keeps the two bit-identical.
     """
     shape = np.shape(mu)
-    n = shape[-1]
-    theta, mu, weight = (np.reshape(a, (-1, n)) for a in (theta, mu, weight))
+    n = shape[0]
+    theta, mu, weight = (np.reshape(a, (n, -1)) for a in (theta, mu, weight))
     x, _ = _quadratic_point(mu, 1.0 / (theta + 0.5 * weight), budget)
-    point, nu = np.empty_like(x), np.empty(len(x))
+    point, nu = np.empty_like(x), np.empty(x.shape[1])
     radius = minimizer_ball_radius(n, certificate.kappa, budget)
     sum_tol, grad_tol, _ = _solver_targets(
         FEASIBILITY_TOL, n, certificate.alpha, certificate.beta, radius)
-    rows = np.arange(len(x))  # where the unconverged rosters go in the output
+    rows = np.arange(x.shape[1])  # where the unconverged rosters go in the output
     for _ in range(_NEWTON_ITERATIONS):
         g = _logcosh_gradient(theta, mu, weight, x)
         t = np.tanh(x - mu)
         inv_h = 1.0 / (2.0 * theta + weight * (1.0 - t * t))
-        total = x.sum(axis=-1)
-        nu_step = (budget - total + (g * inv_h).sum(axis=-1)) / inv_h.sum(axis=-1)
-        resid = g - nu_step[:, None]
-        done = (np.abs(total - budget) <= sum_tol) & (
-            np.abs(resid).max(axis=-1) <= grad_tol
-        )
+        total = _agent_sum(x)
+        nu_step = (budget - total + _agent_sum(g * inv_h)) / _agent_sum(inv_h)
+        resid = g - nu_step
+        done = (np.abs(total - budget) <= sum_tol) & (np.abs(resid).max(axis=0) <= grad_tol)
         if done.any():
-            point[rows[done]] = x[done]
+            point[:, rows[done]] = x.compress(done, axis=1)
             nu[rows[done]] = nu_step[done]
             if done.all():
-                return point.reshape(shape), nu.reshape(shape[:-1])
+                return point.reshape(shape), nu.reshape(shape[1:])
             more = ~done
-            rows, x, theta, mu, weight, resid, inv_h = (
-                a[more] for a in (rows, x, theta, mu, weight, resid, inv_h)
+            rows = rows[more]
+            # compress keeps C order; a[:, more] would be F-ordered
+            x, theta, mu, weight, resid, inv_h = (
+                a.compress(more, axis=1) for a in (x, theta, mu, weight, resid, inv_h)
             )
         x = x - resid * inv_h
     for k, r in enumerate(rows):
         fs = [LogCoshQuadratic(float(t), float(m), float(w), certificate)
-              for t, m, w in zip(theta[k], mu[k], weight[k])]
+              for t, m, w in zip(theta[:, k], mu[:, k], weight[:, k])]
         res = dual_bisection_minimizer(fs, budget)
-        point[r], nu[r] = res.point.values, res.multiplier
-    return point.reshape(shape), nu.reshape(shape[:-1])
+        point[:, r], nu[r] = res.point.values, res.multiplier
+    return point.reshape(shape), nu.reshape(shape[1:])
 
 
 def _solver_targets(tol, n, alpha, beta, radius):

@@ -33,7 +33,9 @@ import numpy as np
 from .allocation import minimizer_ball_radius
 from .rules import (
     MAX_ABS_BUDGET,
+    MAX_AGENTS,
     MAX_KAPPA,
+    _check_agents,
     _check_budget,
     _check_count,
     _check_curvature,
@@ -65,10 +67,11 @@ __all__ = [
     "evaluate_bounds",
     "MAX_KAPPA",
     "MAX_ABS_BUDGET",
+    "MAX_AGENTS",
 ]
 
 def _check(n, kappa, b=0.0, p_update=0.0):
-    _check_count("n", n, 2)
+    _check_agents("n", n)
     _check_kappa("kappa", kappa)
     _check_budget("b", b)
     _check_probability("p_update", p_update)
@@ -76,7 +79,7 @@ def _check(n, kappa, b=0.0, p_update=0.0):
 
 def closed_system_rate(n, alpha, h):
     """Expected one-step contraction with a fixed roster: ``1 - h*alpha/(n-1)``."""
-    _check_count("n", n, 2)
+    _check_agents("n", n)
     # the curvature and step rules at the smallest beta, beta = alpha
     _check_curvature(alpha, alpha)
     _check_step(h, alpha)
@@ -213,15 +216,20 @@ def conjectured_displacement_cap(n, kappa, c1=1.0, c2=1.0):
     evaluated over one denominator, with ``m = n + c2``, as
     ``((1 - c1) kappa^3 + (m + 2) kappa^2 + (2m + 1) kappa + m) / (m + kappa)``:
     the two terms of the printed form cancel at large ``kappa``.  Both
-    constants must be finite, and the denominator ``n + c2 + kappa``
-    positive.
+    constants must be finite, the denominator ``n + c2 + kappa``
+    positive, the two terms that ``c2`` enters finite, and then ``c1``
+    must keep the whole numerator finite, so the cap is never infinite.
     """
     _check(n, kappa)
     _need(math.isfinite(c1), "c1", "a finite c1", c1)
     _need(math.isfinite(c2) and n + c2 + kappa > 0.0, "c2",
           f"a finite c2 > -(n + kappa) = {-(n + kappa)}", c2)
     m = n + c2
-    numerator = (1.0 - c1) * kappa ** 3 + (m + 2.0) * kappa ** 2 + (2.0 * m + 1.0) * kappa + m
+    square, linear = (m + 2.0) * kappa ** 2, (2.0 * m + 1.0) * kappa
+    _need(math.isfinite(square) and math.isfinite(linear), "c2",
+          f"a c2 whose terms stay finite at kappa = {kappa}", c2)
+    numerator = (1.0 - c1) * kappa ** 3 + square + linear + m
+    _need(math.isfinite(numerator), "c1", f"a c1 that keeps the cap finite at kappa = {kappa}", c1)
     return numerator / (m + kappa)
 
 

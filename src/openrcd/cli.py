@@ -41,6 +41,7 @@ from .config import SIMULATE_PRESETS, WORSTCASE_PRESETS, config_from_table, load
 from .opensim import run_ensemble, run_trajectory
 from .rules import (
     ConfigError,
+    _check_agents,
     _check_budget,
     _check_count,
     _check_kappa,
@@ -299,7 +300,7 @@ def _float_list(raw, key):
 
 
 def cmd_bounds(args):
-    _check_count("n", args.n, 2)
+    _check_agents("n", args.n)
     pu_values = [_check_probability("pu", pu) for pu in _float_list(args.pu, "pu")]
     _check_kappa("kappa", args.kappa)
     _check_budget("b", args.b)
@@ -341,7 +342,7 @@ def _parse_range(raw):
         lo_v, hi_v = int(lo), int(hi if hi else lo)
     except ValueError:
         raise ConfigError("n", f"cannot parse {raw!r} as LO:HI") from None
-    return range(_check_count("n", lo_v, 2), _check_count("n", hi_v, lo_v) + 1)
+    return range(_check_agents("n", lo_v), _check_agents("n", hi_v, lo_v) + 1)
 
 
 def cmd_worstcase(args):

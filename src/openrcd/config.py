@@ -26,8 +26,10 @@ from .allocation import Allocation, FeasibilityError
 from .functions import ConvexityCertificate
 from .rules import (  # noqa: F401  (ConfigError and the limits are re-exported)
     MAX_ABS_BUDGET,
+    MAX_AGENTS,
     MAX_KAPPA,
     ConfigError,
+    _check_agents,
     _check_budget,
     _check_count,
     _check_curvature,
@@ -70,7 +72,8 @@ class ExperimentConfig:
     function_family: str = "quadratic"
 
     def __post_init__(self):
-        for key, lowest in (("n", 2), ("horizon", 0), ("replications", 1), ("seed", 0)):
+        object.__setattr__(self, "n", _check_agents("n", self.n))
+        for key, lowest in (("horizon", 0), ("replications", 1), ("seed", 0)):
             object.__setattr__(self, key, _check_count(key, getattr(self, key), lowest))
         _check_curvature(self.alpha, self.beta)
         _check_budget("b", self.budget)

@@ -25,6 +25,13 @@ one copy of each formula: ``rcd._pair_update``, ``quadratic_quantiles``,
 exist only on the scalar path and track the minimizer with the dual
 bisection, in either family.
 
+The batch engine seeds all its rows in one vectorized pass of numpy's
+``SeedSequence`` hash (:func:`_row_generators`), which ``run_trajectory``'s
+``np.random.default_rng`` checks in the tests.  It keeps rosters,
+estimates and minimizers agent-major, as ``(n, rows)`` arrays, and every
+sum over agents goes through ``allocation._agent_sum``, so a row adds
+its agents in the same order as the scalar path.
+
 Large rosters (``n >= _POOL_MIN_AGENTS``) spread their replication
 batches over a thread pool; smaller ones run on one thread, where the
 pool measured slower.  The choice is automatic and never changes
@@ -167,8 +174,9 @@ def _solver_for(family, custom_replacements=False):
     return _logcosh_newton_minimizer
 
 
-def _initial_point(config, shape, minimizer):
-    """The configured starting estimates, broadcast to ``shape``.
+def _initial_point(config, rows, minimizer):
+    """The configured starting estimates, agents on axis 0: an ``(n,)``
+    array for one roster (``rows=()``), ``(n, rows)`` for a batch.
 
     ``minimizer`` is a zero-argument callable returning the roster's
     constrained minimizer; it is only called for the ``"minimizer"`` start.
@@ -178,8 +186,8 @@ def _initial_point(config, shape, minimizer):
     elif config.initial_state == "minimizer":
         fill = minimizer()
     else:
-        fill = config.initial_state
-    return np.full(shape, fill, dtype=np.float64)
+        fill = np.reshape(config.initial_state, (config.n,) + (1,) * len(rows))
+    return np.full((config.n, *rows), fill, dtype=np.float64)
 
 
 def initial_system_state(config, rng, solver=None):
@@ -198,7 +206,7 @@ def initial_system_state(config, rng, solver=None):
         for u_theta, u_mu in rng.random((config.n, 2))
     )
     solve = _solver_for(family) if solver is None else solver
-    x0 = _initial_point(config, config.n, lambda: solve(roster, config.budget).point.values)
+    x0 = _initial_point(config, (), lambda: solve(roster, config.budget).point.values)
     return SystemState(Allocation(x0, config.budget), roster)
 
 
@@ -309,18 +317,92 @@ def run_trajectory(config, seed=None, replacement_sampler=None):
 @dataclass
 class _BatchOutcome:
     error: np.ndarray                 # (rows, horizon+1), ``out`` when given
-    final_values: np.ndarray          # (rows, n)
+    final_values: np.ndarray          # (rows, n), a view of the agent-major x
     replacement_count: int
     max_replacement_shift: float
     update_mask: np.ndarray | None    # (rows, horizon) when collected
 
 
+#: numpy's ``SeedSequence`` hash constants (``numpy/random/bit_generator.pyx``)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+
+
+def _row_generators(seeds):
+    """``np.random.default_rng(seed)`` for every seed, hashed in one pass.
+
+    ``default_rng(seed)`` is ``Generator(PCG64(SeedSequence(seed)))``, and
+    ``PCG64`` reads only ``SeedSequence(seed).generate_state(4, uint64)``.
+    That hash is fixed ``uint32`` arithmetic on the seed's 32-bit words
+    whose constants do not depend on the seed, so here it runs on every
+    seed at once: the entropy pool's ``hashmix``/``mix``, the words past
+    the pool's four (seeds from ``2**128`` on), then ``generate_state``.
+    ``run_trajectory`` still calls ``default_rng``, the reference that
+    the bitwise engine tests hold this to.
+    """
+    # numpy.random loads here, as default_rng would, not on import
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """A seed sequence whose ``PCG64`` state words are already computed."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    seeds = [int(s) for s in seeds]
+    if min(seeds, default=0) < 0:
+        raise ValueError("seeds must be non-negative")
+    width = max(_POOL_WORDS, -(-max(seeds, default=0).bit_length() // 32))
+    raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
+    words = np.frombuffer(raw, "<u4").reshape(len(seeds), width).T.astype(np.uint32, order="C")
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    # a seed shorter than the pool hashes zeros in its place
+    pool = [hashmix(w) for w in words[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_WORDS, width):
+        has_word = np.array([s >> 32 * src > 0 for s in seeds])
+        for dst in range(_POOL_WORDS):
+            pool[dst] = np.where(has_word, mix(pool[dst], hashmix(words[src])), pool[dst])
+
+    const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_WORDS):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append(value ^ (value >> _XSHIFT))
+    state = np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(StateWords(w))) for w in state]
+
+
 class _Rows:
-    """One roster per row: only the drawn ``(rows, n)`` arrays ``theta`` and
+    """One roster per row: only the drawn ``(n, rows)`` arrays ``theta`` and
     ``mu``; ``1/theta`` and the log-cosh weight are computed where read.
 
-    Agent ``i`` of row ``r`` is flat index ``r * n + i`` of both arrays, so
-    one flat ``take`` or ``put`` reaches any mix of rows and agents.
+    Agent ``i`` of row ``r`` is flat index ``i * rows + r`` of both arrays,
+    so one flat ``take`` or ``put`` reaches any mix of rows and agents.
     """
 
     def __init__(self, config, theta, mu):
@@ -337,8 +419,9 @@ class _QuadraticRows(_Rows):
     def gradient(self, at, x):
         return _quadratic_gradient(self.theta.take(at), self.mu.take(at), x)
 
-    def minimizer(self, rows=slice(None)):
-        return _quadratic_point(self.mu[rows], 1.0 / self.theta[rows], self.budget)[0]
+    def minimizer(self, rows):
+        theta = self.theta.take(rows, axis=1)
+        return _quadratic_point(self.mu.take(rows, axis=1), 1.0 / theta, self.budget)[0]
 
 
 class _LogCoshRows(_Rows):
@@ -347,10 +430,12 @@ class _LogCoshRows(_Rows):
         weight = _logcosh_weight(self.certificate, theta)
         return _logcosh_gradient(theta, self.mu.take(at), weight, x)
 
-    def minimizer(self, rows=slice(None)):
-        theta = self.theta[rows]
+    def minimizer(self, rows):
+        theta = self.theta.take(rows, axis=1)
         weight = _logcosh_weight(self.certificate, theta)
-        return _logcosh_point(theta, self.mu[rows], weight, self.budget, self.certificate)[0]
+        return _logcosh_point(
+            theta, self.mu.take(rows, axis=1), weight, self.budget, self.certificate
+        )[0]
 
 
 @dataclass
@@ -358,9 +443,10 @@ class _ChunkSwaps:
     """One tape chunk's swaps in step-major order, solved ahead of its steps.
 
     The swaps of chunk step ``c`` are entries ``bounds[c]:bounds[c + 1]``.
-    ``at`` is the flat index ``row * n + agent`` of the agent each swap
-    replaces, ``theta`` and ``mu`` the new cost and ``moved`` the row's
-    constrained minimizer after the swap.
+    ``at`` is the flat index ``agent * rows + row`` of the agent each swap
+    replaces, ``theta`` and ``mu`` the new cost and column ``s`` of the
+    ``(n, swaps)`` array ``moved`` the row's constrained minimizer after
+    swap ``s``.
     """
 
     bounds: list
@@ -372,7 +458,7 @@ class _ChunkSwaps:
 
 
 def _chunk_swaps(config, tape, swap, roster, xstar):
-    """Read the swaps marked in ``swap`` (rows x chunk steps) off the tape
+    """Read the swaps marked in ``swap`` (chunk steps x rows) off the tape
     and solve them ahead of the steps.
 
     Which rows swap, which agent leaves and what cost arrives depend on
@@ -384,30 +470,30 @@ def _chunk_swaps(config, tape, swap, roster, xstar):
     any row has in it.  Once the chunk-sized swap mask is gone, what
     stays is ``(3 + n) * 8`` bytes per swap.
     """
-    n = config.n
-    step, rows = np.nonzero(swap.T)
-    bounds = np.searchsorted(step, np.arange(swap.shape[1] + 1)).tolist()
-    at = rows * n + (tape[rows, step, 2] * n).astype(np.intp)
+    n, batch = xstar.shape
+    step, rows = np.nonzero(swap)
+    bounds = np.searchsorted(step, np.arange(swap.shape[0] + 1)).tolist()
+    at = (tape[rows, step, 2] * n).astype(np.intp) * batch + rows
     theta, mu = quadratic_quantiles(
         config.certificate, tape[rows, step, 3], tape[rows, step, 4]
     )
-    moved = np.empty((rows.size, n))
+    moved = np.empty((n, rows.size))
     by_row = np.argsort(rows, kind="stable")   # each row's swaps in step order
-    counts = np.bincount(rows, minlength=len(xstar))
+    counts = np.bincount(rows, minlength=batch)
     first = np.cumsum(counts) - counts
     del step, rows
 
     max_shift = 0.0
-    row_index = np.arange(len(xstar))
+    row_index = np.arange(batch)
     for j in range(int(counts.max(initial=0))):
         swapping = row_index[counts > j]
         sel = by_row[first[swapping] + j]
         roster.replace(at[sel], theta[sel], mu[sel])
         point = roster.minimizer(swapping)
-        shift = _squared_distance(point, xstar[swapping])
+        shift = _squared_distance(point, xstar.take(swapping, axis=1))
         max_shift = max(max_shift, float(shift.max()))
-        xstar[swapping] = point
-        moved[sel] = point
+        xstar[:, swapping] = point
+        moved[:, sel] = point
     return _ChunkSwaps(bounds, at, theta, mu, moved, max_shift)
 
 
@@ -421,6 +507,11 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
     example rows of a larger matrix), or into a fresh array when it is
     omitted.
 
+    The rows' generators are seeded in one pass (:func:`_row_generators`).
+    Rosters, estimates and minimizers are agent-major ``(n, rows)``
+    arrays, so each agent sum adds whole rows of them in agent order
+    (``allocation._agent_sum``), as the scalar path adds one roster.
+
     The roster process does not depend on the iterate, so it is solved
     first, one tape chunk (``_TAPE_STEPS`` steps) at a time: the chunk's
     swaps are read off the tape and applied, in rounds of one swap per
@@ -428,36 +519,39 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
     (:func:`_chunk_swaps`).  Each step then does three things: the pair
     updates, as one flat gather and one flat scatter on ``x``; the
     step's swaps, written into the rosters the gradients read together
-    with their precomputed minimizers; and the error column.  What a
-    batch holds in memory is stated in :func:`run_ensemble`.
+    with their precomputed minimizers; and the error column, computed in
+    one reused ``(n, rows)`` scratch buffer.  What a batch holds in
+    memory is stated in :func:`run_ensemble`.
     """
     n, horizon = config.n, config.horizon
     cert = config.certificate
-    rows = len(seeds)
-    gens = [np.random.default_rng(int(s)) for s in seeds]
+    gens = _row_generators(seeds)
+    rows = len(gens)
     init_u = np.empty((rows, n, 2))
     for g, u in zip(gens, init_u):
         g.random(out=u)
+    init_u = np.ascontiguousarray(init_u.transpose(2, 1, 0))   # (2, n, rows)
     # the rest of each row's stream is drawn _TAPE_STEPS steps at a time;
     # consecutive Generator.random calls continue one stream exactly
     tape = np.empty((rows, min(horizon, _TAPE_STEPS), 5))
 
     family = _QuadraticRows if config.function_family == "quadratic" else _LogCoshRows
-    theta, mu = quadratic_quantiles(cert, init_u[..., 0], init_u[..., 1])
+    theta, mu = quadratic_quantiles(cert, init_u[0], init_u[1])
     del init_u
+    row_index = np.arange(rows)
     roster = family(config, theta, mu)                # as of the current step
     ahead = family(config, theta.copy(), mu.copy())   # as of the chunk's end
-    xstar = roster.minimizer()
+    xstar = roster.minimizer(row_index)
     ahead_xstar = xstar.copy()
-    x = _initial_point(config, (rows, n), lambda: xstar)
+    x = _initial_point(config, (rows,), lambda: xstar)
     flat_x = x.reshape(-1)
+    scratch = np.empty_like(x)
 
     error = np.empty((rows, horizon + 1)) if out is None else out
-    error[:, 0] = _squared_distance(x, xstar)
+    error[:, 0] = _squared_distance(x, xstar, scratch)
 
-    edges = np.stack(complete_graph_edges(n))
+    edges = np.stack(complete_graph_edges(n)) * rows   # flat offsets of i and j
     edge_count = edges.shape[1]
-    row_index = np.arange(rows)
     update_mask = np.empty((rows, horizon), dtype=bool) if collect_update_mask else None
     replacement_count = 0
     max_shift = 0.0
@@ -466,19 +560,20 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
         steps = min(_TAPE_STEPS, horizon - start)
         for g, row in zip(gens, tape):
             g.random(out=row[:steps])
-        coin = tape[:, :steps, 0] < config.p_update   # True: a pair update
+        # (steps, rows), True for a pair update: each step reads one contiguous row
+        coin = np.ascontiguousarray((tape[:, :steps, 0] < config.p_update).T)
         if update_mask is not None:
-            update_mask[:, start:start + steps] = coin
+            update_mask[:, start:start + steps] = coin.T
         swaps = _chunk_swaps(config, tape, ~coin, ahead, ahead_xstar)
         replacement_count += swaps.at.size
         max_shift = max(max_shift, swaps.max_shift)
         bounds = swaps.bounds
 
         for c in range(steps):
-            urows = row_index[coin[:, c]]
+            urows = row_index[coin[c]]
             if urows.size:
                 e = (tape[urows, c, 1] * edge_count).astype(np.intp)
-                pair = edges.take(e, axis=1) + urows * n   # flat i (row 0) and j (row 1)
+                pair = edges.take(e, axis=1) + urows   # flat i (row 0) and j (row 1)
                 xp = flat_x[pair]
                 grad = roster.gradient(pair, xp)
                 _pair_update(xp, 0, 1, grad[0], grad[1], config.h)
@@ -488,12 +583,12 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
             if hi > lo:
                 at = swaps.at[lo:hi]
                 roster.replace(at, swaps.theta[lo:hi], swaps.mu[lo:hi])
-                xstar[at // n] = swaps.moved[lo:hi]
+                xstar[:, at % rows] = swaps.moved[:, lo:hi]
 
-            error[:, start + c + 1] = _squared_distance(x, xstar)
+            error[:, start + c + 1] = _squared_distance(x, xstar, scratch)
         del swaps  # before the next chunk's swaps are drawn
 
-    return _BatchOutcome(error, x, replacement_count, max_shift, update_mask)
+    return _BatchOutcome(error, x.T, replacement_count, max_shift, update_mask)
 
 
 def _column_stats(error):
@@ -538,8 +633,10 @@ def run_ensemble(config, replications=None, base_seed=None):
     Peak memory is about ``replications * (horizon + 1) * 8`` bytes for
     the matrix plus, per running batch, its random tape
     (``_BATCH_ROWS * _TAPE_STEPS * 5 * 8`` bytes), two copies of its
-    rosters (``theta`` and ``mu``, ``2 * n * 8`` bytes per row each) and
-    ``(3 + n) * 8`` bytes per swap of the current chunk.
+    rosters (``theta`` and ``mu``, ``2 * n * 8`` bytes per row each),
+    four agent-major ``(n, rows)`` arrays (the estimates, two minimizer
+    copies and the error column's scratch buffer, ``n * 8`` bytes per
+    row each) and ``(3 + n) * 8`` bytes per swap of the current chunk.
     The mean and standard deviation are then reduced in place in the
     matrix (:func:`_column_stats`), which adds only a few columns.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .allocation import Allocation, _squared_distance
 from .functions import ParameterRangeError
-from .rules import _check_count
+from .rules import _check_agents
 
 __all__ = [
     "DegenerateWeightsError",
@@ -39,7 +39,7 @@ class DegenerateWeightsError(ValueError):
 
 def uniform_pair_probability(n):
     """Probability ``2 / (n (n-1))`` of any one pair on the complete graph."""
-    n = _check_count("n", n, 2)
+    n = _check_agents("n", n)
     return 2.0 / (n * (n - 1))
 
 

@@ -27,6 +27,12 @@ MAX_KAPPA = 1e100
 #: float from about 1.3e154 on
 MAX_ABS_BUDGET = 1e150
 
+#: largest agent count anywhere: ``(|b| + n) ** 2`` and ``n ** 4`` stay
+#: finite floats, and a simulate batch of 1024 rows holds agent-major
+#: ``(n, 1024)`` float64 arrays of at most 8 MiB each (about ten of them,
+#: 80 MiB) and an edge table of ``n (n - 1)`` indices (at most 8 MiB)
+MAX_AGENTS = 1024
+
 
 def _need(ok, key, need, value):
     if not ok:
@@ -38,6 +44,12 @@ def _check_count(key, value, lowest):
     """An integer (numpy ones too; no bool, no float) >= ``lowest``, as an int."""
     ok = isinstance(value, Integral) and not isinstance(value, bool) and value >= lowest
     return int(_need(ok, key, f"an integer >= {lowest}", value))
+
+
+def _check_agents(key, n, lowest=2):
+    """An agent count: a count >= ``lowest`` and at most ``MAX_AGENTS``, as an int."""
+    n = _check_count(key, n, lowest)
+    return _need(n <= MAX_AGENTS, key, f"at most MAX_AGENTS = {MAX_AGENTS} agents", n)
 
 
 def _check_kappa(key, kappa):

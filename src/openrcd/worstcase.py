@@ -52,7 +52,7 @@ from .bounds import (
     displacement_bound_quadratic,
 )
 from .functions import ConvexityCertificate, QuadraticFunction
-from .rules import _check_budget, _check_count, _check_kappa
+from .rules import _check_agents, _check_budget, _check_count, _check_kappa
 
 __all__ = [
     "ReplacementInstance",
@@ -422,10 +422,12 @@ def sweep(n_values, kappa_values, b, search_budget=64, seed=0):
 
     ``n_values`` and ``kappa_values`` are sequences (a ``range`` too).
     Returns one :class:`SweepRow` per ``(n, kappa)`` pair, in grid
-    order (kappa outer, n inner).  Every input is checked before the first search.
+    order (kappa outer, n inner).  Every input is checked before the first search,
+    a ``range`` of ``n`` by its two ends.
     """
-    for n in n_values:
-        _check_count("n", n, 2)
+    ends = (n_values[0], n_values[-1]) if isinstance(n_values, range) and n_values else n_values
+    for n in ends:
+        _check_agents("n", n)
     for kappa in kappa_values:
         _check_kappa("kappa", kappa)
     _check_budget("b", b)

@@ -8,6 +8,7 @@ from openrcd.allocation import (
     Allocation,
     FeasibilityError,
     NonConvergenceError,
+    _agent_sum,
     _logcosh_newton_minimizer,
     _logcosh_point,
     check_in_ball,
@@ -195,10 +196,29 @@ def test_newton_agrees_with_dual_bisection(n, kappa, budget, seed):
             assert np.max(np.abs(x - reference)) <= 1e-8
         alone.append((x, res.multiplier))
     # the rosters solved together: each row bit for bit as solved alone
-    x_all, nu_all = _logcosh_point(theta, mu, weight, budget, cert)
+    x_all, nu_all = _logcosh_point(theta.T, mu.T, weight.T, budget, cert)
     for r, (x, nu) in enumerate(alone):
-        assert np.array_equal(x_all[r], x)
+        assert np.array_equal(x_all[:, r], x)
         assert nu_all[r] == nu
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 200])
+@pytest.mark.parametrize("rows", [1, 2, 3, 1024])
+def test_agent_sum_adds_agents_in_index_order(n, rows):
+    # numpy sums 1-D arrays, single columns and F-ordered arrays pairwise,
+    # which differs from this loop from n = 8 on; magnitudes spread over
+    # five decades, not so far that a few terms swallow the rest
+    rng = np.random.default_rng(1000 * n + rows)
+    wide = rng.standard_normal((n, 2 * rows)) * 10.0 ** rng.integers(-2, 3, (n, 2 * rows))
+    a = wide[:, ::2].copy()
+    expected = a[0].copy()
+    for row in a[1:]:
+        expected = expected + row
+    for layout in (a, np.asfortranarray(a), wide[:, ::2], a[:, np.arange(rows)]):
+        assert np.array_equal(_agent_sum(layout), expected)
+    for r in (0, rows - 1):
+        assert _agent_sum(a[:, r]) == expected[r]
+        assert np.array_equal(_agent_sum(a[:, r:r + 1]), expected[r:r + 1])
 
 
 def test_newton_multiplier_is_the_common_gradient():
@@ -226,12 +246,12 @@ def test_newton_falls_back_to_dual_bisection_at_its_step_cap(monkeypatch):
     fell_back = {}
     for cap in (0, 5, allocation._NEWTON_ITERATIONS):
         monkeypatch.setattr(allocation, "_NEWTON_ITERATIONS", cap)
-        x_all, nu_all = _logcosh_point(theta, mu, weight, 12.0, cert)
+        x_all, nu_all = _logcosh_point(theta.T, mu.T, weight.T, 12.0, cert)
         for r in range(6):
             alone = _logcosh_newton_minimizer(fs[r], 12.0)
-            assert np.array_equal(x_all[r], alone.point.values) and nu_all[r] == alone.multiplier
-            assert np.max(np.abs(x_all[r] - reference[r])) <= 1e-8
-        fell_back[cap] = [np.array_equal(x_all[r], reference[r]) for r in range(6)]
+            assert np.array_equal(x_all[:, r], alone.point.values) and nu_all[r] == alone.multiplier
+            assert np.max(np.abs(x_all[:, r] - reference[r])) <= 1e-8
+        fell_back[cap] = [np.array_equal(x_all[:, r], reference[r]) for r in range(6)]
     # past the cap a roster gets exactly the reference; 5 steps converge some
     assert all(fell_back[0]) and not any(fell_back[allocation._NEWTON_ITERATIONS])
     assert 0 < sum(fell_back[5]) < 6

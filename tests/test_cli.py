@@ -137,6 +137,9 @@ def test_bounds_bad_pu_list_exits_2(capsys):
         # argparse alone takes "-inf" for an option
         (["bounds", "--n", "5", "--kappa", "2", "--b", "-inf", "--pu", "0.9"], "b"),
         (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "-inf"], "b"),
+        # agent counts past MAX_AGENTS used to end in an OverflowError
+        (["bounds", "--n", "1" + "0" * 400, "--kappa", "2", "--b", "1", "--pu", "0.9"], "n"),
+        (["worstcase", "--n", "2:1" + "0" * 400, "--kappa", "2", "--b", "1"], "n"),
     ],
 )
 def test_bad_numbers_exit_2_naming_the_flag(argv, key, tmp_path, capsys):

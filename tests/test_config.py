@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from openrcd.config import (
+    MAX_AGENTS,
     SIMULATE_PRESETS,
     ConfigError,
     ExperimentConfig,
@@ -88,6 +89,8 @@ def test_validation_errors_name_their_key():
         (dict(alpha=1e-200, beta=1.0), "beta"),
         (dict(seed=-1), "seed"),
         (dict(seed=np.int64(-3)), "seed"),
+        (dict(n=MAX_AGENTS + 1), "n"),
+        (dict(n=10**400), "n"),
     ]
     base = dict(n=5, alpha=1.0, beta=1.2, budget=1.0, p_update=0.95)
     for overrides, key in cases:
@@ -170,9 +173,9 @@ def test_rules_are_a_leaf_module_reexported_by_config_and_bounds():
             assert node.level == 0 and not (node.module or "").startswith("openrcd")
         elif isinstance(node, ast.Import):
             assert not any(alias.name.startswith("openrcd") for alias in node.names)
-    names = ["ConfigError", "MAX_KAPPA", "MAX_ABS_BUDGET", "_need"] + [
+    names = ["ConfigError", "MAX_KAPPA", "MAX_ABS_BUDGET", "MAX_AGENTS", "_need"] + [
         name for name in vars(rules) if name.startswith("_check_")]
     for name in names:
         assert getattr(config, name) is getattr(rules, name), name
-    for name in ("MAX_KAPPA", "MAX_ABS_BUDGET", "_check_count", "_check_kappa"):
+    for name in ("MAX_KAPPA", "MAX_ABS_BUDGET", "MAX_AGENTS", "_check_count", "_check_kappa"):
         assert getattr(bounds, name) is getattr(rules, name), name

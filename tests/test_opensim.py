@@ -24,6 +24,7 @@ from openrcd.opensim import (
     _TAPE_STEPS,
     EventSchedule,
     _column_stats,
+    _row_generators,
     _simulate_batch,
     initial_system_state,
     run_ensemble,
@@ -115,6 +116,10 @@ def test_trajectory_matches_batch_engine_bitwise():
                         initial_state="minimizer"), 5),
         (logcosh_config(n=9, horizon=80, p_update=0.7,
                         initial_state=(1.0, -0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0)), 3),
+        # agent-major sums: one row is an (n, 1) column and a round may
+        # solve one row of a crowd, where numpy's own axis-0 sum is pairwise
+        (fig1_config(n=200, horizon=_TAPE_STEPS + 45, p_update=0.8), 13),
+        (logcosh_config(n=200, horizon=_TAPE_STEPS + 45, p_update=0.8), 13),
     ]:
         rec = run_trajectory(cfg, seed=seed)
         out = _simulate_batch(cfg, np.array([seed]))
@@ -123,6 +128,39 @@ def test_trajectory_matches_batch_engine_bitwise():
         # a row's result does not depend on the rows simulated beside it
         crowd = _simulate_batch(cfg, np.arange(seed - 3, seed + 4))
         assert np.array_equal(crowd.error[3], out.error[0])
+        trio = _simulate_batch(cfg, range(seed - 1, seed + 2))
+        assert np.array_equal(trio.error[1], out.error[0])
+        assert np.array_equal(trio.final_values[1], out.final_values[0])
+
+
+@pytest.mark.parametrize("seeds", [
+    [0, 1, 2**32 - 1, 2**32, 2**63, 2**64, 2**128 - 1, 2**128, 2**200],
+    range(40, 45),
+    np.arange(7, 12),
+    np.array([123]),
+])
+def test_row_generators_draw_the_default_rng_streams(seeds):
+    # 2**128 and up have more than four 32-bit words, which SeedSequence
+    # mixes into its pool in a loop of their own
+    gens = _row_generators(seeds)
+    assert len(gens) == len(seeds)
+    for seed, g in zip(seeds, gens):
+        assert np.array_equal(g.random(9), np.random.default_rng(int(seed)).random(9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.one_of(st.integers(0, 2**64), st.integers(0, 2**300)),
+                      min_size=1, max_size=6))
+def test_row_generators_hash_any_seed_as_default_rng_does(seeds):
+    for seed, g in zip(seeds, _row_generators(seeds)):
+        assert np.array_equal(g.random(5), np.random.default_rng(seed).random(5))
+
+
+def test_row_generators_refuse_a_negative_seed_as_default_rng_does():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        _row_generators([3, -1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,7 +468,7 @@ def test_logcosh_ensemble_solves_each_chunk_in_rounds(monkeypatch):
     real = opensim._logcosh_point
 
     def counting(theta, *args):
-        calls.append(len(theta))
+        calls.append(theta.shape[1])
         return real(theta, *args)
 
     monkeypatch.setattr(opensim, "_logcosh_point", counting)

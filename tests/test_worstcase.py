@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from openrcd import worstcase
 
 from openrcd.allocation import dual_bisection_minimizer
-from openrcd.config import ConfigError
+from openrcd.config import MAX_AGENTS, ConfigError
 from openrcd.bounds import (
     conjectured_displacement_cap,
     displacement_bound_general,
@@ -199,6 +199,10 @@ def test_sweep_deterministic():
     (sweep, ([3, 4], [2.0, 5.0], 1.0, 2), {"seed": -1}, "seed"),
     (maximize_displacement, (3, 2.0, 1.0, 2), {"seed": 1.5}, "seed"),
     (maximize_displacement, (3, 2.0, 1.0, 2), {"seed": -1}, "seed"),
+    # a range is checked by its two ends, so a huge one is refused at once
+    (sweep, (range(2, 10**400), [2.0], 1.0, 2), {}, "n"),
+    (sweep, (range(MAX_AGENTS, MAX_AGENTS + 2), [2.0], 1.0, 2), {}, "n"),
+    (sweep, ([3, MAX_AGENTS + 1], [2.0], 1.0, 2), {}, "n"),
 ])
 def test_sweep_checks_every_input_before_searching(monkeypatch, search, args, kwargs, key):
     # the bad entry is the grid's last: a kappa of 1e300 used to be refused
