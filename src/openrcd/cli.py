@@ -38,7 +38,7 @@ import sys
 from .allocation import FeasibilityError, NonConvergenceError
 from .bounds import evaluate_bounds, recursion_envelope
 from .config import SIMULATE_PRESETS, WORSTCASE_PRESETS, config_from_table, load_config
-from .opensim import run_ensemble, run_trajectory
+from .opensim import _check_footprint, run_ensemble, run_trajectory
 from .rules import (
     ConfigError,
     _check_agents,
@@ -238,6 +238,7 @@ def cmd_simulate(args):
     else:
         raise ConfigError("config", "need --config PATH or --preset NAME")
 
+    _check_footprint(config)
     _make_out_dir(args.out)
     bs = evaluate_bounds(
         config.n, config.alpha, config.beta, config.budget, config.p_update, config.h
@@ -290,13 +291,11 @@ def cmd_simulate(args):
 
 
 def _float_list(raw, key):
+    # an empty entry, as in "0.5,,0.6" or ",", does not parse either
     try:
-        values = [float(part) for part in raw.split(",") if part.strip()]
+        return [float(part) for part in raw.split(",")]
     except ValueError:
         raise ConfigError(key, f"cannot parse {raw!r} as a comma-separated float list")
-    if not values:
-        raise ConfigError(key, "empty list")
-    return values
 
 
 def cmd_bounds(args):

@@ -35,8 +35,8 @@ its agents in the same order as the scalar path.
 Large rosters (``n >= _POOL_MIN_AGENTS``) spread their replication
 batches over a thread pool; smaller ones run on one thread, where the
 pool measured slower.  The choice is automatic and never changes
-results, because each batch writes its own rows of one shared error
-matrix.
+results, because each batch writes its own rows of one shared block of
+error columns.
 
 The batch engine solves the roster process first.  Swaps are exogenous:
 which agent leaves, what cost arrives and so where the minimizer moves
@@ -45,14 +45,20 @@ of ``_TAPE_STEPS`` steps first reads its swaps off the tape and solves
 them in rounds, every row's ``j``-th swap of the chunk in one batched
 minimizer call (:func:`_chunk_swaps`); the step loop then only does
 the pair updates, installs each swap's cost and precomputed minimizer,
-and records the error.  :func:`run_ensemble` states what an ensemble
-holds in memory.
+and records the error.  A batch (:class:`_Batch`) resumes from one
+chunk to the next, so :func:`run_ensemble` advances every batch by a
+chunk and reduces that chunk's error columns into the mean and spread
+before the next: its memory grows with the replications, not with the
+horizon.  :func:`run_ensemble` states what an ensemble holds.
 """
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -73,7 +79,7 @@ from .functions import (
     quadratic_quantiles,
 )
 from .rcd import PairSelection, StepConfig, _pair_update, complete_graph_edges, rcd_pair_step
-from .rules import _check_count, _check_probability
+from .rules import ConfigError, _check_count, _check_probability
 
 __all__ = [
     "EventSchedule",
@@ -98,6 +104,13 @@ _TAPE_STEPS = 256
 #: agent count from which batches run on a thread pool; below it the
 #: per-step numpy calls are too small for threads to beat one thread
 _POOL_MIN_AGENTS = 64
+
+#: bytes a row's generator holds, ``PCG64`` and ``Generator`` (about 1.3 KB)
+_GENERATOR_BYTES = 1536
+
+#: bytes per step of a run's step-indexed outputs: a trajectory's four
+#: columns and event log, or an ensemble's statistics, with the CLI's columns
+_STEP_BYTES = 96
 
 
 @dataclass(frozen=True)
@@ -256,6 +269,42 @@ def step(state, schedule, rng, step_config=None, family="quadratic",
     return SystemState(state.allocation, roster), ("replace", agent)
 
 
+def _worker_count(config, replications):
+    """Threads an ensemble's batches run on: a pool of ``min(cpu_count, 8,
+    batches)`` from ``_POOL_MIN_AGENTS`` agents up, otherwise one."""
+    if config.n < _POOL_MIN_AGENTS:
+        return 1
+    return min(os.cpu_count() or 1, 8, -(-replications // _BATCH_ROWS))
+
+
+def _check_footprint(config, replications=None):
+    """Refuse a run whose stated footprint exceeds physical memory.
+
+    The footprint is what :func:`run_ensemble` states it holds per row
+    (block row, generator, rosters and agent-major arrays) and per worker
+    (a tape), plus ``_STEP_BYTES`` per step.  The :class:`ConfigError`
+    names ``replications`` or ``horizon``, whichever part is larger.
+    Platforms that do not report their physical memory are not checked.
+    """
+    replications = config.replications if replications is None else replications
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    chunk = min(config.horizon, _TAPE_STEPS)
+    row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 8 * config.n * 8
+    tape_bytes = min(replications, _BATCH_ROWS) * chunk * 5 * 8
+    by_rows = replications * row_bytes + _worker_count(config, replications) * tape_bytes
+    by_steps = (config.horizon + 1) * _STEP_BYTES
+    if by_rows + by_steps > memory:
+        raise ConfigError(
+            "replications" if by_rows >= by_steps else "horizon",
+            f"{replications} replications of {config.horizon} steps need about "
+            f"{(by_rows + by_steps) / 2**30:.3g} GiB, more than the "
+            f"{memory / 2**30:.3g} GiB of physical memory",
+        )
+
+
 def _roster_value(roster, values):
     return math.fsum(f.value(v) for f, v in zip(roster, values))
 
@@ -281,6 +330,7 @@ def run_trajectory(config, seed=None, replacement_sampler=None):
         (zero except on replacement rows).
     """
     rng = np.random.default_rng(_check_count("seed", config.seed if seed is None else seed, 0))
+    _check_footprint(config, 1)
     schedule = EventSchedule(config.p_update)
     step_config = StepConfig(config.h, config.beta)
     solver = _solver_for(config.function_family, replacement_sampler is not None)
@@ -316,7 +366,7 @@ def run_trajectory(config, seed=None, replacement_sampler=None):
 
 @dataclass
 class _BatchOutcome:
-    error: np.ndarray                 # (rows, horizon+1), ``out`` when given
+    error: np.ndarray                 # (rows, horizon+1)
     final_values: np.ndarray          # (rows, n), a view of the agent-major x
     replacement_count: int
     max_replacement_shift: float
@@ -497,78 +547,83 @@ def _chunk_swaps(config, tape, swap, roster, xstar):
     return _ChunkSwaps(bounds, at, theta, mu, moved, max_shift)
 
 
-def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
-    """Lockstep simulation of many replications of a built-in family.
+class _Batch:
+    """Lockstep simulation of many replications of a built-in family,
+    resumable between tape chunks.
 
     Row ``r`` reproduces ``run_trajectory(config, seed=seeds[r])``
     exactly: the same uniforms feed the same arithmetic in the same
-    order, only batched across rows.  Each step's errors are written
-    into ``out``, a ``(len(seeds), horizon + 1)`` float64 array (for
-    example rows of a larger matrix), or into a fresh array when it is
-    omitted.
+    order, only batched across rows.  The state carried from one chunk
+    to the next is the rows' generators, seeded in one pass
+    (:func:`_row_generators`), both roster copies, the estimates ``x``,
+    both minimizer copies, the error column's scratch buffer and the
+    swap counters.  Rosters, estimates and minimizers are agent-major
+    ``(n, rows)`` arrays, so each agent sum adds whole rows of them in
+    agent order (``allocation._agent_sum``), as the scalar path adds one
+    roster.
 
-    The rows' generators are seeded in one pass (:func:`_row_generators`).
-    Rosters, estimates and minimizers are agent-major ``(n, rows)``
-    arrays, so each agent sum adds whole rows of them in agent order
-    (``allocation._agent_sum``), as the scalar path adds one roster.
-
-    The roster process does not depend on the iterate, so it is solved
-    first, one tape chunk (``_TAPE_STEPS`` steps) at a time: the chunk's
-    swaps are read off the tape and applied, in rounds of one swap per
-    row, to a second copy of the rosters that runs ahead of the steps
+    The roster process does not depend on the iterate, so each chunk
+    (:meth:`advance`) solves it first: the chunk's swaps are read off
+    the tape and applied, in rounds of one swap per row, to a second
+    copy of the rosters that runs ahead of the steps
     (:func:`_chunk_swaps`).  Each step then does three things: the pair
     updates, as one flat gather and one flat scatter on ``x``; the
     step's swaps, written into the rosters the gradients read together
     with their precomputed minimizers; and the error column, computed in
-    one reused ``(n, rows)`` scratch buffer.  What a batch holds in
-    memory is stated in :func:`run_ensemble`.
+    the reused ``(n, rows)`` scratch buffer.
     """
-    n, horizon = config.n, config.horizon
-    cert = config.certificate
-    gens = _row_generators(seeds)
-    rows = len(gens)
-    init_u = np.empty((rows, n, 2))
-    for g, u in zip(gens, init_u):
-        g.random(out=u)
-    init_u = np.ascontiguousarray(init_u.transpose(2, 1, 0))   # (2, n, rows)
-    # the rest of each row's stream is drawn _TAPE_STEPS steps at a time;
-    # consecutive Generator.random calls continue one stream exactly
-    tape = np.empty((rows, min(horizon, _TAPE_STEPS), 5))
 
-    family = _QuadraticRows if config.function_family == "quadratic" else _LogCoshRows
-    theta, mu = quadratic_quantiles(cert, init_u[0], init_u[1])
-    del init_u
-    row_index = np.arange(rows)
-    roster = family(config, theta, mu)                # as of the current step
-    ahead = family(config, theta.copy(), mu.copy())   # as of the chunk's end
-    xstar = roster.minimizer(row_index)
-    ahead_xstar = xstar.copy()
-    x = _initial_point(config, (rows,), lambda: xstar)
-    flat_x = x.reshape(-1)
-    scratch = np.empty_like(x)
+    def __init__(self, config, seeds):
+        n = config.n
+        self.config = config
+        self.gens = _row_generators(seeds)
+        rows = self.rows = len(self.gens)
+        init_u = np.empty((rows, n, 2))
+        for g, u in zip(self.gens, init_u):
+            g.random(out=u)
+        init_u = np.ascontiguousarray(init_u.transpose(2, 1, 0))   # (2, n, rows)
 
-    error = np.empty((rows, horizon + 1)) if out is None else out
-    error[:, 0] = _squared_distance(x, xstar, scratch)
+        family = _QuadraticRows if config.function_family == "quadratic" else _LogCoshRows
+        theta, mu = quadratic_quantiles(config.certificate, init_u[0], init_u[1])
+        del init_u
+        self.roster = family(config, theta, mu)                # as of the current step
+        self.ahead = family(config, theta.copy(), mu.copy())   # as of the chunk's end
+        self.xstar = self.roster.minimizer(np.arange(rows))
+        self.ahead_xstar = self.xstar.copy()
+        self.x = _initial_point(config, (rows,), lambda: self.xstar)
+        self.scratch = np.empty_like(self.x)
+        self.edges = np.stack(complete_graph_edges(n)) * rows   # flat offsets of i and j
+        self.replacement_count = 0
+        self.max_replacement_shift = 0.0
 
-    edges = np.stack(complete_graph_edges(n)) * rows   # flat offsets of i and j
-    edge_count = edges.shape[1]
-    update_mask = np.empty((rows, horizon), dtype=bool) if collect_update_mask else None
-    replacement_count = 0
-    max_shift = 0.0
+    def error(self):
+        """Every row's ``||x - x*||^2`` at the current step."""
+        return _squared_distance(self.x, self.xstar, self.scratch)
 
-    for start in range(0, horizon, _TAPE_STEPS):
-        steps = min(_TAPE_STEPS, horizon - start)
-        for g, row in zip(gens, tape):
+    def advance(self, tape, out):
+        """Run the next ``steps = out.shape[1]`` steps, at most ``_TAPE_STEPS``.
+
+        The rows' uniforms are drawn into ``tape``, a buffer of at least
+        ``(rows, steps, 5)``; consecutive ``Generator.random`` calls
+        continue one stream exactly.  Step ``c``'s error column goes to
+        ``out[:, c]``.  Returns the ``(steps, rows)`` mask of pair updates.
+        """
+        config, rows, steps = self.config, self.rows, out.shape[1]
+        tape = tape[:rows]
+        for g, row in zip(self.gens, tape):
             g.random(out=row[:steps])
         # (steps, rows), True for a pair update: each step reads one contiguous row
         coin = np.ascontiguousarray((tape[:, :steps, 0] < config.p_update).T)
-        if update_mask is not None:
-            update_mask[:, start:start + steps] = coin.T
-        swaps = _chunk_swaps(config, tape, ~coin, ahead, ahead_xstar)
-        replacement_count += swaps.at.size
-        max_shift = max(max_shift, swaps.max_shift)
-        bounds = swaps.bounds
+        swaps = _chunk_swaps(config, tape, ~coin, self.ahead, self.ahead_xstar)
+        self.replacement_count += swaps.at.size
+        self.max_replacement_shift = max(self.max_replacement_shift, swaps.max_shift)
 
+        roster, x, xstar, scratch = self.roster, self.x, self.xstar, self.scratch
+        edges = self.edges
+        flat_x = x.reshape(-1)
+        row_index = np.arange(rows)
+        edge_count = edges.shape[1]
+        bounds = swaps.bounds
         for c in range(steps):
             urows = row_index[coin[c]]
             if urows.size:
@@ -585,10 +640,34 @@ def _simulate_batch(config, seeds, collect_update_mask=False, out=None):
                 roster.replace(at, swaps.theta[lo:hi], swaps.mu[lo:hi])
                 xstar[:, at % rows] = swaps.moved[:, lo:hi]
 
-            error[:, start + c + 1] = _squared_distance(x, xstar, scratch)
-        del swaps  # before the next chunk's swaps are drawn
+            out[:, c] = _squared_distance(x, xstar, scratch)
+        return coin
 
-    return _BatchOutcome(error, x.T, replacement_count, max_shift, update_mask)
+
+def _simulate_batch(config, seeds, collect_update_mask=False):
+    """Every step's error of a :class:`_Batch`, as one ``(rows, horizon + 1)``
+    matrix (column 0 is the initial state), with the final estimates and,
+    when asked, the ``(rows, horizon)`` pair-update mask.
+
+    This full-matrix form, ``(horizon + 1) * 8`` bytes per row, is the
+    reference the engine tests compare rows and statistics with; it
+    holds the batch's state and one ``(rows, _TAPE_STEPS, 5)`` tape on
+    top.  :func:`run_ensemble` never builds the matrix.
+    """
+    batch = _Batch(config, seeds)
+    horizon, rows = config.horizon, batch.rows
+    error = np.empty((rows, horizon + 1))
+    error[:, 0] = batch.error()
+    tape = np.empty((rows, min(horizon, _TAPE_STEPS), 5))
+    update_mask = np.empty((rows, horizon), dtype=bool) if collect_update_mask else None
+    for start in range(0, horizon, _TAPE_STEPS):
+        steps = min(_TAPE_STEPS, horizon - start)
+        coin = batch.advance(tape, error[:, start + 1:start + steps + 1])
+        if update_mask is not None:
+            update_mask[:, start:start + steps] = coin.T
+    return _BatchOutcome(
+        error, batch.x.T, batch.replacement_count, batch.max_replacement_shift, update_mask
+    )
 
 
 def _column_stats(error):
@@ -618,27 +697,36 @@ def run_ensemble(config, replications=None, base_seed=None):
 
     Replication ``r`` is seeded ``base_seed + r`` and reproduces the
     corresponding :func:`run_trajectory` exactly.  Both built-in families
-    (quadratic and log-cosh) run through the vectorized batch engine in
-    batches of ``_BATCH_ROWS`` rows, each writing its rows of one
-    preallocated ``(replications, horizon + 1)`` error matrix.  From
-    ``_POOL_MIN_AGENTS`` agents up the batches run on a thread pool of
-    ``min(cpu_count, 8, batches)`` workers, otherwise on the calling
-    thread; the rows a batch writes are fixed by its seeds, so the
-    statistics never depend on scheduling.
+    (quadratic and log-cosh) run through the vectorized batch engine
+    (:class:`_Batch`) in batches of ``_BATCH_ROWS`` rows.  The horizon
+    runs one tape chunk (``_TAPE_STEPS`` steps) at a time: every batch
+    advances by the chunk and writes its rows of one shared
+    ``(replications, _TAPE_STEPS + 1)`` block, whose column 0 carries the
+    previous chunk's last column, and the block's columns are then
+    reduced into the mean and standard deviation (:func:`_column_stats`).
+    numpy adds axis 0 of a row-major block of two or more columns row
+    after row, so every statistic has the bits it would have from the
+    full ``(replications, horizon + 1)`` matrix; the carried column
+    keeps a one-step last chunk at two columns.  From
+    ``_POOL_MIN_AGENTS`` agents up each chunk's batches run on one
+    thread pool of ``min(cpu_count, 8, batches)`` workers, otherwise on
+    the calling thread; the rows a batch writes are fixed by its seeds,
+    so the statistics never depend on scheduling.
 
-    Each batch solves its rosters' swaps ahead of its steps, one tape
-    chunk at a time, so a chunk costs as many minimizer calls as the
-    most swaps any row has in it (see :func:`_simulate_batch`).
+    Each batch solves its rosters' swaps ahead of its steps, so a chunk
+    costs as many minimizer calls as the most swaps any row has in it.
 
-    Peak memory is about ``replications * (horizon + 1) * 8`` bytes for
-    the matrix plus, per running batch, its random tape
-    (``_BATCH_ROWS * _TAPE_STEPS * 5 * 8`` bytes), two copies of its
-    rosters (``theta`` and ``mu``, ``2 * n * 8`` bytes per row each),
-    four agent-major ``(n, rows)`` arrays (the estimates, two minimizer
-    copies and the error column's scratch buffer, ``n * 8`` bytes per
-    row each) and ``(3 + n) * 8`` bytes per swap of the current chunk.
-    The mean and standard deviation are then reduced in place in the
-    matrix (:func:`_column_stats`), which adds only a few columns.
+    Memory does not grow with the horizon beyond the ``horizon + 1``
+    entries of each statistic.  The run holds the block,
+    ``(min(horizon, _TAPE_STEPS) + 1) * 8`` bytes per row; per row its
+    generator (about 1.3 KB), two copies of its roster (``theta`` and
+    ``mu``, ``2 * n * 8`` bytes each) and four agent-major arrays (the
+    estimates, two minimizer copies and the error column's scratch
+    buffer, ``n * 8`` bytes each); per worker one random tape
+    (``_BATCH_ROWS * _TAPE_STEPS * 5 * 8`` bytes at most); and per
+    running batch ``(3 + n) * 8`` bytes per swap of the current chunk.
+    A run whose stated footprint exceeds physical memory is refused
+    before any batch is built (:func:`_check_footprint`).
 
     Parameters
     ----------
@@ -659,25 +747,49 @@ def run_ensemble(config, replications=None, base_seed=None):
         "replications", config.replications if replications is None else replications, 1
     )
     base_seed = _check_count("base_seed", config.seed if base_seed is None else base_seed, 0)
+    _check_footprint(config, replications)
 
-    error = np.empty((replications, config.horizon + 1))
+    horizon = config.horizon
+    chunk = min(horizon, _TAPE_STEPS)
+    block = np.empty((replications, chunk + 1))
+    mean, std = np.empty(horizon + 1), np.empty(horizon + 1)
     starts = range(0, replications, _BATCH_ROWS)
 
-    def simulate(lo):
+    workers = _worker_count(config, replications)
+    # one tape per worker: at most ``workers`` chunks run at once
+    tapes = queue.SimpleQueue()
+    for _ in range(workers):
+        tapes.put(np.empty((min(replications, _BATCH_ROWS), chunk, 5)))
+
+    def begin(lo):
         hi = min(lo + _BATCH_ROWS, replications)
-        return _simulate_batch(config, range(base_seed + lo, base_seed + hi), out=error[lo:hi])
+        batch = _Batch(config, range(base_seed + lo, base_seed + hi))
+        block[lo:hi, 0] = batch.error()
+        return batch
 
-    workers = 1
-    if config.n >= _POOL_MIN_AGENTS:
-        workers = min(os.cpu_count() or 1, 8, len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(simulate, starts))
-    else:
-        outcomes = [simulate(lo) for lo in starts]
-    replacement_count = sum(o.replacement_count for o in outcomes)
-    max_shift = max((o.max_replacement_shift for o in outcomes), default=0.0)
+    def advance(lo, batch, steps):
+        tape = tapes.get()
+        try:
+            batch.advance(tape, block[lo:lo + batch.rows, 1:steps + 1])
+        finally:
+            tapes.put(tape)
 
-    mean, std = _column_stats(error)
+    with ExitStack() as stack:
+        run = map
+        if workers > 1:
+            run = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+        batches = list(run(begin, starts))
+        if not horizon:
+            mean, std = _column_stats(block)
+        for start in range(0, horizon, _TAPE_STEPS):
+            steps = min(_TAPE_STEPS, horizon - start)
+            list(run(advance, starts, batches, repeat(steps)))
+            carry = block[:, steps].copy()   # _column_stats consumes the block
+            columns = slice(start, start + steps + 1)
+            mean[columns], std[columns] = _column_stats(block[:, :steps + 1])
+            block[:, 0] = carry
+    replacement_count = sum(b.replacement_count for b in batches)
+    max_shift = max(b.max_replacement_shift for b in batches)
+
     halfwidth = Z95 * std / math.sqrt(replications)
     return ReplicationStats(mean, halfwidth, replications, replacement_count, max_shift)

@@ -140,6 +140,10 @@ def test_bounds_bad_pu_list_exits_2(capsys):
         # agent counts past MAX_AGENTS used to end in an OverflowError
         (["bounds", "--n", "1" + "0" * 400, "--kappa", "2", "--b", "1", "--pu", "0.9"], "n"),
         (["worstcase", "--n", "2:1" + "0" * 400, "--kappa", "2", "--b", "1"], "n"),
+        # an empty entry used to be dropped and the rest run
+        (["bounds", "--n", "5", "--kappa", "2", "--b", "1", "--pu", "0.5,,0.6"], "pu"),
+        (["bounds", "--n", "5", "--kappa", "2", "--b", "1", "--pu", "0.5,"], "pu"),
+        (["worstcase", "--n", "2:3", "--kappa", "2,,3", "--b", "1"], "kappa"),
     ],
 )
 def test_bad_numbers_exit_2_naming_the_flag(argv, key, tmp_path, capsys):
@@ -352,3 +356,27 @@ def test_simulate_infinite_values_exit_2(line, key, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"config key '{key}'" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("line, key", [
+    # used to end in numpy's ArrayMemoryError at the error matrix
+    ("replications = 1e15\nhorizon = 600", "replications"),
+    # and at the trajectory's columns
+    ("replications = 1\nhorizon = 1e14", "horizon"),
+])
+def test_simulate_runs_past_physical_memory_exit_2(line, key, tmp_path, capsys, monkeypatch):
+    import openrcd.opensim as opensim
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch was built")
+
+    monkeypatch.setattr(opensim, "_Batch", no_batch)
+    path = tmp_path / "huge.cfg"
+    path.write_text(SMALL_CFG + line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"config key '{key}'" in captured.err
+    assert "physical memory" in captured.err
+    assert captured.out == ""
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -299,6 +300,26 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
     assert pools == [3]
 
 
+def test_pooled_chunks_keep_their_tapes_under_thread_switching(monkeypatch):
+    # eight workers on short tapes, switching threads every microsecond:
+    # a tape handed to two running batches at once would mix their draws
+    monkeypatch.setattr(opensim.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(opensim, "_BATCH_ROWS", 10)
+    monkeypatch.setattr(opensim, "_TAPE_STEPS", 8)
+    cfg = fig1_config(n=_POOL_MIN_AGENTS, horizon=40, p_update=0.9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stats = run_ensemble(cfg, replications=80, base_seed=7)
+    finally:
+        sys.setswitchinterval(interval)
+    out = _simulate_batch(cfg, np.arange(7, 87))
+    assert np.array_equal(stats.mean_error, out.error.mean(axis=0))
+    assert np.array_equal(
+        stats.ci_halfwidth, Z95 * out.error.std(axis=0, ddof=1) / math.sqrt(80)
+    )
+
+
 @pytest.mark.parametrize("cfg", [
     # 64 columns, reduced in place in one pass
     fig1_config(horizon=63, p_update=0.9),
@@ -307,6 +328,12 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
     fig1_config(n=_POOL_MIN_AGENTS, horizon=50, p_update=0.9),
     # one column: numpy sums a one-column matrix's axis 0 pairwise
     fig1_config(horizon=0),
+    # a one-step last chunk still reduces two columns, the carried one too
+    fig1_config(horizon=_TAPE_STEPS + 1, p_update=0.9),
+    fig1_config(n=_POOL_MIN_AGENTS, horizon=_TAPE_STEPS + 1, p_update=0.9),
+    # two full chunks
+    fig1_config(horizon=2 * _TAPE_STEPS, p_update=0.9),
+    logcosh_config(horizon=2 * _TAPE_STEPS, p_update=0.8),
 ])
 def test_ensemble_statistics_match_the_full_matrix(cfg, monkeypatch):
     monkeypatch.setattr(opensim.os, "cpu_count", lambda: 4)
@@ -353,20 +380,23 @@ def test_column_statistics_reduce_in_place():
     assert peak < 0.02 * error.nbytes
 
 
-def test_ensemble_memory_is_one_error_matrix(monkeypatch):
-    # short tapes and two batches, so one batch's buffers are small next
-    # to the matrix; the batches write straight into it
+def test_ensemble_memory_does_not_grow_with_the_horizon(monkeypatch):
+    # short tapes and four batches: the block, the tape and the rows'
+    # generators are sized by the replications and _TAPE_STEPS, so only
+    # the statistics' horizon + 1 entries grow with the horizon
     monkeypatch.setattr(opensim, "_BATCH_ROWS", 128)
     monkeypatch.setattr(opensim, "_TAPE_STEPS", 16)
-    cfg = fig1_config(horizon=600, p_update=0.95)
-    run_ensemble(cfg, replications=3)  # warm lazy imports and caches
-    tracemalloc.start()
-    try:
-        run_ensemble(cfg, replications=256)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 256 * (cfg.horizon + 1) * 8
+    run_ensemble(fig1_config(horizon=5), replications=3)  # warm lazy imports and caches
+    peaks = {}
+    for chunks in (2, 16):
+        cfg = fig1_config(horizon=chunks * opensim._TAPE_STEPS, p_update=0.95)
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg, replications=512)
+            peaks[chunks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] < 1.1 * peaks[2]
 
 
 def test_logcosh_family_trajectory_runs():
@@ -532,3 +562,34 @@ def test_run_counts_and_seeds_are_refused_not_truncated(run, kwargs, key):
     with pytest.raises(ConfigError) as err:
         run(fig1_config(horizon=5), **kwargs)
     assert err.value.key == key
+
+
+@pytest.mark.parametrize("run, overrides, kwargs, key", [
+    (run_ensemble, {"horizon": 600}, {"replications": 10**15}, "replications"),
+    (run_ensemble, {"horizon": 10**14}, {"replications": 2}, "horizon"),
+    (run_trajectory, {"horizon": 10**14}, {}, "horizon"),
+])
+def test_runs_past_physical_memory_are_refused_before_any_batch(
+    run, overrides, kwargs, key, monkeypatch
+):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch was built")
+
+    monkeypatch.setattr(opensim, "_Batch", no_batch)
+    with pytest.raises(ConfigError, match="physical memory") as err:
+        run(fig1_config(**overrides), **kwargs)
+    assert err.value.key == key
+
+
+def test_footprint_is_checked_against_the_reported_memory(monkeypatch):
+    # fig1's 10000 x 600 states about 47 MiB: refused with 32 MiB, run with 64
+    cfg = fig1_config(horizon=600, replications=10000)
+    for mib, fits in ((32, False), (64, True)):
+        monkeypatch.setattr(opensim.os, "sysconf",
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": mib * 256}.__getitem__)
+        if fits:
+            opensim._check_footprint(cfg)
+        else:
+            with pytest.raises(ConfigError) as err:
+                opensim._check_footprint(cfg)
+            assert err.value.key == "replications"
