@@ -40,12 +40,14 @@ error columns.
 
 The batch engine solves the roster process first.  Swaps are exogenous:
 which agent leaves, what cost arrives and so where the minimizer moves
-depend on the random tape alone, never on the iterate.  So each chunk
-of ``_TAPE_STEPS`` steps first reads its swaps off the tape and solves
-them in rounds, every row's ``j``-th swap of the chunk in one batched
-minimizer call (:func:`_chunk_swaps`); the step loop then only does
-the pair updates, installs each swap's cost and precomputed minimizer,
-and records the error.  A batch (:class:`_Batch`) resumes from one
+depend on the random tape alone, never on the iterate.  So each tape
+chunk first reads its swaps off the tape and solves them in rounds,
+every row's ``j``-th swap of the chunk in one batched minimizer call
+(:func:`_chunk_swaps`); the step loop then only does the pair updates,
+installs each swap's cost and precomputed minimizer, and records the
+error.  A chunk is as many steps as one worker's tape and expected swap
+buffers fit in ``_CHUNK_BYTES``, at most ``_TAPE_STEPS``
+(:func:`_chunk_length`).  A batch (:class:`_Batch`) resumes from one
 chunk to the next, so :func:`run_ensemble` advances every batch by a
 chunk and reduces that chunk's error columns into the mean and spread
 before the next: its memory grows with the replications, not with the
@@ -98,8 +100,12 @@ Z95 = 1.959963984540054
 #: replication rows simulated per vectorized batch
 _BATCH_ROWS = 1024
 
-#: steps of random tape drawn at a time per row (memory cap)
+#: most steps of random tape drawn at a time per row
 _TAPE_STEPS = 256
+
+#: bytes one worker's chunk may hold: its random tape and its expected
+#: swap buffers (:func:`_chunk_length`)
+_CHUNK_BYTES = 4 * 2**20
 
 #: agent count from which batches run on a thread pool; below it the
 #: per-step numpy calls are too small for threads to beat one thread
@@ -107,6 +113,10 @@ _POOL_MIN_AGENTS = 64
 
 #: bytes a row's generator holds, ``PCG64`` and ``Generator`` (about 1.3 KB)
 _GENERATOR_BYTES = 1536
+
+#: agent-major ``(n, rows)`` arrays a batched minimizer solve holds at
+#: once: log-cosh Newton's count, measured (the closed form holds fewer)
+_SOLVE_ARRAYS = 16
 
 #: bytes per step of a run's step-indexed outputs: a trajectory's four
 #: columns and event log, or an ensemble's statistics, with the CLI's columns
@@ -277,25 +287,57 @@ def _worker_count(config, replications):
     return min(os.cpu_count() or 1, 8, -(-replications // _BATCH_ROWS))
 
 
-def _check_footprint(config, replications=None):
-    """Refuse a run whose stated footprint exceeds physical memory.
+def _chunk_length(config, rows):
+    """Steps per tape chunk for batches of ``rows`` rows, with the bytes of
+    one worker's tape and of its expected swap buffers at that length.
 
-    The footprint is what :func:`run_ensemble` states it holds per row
-    (block row, generator, rosters and agent-major arrays) and per worker
-    (a tape), plus ``_STEP_BYTES`` per step.  The :class:`ConfigError`
-    names ``replications`` or ``horizon``, whichever part is larger.
-    Platforms that do not report their physical memory are not checked.
+    A chunk step costs a worker ``rows * 5 * 8`` bytes of tape and, on
+    average, ``rows * (1 - p_update) * (3 + n) * 8`` bytes of swaps
+    (:func:`_chunk_swaps`).  The chunk is as long as ``_CHUNK_BYTES``
+    allows, at most ``_TAPE_STEPS`` steps and at least one (none for a
+    zero horizon).  The shared block of error columns is left out of the
+    budget: it grows with the replications, and counting it would cut
+    very large ensembles to one-step chunks, where filling the tape row
+    by row costs more than the steps.
+    """
+    tape_step = rows * 5 * 8
+    swap_step = rows * (1.0 - config.p_update) * (3 + config.n) * 8
+    fits = int(_CHUNK_BYTES // (tape_step + swap_step))
+    steps = min(config.horizon, max(1, min(_TAPE_STEPS, fits)))
+    return steps, steps * tape_step, math.ceil(steps * swap_step)
+
+
+def _footprint(config, replications):
+    """The bytes :func:`run_ensemble` states it holds, split into the part
+    that grows with the rows and the part that grows with the steps.
+
+    Per row: its block row, generator, rosters and agent-major arrays.
+    Per worker: a tape and a chunk's expected swaps (:func:`_chunk_length`),
+    and a solve's ``_SOLVE_ARRAYS`` working arrays.  Per step:
+    ``_STEP_BYTES``.
+    """
+    rows = min(replications, _BATCH_ROWS)
+    chunk, tape_bytes, swap_bytes = _chunk_length(config, rows)
+    row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 8 * config.n * 8
+    worker_bytes = tape_bytes + swap_bytes + _SOLVE_ARRAYS * config.n * rows * 8
+    by_rows = replications * row_bytes + _worker_count(config, replications) * worker_bytes
+    return by_rows, (config.horizon + 1) * _STEP_BYTES
+
+
+def _check_footprint(config, replications=None):
+    """Refuse a run whose stated footprint (:func:`_footprint`) exceeds
+    physical memory.
+
+    The :class:`ConfigError` names ``replications`` or ``horizon``,
+    whichever part is larger.  Platforms that do not report their
+    physical memory are not checked.
     """
     replications = config.replications if replications is None else replications
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    chunk = min(config.horizon, _TAPE_STEPS)
-    row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 8 * config.n * 8
-    tape_bytes = min(replications, _BATCH_ROWS) * chunk * 5 * 8
-    by_rows = replications * row_bytes + _worker_count(config, replications) * tape_bytes
-    by_steps = (config.horizon + 1) * _STEP_BYTES
+    by_rows, by_steps = _footprint(config, replications)
     if by_rows + by_steps > memory:
         raise ConfigError(
             "replications" if by_rows >= by_steps else "horizon",
@@ -518,7 +560,9 @@ def _chunk_swaps(config, tape, swap, roster, xstar):
     row's ``j``-th swap of the chunk and solves those rows with one
     ``minimizer`` call.  A chunk costs as many solves as the most swaps
     any row has in it.  Once the chunk-sized swap mask is gone, what
-    stays is ``(3 + n) * 8`` bytes per swap.
+    stays is ``(3 + n) * 8`` bytes per swap, and a chunk holds about
+    ``rows * steps * (1 - p_update)`` swaps, which is why
+    :func:`_chunk_length` shortens the chunks of swap-heavy runs.
     """
     n, batch = xstar.shape
     step, rows = np.nonzero(swap)
@@ -601,19 +645,21 @@ class _Batch:
         return _squared_distance(self.x, self.xstar, self.scratch)
 
     def advance(self, tape, out):
-        """Run the next ``steps = out.shape[1]`` steps, at most ``_TAPE_STEPS``.
+        """Run the next ``steps = out.shape[1]`` steps, one tape chunk.
 
-        The rows' uniforms are drawn into ``tape``, a buffer of at least
-        ``(rows, steps, 5)``; consecutive ``Generator.random`` calls
-        continue one stream exactly.  Step ``c``'s error column goes to
-        ``out[:, c]``.  Returns the ``(steps, rows)`` mask of pair updates.
+        The rows' uniforms are drawn into the ``(rows, steps, 5)`` front
+        of ``tape``, one row's block per ``Generator.random`` call;
+        consecutive calls continue one stream exactly, so any chunk
+        length draws the same uniforms.  Step ``c``'s error column goes
+        to ``out[:, c]``.  Returns the ``(steps, rows)`` mask of pair
+        updates.
         """
         config, rows, steps = self.config, self.rows, out.shape[1]
-        tape = tape[:rows]
+        tape = tape[:rows, :steps]
         for g, row in zip(self.gens, tape):
-            g.random(out=row[:steps])
+            g.random(out=row)
         # (steps, rows), True for a pair update: each step reads one contiguous row
-        coin = np.ascontiguousarray((tape[:, :steps, 0] < config.p_update).T)
+        coin = np.ascontiguousarray((tape[:, :, 0] < config.p_update).T)
         swaps = _chunk_swaps(config, tape, ~coin, self.ahead, self.ahead_xstar)
         self.replacement_count += swaps.at.size
         self.max_replacement_shift = max(self.max_replacement_shift, swaps.max_shift)
@@ -651,17 +697,19 @@ def _simulate_batch(config, seeds, collect_update_mask=False):
 
     This full-matrix form, ``(horizon + 1) * 8`` bytes per row, is the
     reference the engine tests compare rows and statistics with; it
-    holds the batch's state and one ``(rows, _TAPE_STEPS, 5)`` tape on
-    top.  :func:`run_ensemble` never builds the matrix.
+    holds the batch's state and one tape on top, in chunks of the length
+    :func:`_chunk_length` gives ``rows`` rows.  :func:`run_ensemble`
+    never builds the matrix.
     """
     batch = _Batch(config, seeds)
     horizon, rows = config.horizon, batch.rows
+    chunk = _chunk_length(config, rows)[0]
     error = np.empty((rows, horizon + 1))
     error[:, 0] = batch.error()
-    tape = np.empty((rows, min(horizon, _TAPE_STEPS), 5))
+    tape = np.empty((rows, chunk, 5))
     update_mask = np.empty((rows, horizon), dtype=bool) if collect_update_mask else None
-    for start in range(0, horizon, _TAPE_STEPS):
-        steps = min(_TAPE_STEPS, horizon - start)
+    for start in range(0, horizon, max(chunk, 1)):
+        steps = min(chunk, horizon - start)
         coin = batch.advance(tape, error[:, start + 1:start + steps + 1])
         if update_mask is not None:
             update_mask[:, start:start + steps] = coin.T
@@ -699,11 +747,12 @@ def run_ensemble(config, replications=None, base_seed=None):
     corresponding :func:`run_trajectory` exactly.  Both built-in families
     (quadratic and log-cosh) run through the vectorized batch engine
     (:class:`_Batch`) in batches of ``_BATCH_ROWS`` rows.  The horizon
-    runs one tape chunk (``_TAPE_STEPS`` steps) at a time: every batch
-    advances by the chunk and writes its rows of one shared
-    ``(replications, _TAPE_STEPS + 1)`` block, whose column 0 carries the
-    previous chunk's last column, and the block's columns are then
-    reduced into the mean and standard deviation (:func:`_column_stats`).
+    runs one tape chunk at a time, its length set once per run by
+    :func:`_chunk_length`: every batch advances by the chunk and writes
+    its rows of one shared ``(replications, chunk + 1)`` block, whose
+    column 0 carries the previous chunk's last column, and the block's
+    columns are then reduced into the mean and standard deviation
+    (:func:`_column_stats`).
     numpy adds axis 0 of a row-major block of two or more columns row
     after row, so every statistic has the bits it would have from the
     full ``(replications, horizon + 1)`` matrix; the carried column
@@ -718,15 +767,15 @@ def run_ensemble(config, replications=None, base_seed=None):
 
     Memory does not grow with the horizon beyond the ``horizon + 1``
     entries of each statistic.  The run holds the block,
-    ``(min(horizon, _TAPE_STEPS) + 1) * 8`` bytes per row; per row its
-    generator (about 1.3 KB), two copies of its roster (``theta`` and
-    ``mu``, ``2 * n * 8`` bytes each) and four agent-major arrays (the
-    estimates, two minimizer copies and the error column's scratch
-    buffer, ``n * 8`` bytes each); per worker one random tape
-    (``_BATCH_ROWS * _TAPE_STEPS * 5 * 8`` bytes at most); and per
-    running batch ``(3 + n) * 8`` bytes per swap of the current chunk.
-    A run whose stated footprint exceeds physical memory is refused
-    before any batch is built (:func:`_check_footprint`).
+    ``(chunk + 1) * 8`` bytes per row; per row its generator (about
+    1.3 KB), two copies of its roster (``theta`` and ``mu``, ``2 * n * 8``
+    bytes each) and four agent-major arrays (the estimates, two
+    minimizer copies and the error column's scratch buffer, ``n * 8``
+    bytes each); and per worker one random tape and one chunk's swaps,
+    ``(3 + n) * 8`` bytes per swap, which together are sized to about
+    ``_CHUNK_BYTES``, plus the working arrays of one batched solve.  A
+    run whose stated footprint (:func:`_footprint`) exceeds physical
+    memory is refused before any batch is built.
 
     Parameters
     ----------
@@ -750,7 +799,8 @@ def run_ensemble(config, replications=None, base_seed=None):
     _check_footprint(config, replications)
 
     horizon = config.horizon
-    chunk = min(horizon, _TAPE_STEPS)
+    rows = min(replications, _BATCH_ROWS)
+    chunk = _chunk_length(config, rows)[0]
     block = np.empty((replications, chunk + 1))
     mean, std = np.empty(horizon + 1), np.empty(horizon + 1)
     starts = range(0, replications, _BATCH_ROWS)
@@ -759,7 +809,7 @@ def run_ensemble(config, replications=None, base_seed=None):
     # one tape per worker: at most ``workers`` chunks run at once
     tapes = queue.SimpleQueue()
     for _ in range(workers):
-        tapes.put(np.empty((min(replications, _BATCH_ROWS), chunk, 5)))
+        tapes.put(np.empty((rows, chunk, 5)))
 
     def begin(lo):
         hi = min(lo + _BATCH_ROWS, replications)
@@ -781,8 +831,8 @@ def run_ensemble(config, replications=None, base_seed=None):
         batches = list(run(begin, starts))
         if not horizon:
             mean, std = _column_stats(block)
-        for start in range(0, horizon, _TAPE_STEPS):
-            steps = min(_TAPE_STEPS, horizon - start)
+        for start in range(0, horizon, max(chunk, 1)):
+            steps = min(chunk, horizon - start)
             list(run(advance, starts, batches, repeat(steps)))
             carry = block[:, steps].copy()   # _column_stats consumes the block
             columns = slice(start, start + steps + 1)

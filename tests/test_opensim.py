@@ -320,24 +320,47 @@ def test_pooled_chunks_keep_their_tapes_under_thread_switching(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("cfg", [
+def _budget_for(cfg, rows, steps):
+    """A ``_CHUNK_BYTES`` that gives ``steps``-step chunks to ``rows``-row batches."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opensim, "_CHUNK_BYTES", 1)
+        _, tape_bytes, swap_bytes = opensim._chunk_length(cfg, rows)
+    return (steps + 0.5) * (tape_bytes + swap_bytes)
+
+
+_FULL_MATRIX_CASES = [
     # 64 columns, reduced in place in one pass
-    fig1_config(horizon=63, p_update=0.9),
-    logcosh_config(horizon=60, p_update=0.8),
+    (fig1_config(horizon=63, p_update=0.9), None),
+    (logcosh_config(horizon=60, p_update=0.8), None),
     # from _POOL_MIN_AGENTS up the three batches run on the thread pool
-    fig1_config(n=_POOL_MIN_AGENTS, horizon=50, p_update=0.9),
+    (fig1_config(n=_POOL_MIN_AGENTS, horizon=50, p_update=0.9), None),
     # one column: numpy sums a one-column matrix's axis 0 pairwise
-    fig1_config(horizon=0),
+    (fig1_config(horizon=0), None),
     # a one-step last chunk still reduces two columns, the carried one too
-    fig1_config(horizon=_TAPE_STEPS + 1, p_update=0.9),
-    fig1_config(n=_POOL_MIN_AGENTS, horizon=_TAPE_STEPS + 1, p_update=0.9),
+    (fig1_config(horizon=_TAPE_STEPS + 1, p_update=0.9), None),
+    (fig1_config(n=_POOL_MIN_AGENTS, horizon=_TAPE_STEPS + 1, p_update=0.9), None),
     # two full chunks
-    fig1_config(horizon=2 * _TAPE_STEPS, p_update=0.9),
-    logcosh_config(horizon=2 * _TAPE_STEPS, p_update=0.8),
-])
-def test_ensemble_statistics_match_the_full_matrix(cfg, monkeypatch):
+    (fig1_config(horizon=2 * _TAPE_STEPS, p_update=0.9), None),
+    (logcosh_config(horizon=2 * _TAPE_STEPS, p_update=0.8), None),
+    # the byte budget, not _TAPE_STEPS, sets one-step and five-step chunks
+    (fig1_config(horizon=23, p_update=0.9), 1),
+    (logcosh_config(horizon=23, p_update=0.8), 1),
+    (fig1_config(n=_POOL_MIN_AGENTS, horizon=23, p_update=0.9), 1),
+    (fig1_config(horizon=23, p_update=0.9), 5),
+    (logcosh_config(horizon=23, p_update=0.8), 5),
+    (fig1_config(n=_POOL_MIN_AGENTS, horizon=23, p_update=0.9), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, chunk", _FULL_MATRIX_CASES, ids=[f"cfg{i}" for i in range(len(_FULL_MATRIX_CASES))]
+)
+def test_ensemble_statistics_match_the_full_matrix(cfg, chunk, monkeypatch):
     monkeypatch.setattr(opensim.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(opensim, "_BATCH_ROWS", 25)
+    if chunk is not None:
+        monkeypatch.setattr(opensim, "_CHUNK_BYTES", _budget_for(cfg, 25, chunk))
+        assert opensim._chunk_length(cfg, 25)[0] == chunk
     stats = run_ensemble(cfg, replications=60, base_seed=3)
 
     full = np.vstack([_simulate_batch(cfg, [seed]).error for seed in range(3, 63)])
@@ -582,9 +605,9 @@ def test_runs_past_physical_memory_are_refused_before_any_batch(
 
 
 def test_footprint_is_checked_against_the_reported_memory(monkeypatch):
-    # fig1's 10000 x 600 states about 47 MiB: refused with 32 MiB, run with 64
+    # fig1's 10000 x 600 states about 30 MiB: refused with 16 MiB, run with 32
     cfg = fig1_config(horizon=600, replications=10000)
-    for mib, fits in ((32, False), (64, True)):
+    for mib, fits in ((16, False), (32, True)):
         monkeypatch.setattr(opensim.os, "sysconf",
                             {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": mib * 256}.__getitem__)
         if fits:
@@ -593,3 +616,56 @@ def test_footprint_is_checked_against_the_reported_memory(monkeypatch):
             with pytest.raises(ConfigError) as err:
                 opensim._check_footprint(cfg)
             assert err.value.key == "replications"
+
+
+@pytest.mark.parametrize("cfg, rows, steps", [
+    # fig1: tape and swaps fill the budget at 94 steps
+    (fig1_config(horizon=600), 1024, 94),
+    # a 64-row log-cosh run keeps the longest chunk
+    (logcosh_config(horizon=600), 64, _TAPE_STEPS),
+    # every step swaps every row's 64-agent roster
+    (fig1_config(n=64, p_update=0.0, horizon=600), 1024, 7),
+    # the budget never cuts a chunk below one step, nor past the horizon
+    (fig1_config(n=1024, p_update=0.0, horizon=600), 1024, 1),
+    (fig1_config(horizon=40), 1024, 40),
+    (fig1_config(horizon=0), 1024, 0),
+])
+def test_chunk_length_follows_the_byte_budget(cfg, rows, steps):
+    assert opensim._chunk_length(cfg, rows)[0] == steps
+
+
+def _traced_peak(run, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        result = run(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_swap_heavy_chunks_stay_within_the_budget(monkeypatch):
+    # at p_U = 0 every row swaps every step: 256-step chunks held a
+    # (64, 262144) array of minimizers, about 159 MiB traced
+    cfg = fig1_config(n=64, p_update=0.0, horizon=256)
+    run_ensemble(cfg, replications=3)  # warm lazy imports and caches
+    stats, peak = _traced_peak(run_ensemble, cfg, replications=1024)
+    assert peak < 24 * 2**20
+
+    monkeypatch.setattr(opensim, "_CHUNK_BYTES", 2**62)
+    assert opensim._chunk_length(cfg, 1024)[0] == _TAPE_STEPS
+    lifted = run_ensemble(cfg, replications=1024)
+    assert np.array_equal(stats.mean_error, lifted.mean_error)
+    assert np.array_equal(stats.ci_halfwidth, lifted.ci_halfwidth)
+    assert stats.replacement_count == lifted.replacement_count
+    assert stats.max_replacement_shift == lifted.max_replacement_shift
+
+
+@pytest.mark.parametrize("cfg, replications", [
+    (fig1_config(horizon=300), 2048),
+    (fig1_config(n=64, p_update=0.0, horizon=256), 1024),
+    (logcosh_config(horizon=600), 64),
+])
+def test_stated_footprint_covers_the_traced_peak(cfg, replications):
+    run_ensemble(cfg, replications=3)  # warm lazy imports and caches
+    _, peak = _traced_peak(run_ensemble, cfg, replications=replications)
+    assert peak <= sum(opensim._footprint(cfg, replications))
