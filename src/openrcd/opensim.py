@@ -32,20 +32,21 @@ estimates and minimizers agent-major, as ``(n, rows)`` arrays, and every
 sum over agents goes through ``allocation._agent_sum``, so a row adds
 its agents in the same order as the scalar path.
 
-Large rosters (``n >= _POOL_MIN_AGENTS``) spread their replication
-batches over a thread pool; smaller ones run on one thread, where the
-pool measured slower.  The choice is automatic and never changes
-results, because each batch writes its own rows of one shared block of
-error columns.
+Large rosters (``n >= _POOL_MIN_AGENTS``) deal their replication
+batches out to the workers of a thread pool, each with its own random
+tape; smaller ones run on one thread, where the pool measured slower.
+The choice is automatic and never changes results, because each batch
+writes its own rows of one shared block of error columns.
 
 The batch engine solves the roster process first.  Swaps are exogenous:
 which agent leaves, what cost arrives and so where the minimizer moves
 depend on the random tape alone, never on the iterate.  So each tape
 chunk first reads its swaps off the tape and solves them in rounds,
-every row's ``j``-th swap of the chunk in one batched minimizer call
-(:func:`_chunk_swaps`); the step loop then only does the pair updates,
-installs each swap's cost and precomputed minimizer, and records the
-error.  A chunk is as many steps as one worker's tape and expected swap
+every row's ``j``-th swap of the chunk in one batched minimizer call on
+the swapping rows' gathered columns (:func:`_chunk_swaps`), so a batch
+keeps one roster and one minimizer; the step loop then only does the
+pair updates, installs each swap's cost and precomputed minimizer, and
+records the error.  A chunk is as many steps as one worker's tape and expected swap
 buffers fit in ``_CHUNK_BYTES``, at most ``_TAPE_STEPS``
 (:func:`_chunk_length`).  A batch (:class:`_Batch`) resumes from one
 chunk to the next, so :func:`run_ensemble` advances every batch by a
@@ -56,7 +57,6 @@ horizon.  :func:`run_ensemble` states what an ensemble holds.
 
 import math
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -80,7 +80,14 @@ from .functions import (
     _quadratic_gradient,
     quadratic_quantiles,
 )
-from .rcd import PairSelection, StepConfig, _pair_update, complete_graph_edges, rcd_pair_step
+from .rcd import (
+    PairSelection,
+    StepConfig,
+    _edge_table,
+    _pair_update,
+    complete_graph_edges,
+    rcd_pair_step,
+)
 from .rules import ConfigError, _check_count, _check_probability
 
 __all__ = [
@@ -311,16 +318,20 @@ def _footprint(config, replications):
     """The bytes :func:`run_ensemble` states it holds, split into the part
     that grows with the rows and the part that grows with the steps.
 
-    Per row: its block row, generator, rosters and agent-major arrays.
-    Per worker: a tape and a chunk's expected swaps (:func:`_chunk_length`),
-    and a solve's ``_SOLVE_ARRAYS`` working arrays.  Per step:
-    ``_STEP_BYTES``.
+    Per row: its block row, generator, and five agent-major arrays (the
+    roster's ``theta`` and ``mu``, ``x``, ``xstar`` and the scratch
+    buffer).  Per worker: a tape and a chunk's expected swaps
+    (:func:`_chunk_length`), the three arrays :func:`_chunk_swaps` gathers
+    and a solve's ``_SOLVE_ARRAYS`` working arrays.  Once: the shared
+    edge table, ``n (n - 1)`` indices.  Per step: ``_STEP_BYTES``.
     """
+    n = config.n
     rows = min(replications, _BATCH_ROWS)
     chunk, tape_bytes, swap_bytes = _chunk_length(config, rows)
-    row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 8 * config.n * 8
-    worker_bytes = tape_bytes + swap_bytes + _SOLVE_ARRAYS * config.n * rows * 8
-    by_rows = replications * row_bytes + _worker_count(config, replications) * worker_bytes
+    row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 5 * n * 8
+    worker_bytes = tape_bytes + swap_bytes + (3 + _SOLVE_ARRAYS) * n * rows * 8
+    by_rows = (replications * row_bytes + n * (n - 1) * 8
+               + _worker_count(config, replications) * worker_bytes)
     return by_rows, (config.horizon + 1) * _STEP_BYTES
 
 
@@ -412,7 +423,7 @@ class _BatchOutcome:
     final_values: np.ndarray          # (rows, n), a view of the agent-major x
     replacement_count: int
     max_replacement_shift: float
-    update_mask: np.ndarray | None    # (rows, horizon) when collected
+    update_mask: np.ndarray           # (rows, horizon), True for a pair update
 
 
 #: numpy's ``SeedSequence`` hash constants (``numpy/random/bit_generator.pyx``)
@@ -495,6 +506,8 @@ class _Rows:
 
     Agent ``i`` of row ``r`` is flat index ``i * rows + r`` of both arrays,
     so one flat ``take`` or ``put`` reaches any mix of rows and agents.
+    ``minimizer(theta, mu)`` solves the family's rosters given as
+    C-contiguous ``(n, k)`` arrays, such as columns gathered from these.
     """
 
     def __init__(self, config, theta, mu):
@@ -511,9 +524,8 @@ class _QuadraticRows(_Rows):
     def gradient(self, at, x):
         return _quadratic_gradient(self.theta.take(at), self.mu.take(at), x)
 
-    def minimizer(self, rows):
-        theta = self.theta.take(rows, axis=1)
-        return _quadratic_point(self.mu.take(rows, axis=1), 1.0 / theta, self.budget)[0]
+    def minimizer(self, theta, mu):
+        return _quadratic_point(mu, 1.0 / theta, self.budget)[0]
 
 
 class _LogCoshRows(_Rows):
@@ -522,12 +534,9 @@ class _LogCoshRows(_Rows):
         weight = _logcosh_weight(self.certificate, theta)
         return _logcosh_gradient(theta, self.mu.take(at), weight, x)
 
-    def minimizer(self, rows):
-        theta = self.theta.take(rows, axis=1)
+    def minimizer(self, theta, mu):
         weight = _logcosh_weight(self.certificate, theta)
-        return _logcosh_point(
-            theta, self.mu.take(rows, axis=1), weight, self.budget, self.certificate
-        )[0]
+        return _logcosh_point(theta, mu, weight, self.budget, self.certificate)[0]
 
 
 @dataclass
@@ -555,14 +564,22 @@ def _chunk_swaps(config, tape, swap, roster, xstar):
 
     Which rows swap, which agent leaves and what cost arrives depend on
     the tape alone, never on the iterate.  So the chunk's swaps are
-    drawn with one quantile call on 1-D arrays and applied to ``roster``
-    and its minimizers ``xstar`` in rounds: round ``j`` takes every
-    row's ``j``-th swap of the chunk and solves those rows with one
-    ``minimizer`` call.  A chunk costs as many solves as the most swaps
-    any row has in it.  Once the chunk-sized swap mask is gone, what
-    stays is ``(3 + n) * 8`` bytes per swap, and a chunk holds about
-    ``rows * steps * (1 - p_update)`` swaps, which is why
-    :func:`_chunk_length` shortens the chunks of swap-heavy runs.
+    drawn with one quantile call on 1-D arrays and solved in rounds:
+    round ``j`` takes every row's ``j``-th swap of the chunk and solves
+    those rows with one ``minimizer`` call.  ``roster`` and its
+    minimizers ``xstar`` are only read: the swapping rows' columns are
+    gathered once, as of the chunk's start, and before each round
+    narrowed with ``compress`` to the rows that swap again, so every
+    round solves C-contiguous ``(n, k)`` arrays as ``take`` gives them.
+    Each swap's shift is measured against its row's previous point: the
+    previous round's result, or ``xstar`` in the row's first round.
+
+    A chunk costs as many solves as the most swaps any row has in it.
+    The rounds work on three arrays of at most ``(n, rows)``; once the
+    chunk-sized swap mask is gone, the rest is ``(3 + n) * 8`` bytes
+    per swap, and a chunk holds about ``rows * steps * (1 - p_update)``
+    swaps, which is why :func:`_chunk_length` shortens the chunks of
+    swap-heavy runs.
     """
     n, batch = xstar.shape
     step, rows = np.nonzero(swap)
@@ -578,15 +595,25 @@ def _chunk_swaps(config, tape, swap, roster, xstar):
     del step, rows
 
     max_shift = 0.0
-    row_index = np.arange(batch)
+    swapping = np.flatnonzero(counts)
+    work_theta, work_mu, point = (
+        a.take(swapping, axis=1) for a in (roster.theta, roster.mu, xstar)
+    )
     for j in range(int(counts.max(initial=0))):
-        swapping = row_index[counts > j]
+        more = counts[swapping] > j
+        if not more.all():
+            swapping = swapping[more]
+            # compress keeps C order; a[:, more] would be F-ordered
+            work_theta, work_mu, point = (
+                a.compress(more, axis=1) for a in (work_theta, work_mu, point)
+            )
         sel = by_row[first[swapping] + j]
-        roster.replace(at[sel], theta[sel], mu[sel])
-        point = roster.minimizer(swapping)
-        shift = _squared_distance(point, xstar.take(swapping, axis=1))
-        max_shift = max(max_shift, float(shift.max()))
-        xstar[:, swapping] = point
+        k = swapping.size
+        cell = at[sel] // batch * k + np.arange(k)   # each swap's flat index in the work
+        work_theta.put(cell, theta[sel])
+        work_mu.put(cell, mu[sel])
+        previous, point = point, roster.minimizer(work_theta, work_mu)
+        max_shift = max(max_shift, float(_squared_distance(point, previous).max()))
         moved[:, sel] = point
     return _ChunkSwaps(bounds, at, theta, mu, moved, max_shift)
 
@@ -599,8 +626,8 @@ class _Batch:
     exactly: the same uniforms feed the same arithmetic in the same
     order, only batched across rows.  The state carried from one chunk
     to the next is the rows' generators, seeded in one pass
-    (:func:`_row_generators`), both roster copies, the estimates ``x``,
-    both minimizer copies, the error column's scratch buffer and the
+    (:func:`_row_generators`), the rosters, the estimates ``x``, the
+    minimizers ``xstar``, the error column's scratch buffer and the
     swap counters.  Rosters, estimates and minimizers are agent-major
     ``(n, rows)`` arrays, so each agent sum adds whole rows of them in
     agent order (``allocation._agent_sum``), as the scalar path adds one
@@ -608,21 +635,21 @@ class _Batch:
 
     The roster process does not depend on the iterate, so each chunk
     (:meth:`advance`) solves it first: the chunk's swaps are read off
-    the tape and applied, in rounds of one swap per row, to a second
-    copy of the rosters that runs ahead of the steps
-    (:func:`_chunk_swaps`).  Each step then does three things: the pair
-    updates, as one flat gather and one flat scatter on ``x``; the
-    step's swaps, written into the rosters the gradients read together
-    with their precomputed minimizers; and the error column, computed in
-    the reused ``(n, rows)`` scratch buffer.
+    the tape and solved, in rounds of one swap per row, on the swapping
+    rows' columns (:func:`_chunk_swaps`).  Each step then does three
+    things: the pair updates, as one flat gather and one flat scatter on
+    ``x``, their flat indices scaled from the shared edge table
+    (``rcd._edge_table``); the step's swaps, written into the rosters
+    the gradients read together with their precomputed minimizers; and
+    the error column, computed in the reused ``(n, rows)`` scratch
+    buffer.
     """
 
     def __init__(self, config, seeds):
-        n = config.n
         self.config = config
         self.gens = _row_generators(seeds)
         rows = self.rows = len(self.gens)
-        init_u = np.empty((rows, n, 2))
+        init_u = np.empty((rows, config.n, 2))
         for g, u in zip(self.gens, init_u):
             g.random(out=u)
         init_u = np.ascontiguousarray(init_u.transpose(2, 1, 0))   # (2, n, rows)
@@ -630,13 +657,10 @@ class _Batch:
         family = _QuadraticRows if config.function_family == "quadratic" else _LogCoshRows
         theta, mu = quadratic_quantiles(config.certificate, init_u[0], init_u[1])
         del init_u
-        self.roster = family(config, theta, mu)                # as of the current step
-        self.ahead = family(config, theta.copy(), mu.copy())   # as of the chunk's end
-        self.xstar = self.roster.minimizer(np.arange(rows))
-        self.ahead_xstar = self.xstar.copy()
+        self.roster = family(config, theta, mu)
+        self.xstar = self.roster.minimizer(theta, mu)
         self.x = _initial_point(config, (rows,), lambda: self.xstar)
         self.scratch = np.empty_like(self.x)
-        self.edges = np.stack(complete_graph_edges(n)) * rows   # flat offsets of i and j
         self.replacement_count = 0
         self.max_replacement_shift = 0.0
 
@@ -660,12 +684,12 @@ class _Batch:
             g.random(out=row)
         # (steps, rows), True for a pair update: each step reads one contiguous row
         coin = np.ascontiguousarray((tape[:, :, 0] < config.p_update).T)
-        swaps = _chunk_swaps(config, tape, ~coin, self.ahead, self.ahead_xstar)
+        swaps = _chunk_swaps(config, tape, ~coin, self.roster, self.xstar)
         self.replacement_count += swaps.at.size
         self.max_replacement_shift = max(self.max_replacement_shift, swaps.max_shift)
 
         roster, x, xstar, scratch = self.roster, self.x, self.xstar, self.scratch
-        edges = self.edges
+        edges = _edge_table(config.n)
         flat_x = x.reshape(-1)
         row_index = np.arange(rows)
         edge_count = edges.shape[1]
@@ -674,7 +698,9 @@ class _Batch:
             urows = row_index[coin[c]]
             if urows.size:
                 e = (tape[urows, c, 1] * edge_count).astype(np.intp)
-                pair = edges.take(e, axis=1) + urows   # flat i (row 0) and j (row 1)
+                pair = edges.take(e, axis=1)   # i (row 0) and j (row 1) of each pick
+                pair *= rows
+                pair += urows                  # their flat indices in x
                 xp = flat_x[pair]
                 grad = roster.gradient(pair, xp)
                 _pair_update(xp, 0, 1, grad[0], grad[1], config.h)
@@ -690,10 +716,10 @@ class _Batch:
         return coin
 
 
-def _simulate_batch(config, seeds, collect_update_mask=False):
+def _simulate_batch(config, seeds):
     """Every step's error of a :class:`_Batch`, as one ``(rows, horizon + 1)``
-    matrix (column 0 is the initial state), with the final estimates and,
-    when asked, the ``(rows, horizon)`` pair-update mask.
+    matrix (column 0 is the initial state), with the final estimates and
+    the ``(rows, horizon)`` pair-update mask.
 
     This full-matrix form, ``(horizon + 1) * 8`` bytes per row, is the
     reference the engine tests compare rows and statistics with; it
@@ -707,12 +733,11 @@ def _simulate_batch(config, seeds, collect_update_mask=False):
     error = np.empty((rows, horizon + 1))
     error[:, 0] = batch.error()
     tape = np.empty((rows, chunk, 5))
-    update_mask = np.empty((rows, horizon), dtype=bool) if collect_update_mask else None
+    update_mask = np.empty((rows, horizon), dtype=bool)
     for start in range(0, horizon, max(chunk, 1)):
         steps = min(chunk, horizon - start)
         coin = batch.advance(tape, error[:, start + 1:start + steps + 1])
-        if update_mask is not None:
-            update_mask[:, start:start + steps] = coin.T
+        update_mask[:, start:start + steps] = coin.T
     return _BatchOutcome(
         error, batch.x.T, batch.replacement_count, batch.max_replacement_shift, update_mask
     )
@@ -757,10 +782,12 @@ def run_ensemble(config, replications=None, base_seed=None):
     after row, so every statistic has the bits it would have from the
     full ``(replications, horizon + 1)`` matrix; the carried column
     keeps a one-step last chunk at two columns.  From
-    ``_POOL_MIN_AGENTS`` agents up each chunk's batches run on one
-    thread pool of ``min(cpu_count, 8, batches)`` workers, otherwise on
-    the calling thread; the rows a batch writes are fixed by its seeds,
-    so the statistics never depend on scheduling.
+    ``_POOL_MIN_AGENTS`` agents up the batches run on one thread pool of
+    ``workers = min(cpu_count, 8, batches)`` threads, otherwise on the
+    calling thread.  Worker ``w`` owns batches ``w``, ``w + workers``,
+    ... and one random tape, and runs its batches through each chunk in
+    turn; the rows a batch writes are fixed by its seeds, so the
+    statistics never depend on scheduling.
 
     Each batch solves its rosters' swaps ahead of its steps, so a chunk
     costs as many minimizer calls as the most swaps any row has in it.
@@ -768,14 +795,15 @@ def run_ensemble(config, replications=None, base_seed=None):
     Memory does not grow with the horizon beyond the ``horizon + 1``
     entries of each statistic.  The run holds the block,
     ``(chunk + 1) * 8`` bytes per row; per row its generator (about
-    1.3 KB), two copies of its roster (``theta`` and ``mu``, ``2 * n * 8``
-    bytes each) and four agent-major arrays (the estimates, two
-    minimizer copies and the error column's scratch buffer, ``n * 8``
-    bytes each); and per worker one random tape and one chunk's swaps,
-    ``(3 + n) * 8`` bytes per swap, which together are sized to about
-    ``_CHUNK_BYTES``, plus the working arrays of one batched solve.  A
-    run whose stated footprint (:func:`_footprint`) exceeds physical
-    memory is refused before any batch is built.
+    1.3 KB), its roster (``theta`` and ``mu``) and three more
+    agent-major arrays (the estimates, the minimizer and the error
+    column's scratch buffer), ``n * 8`` bytes each; per worker one
+    random tape and one chunk's swaps, ``(3 + n) * 8`` bytes per swap,
+    which together are sized to about ``_CHUNK_BYTES``, plus the three
+    arrays of the swapping rows that :func:`_chunk_swaps` works on and
+    the working arrays of one batched solve; and once, the edge table
+    all batches share.  A run whose stated footprint (:func:`_footprint`)
+    exceeds physical memory is refused before any batch is built.
 
     Parameters
     ----------
@@ -806,10 +834,7 @@ def run_ensemble(config, replications=None, base_seed=None):
     starts = range(0, replications, _BATCH_ROWS)
 
     workers = _worker_count(config, replications)
-    # one tape per worker: at most ``workers`` chunks run at once
-    tapes = queue.SimpleQueue()
-    for _ in range(workers):
-        tapes.put(np.empty((rows, chunk, 5)))
+    tapes = [np.empty((rows, chunk, 5)) for _ in range(workers)]
 
     def begin(lo):
         hi = min(lo + _BATCH_ROWS, replications)
@@ -817,12 +842,11 @@ def run_ensemble(config, replications=None, base_seed=None):
         block[lo:hi, 0] = batch.error()
         return batch
 
-    def advance(lo, batch, steps):
-        tape = tapes.get()
-        try:
+    def advance(worker, steps):
+        # a worker owns every workers-th batch; they take its tape in turn
+        tape = tapes[worker]
+        for lo, batch in zip(starts[worker::workers], batches[worker::workers]):
             batch.advance(tape, block[lo:lo + batch.rows, 1:steps + 1])
-        finally:
-            tapes.put(tape)
 
     with ExitStack() as stack:
         run = map
@@ -833,7 +857,7 @@ def run_ensemble(config, replications=None, base_seed=None):
             mean, std = _column_stats(block)
         for start in range(0, horizon, max(chunk, 1)):
             steps = min(chunk, horizon - start)
-            list(run(advance, starts, batches, repeat(steps)))
+            list(run(advance, range(workers), repeat(steps)))
             carry = block[:, steps].copy()   # _column_stats consumes the block
             columns = slice(start, start + steps + 1)
             mean[columns], std[columns] = _column_stats(block[:, :steps + 1])

@@ -44,15 +44,22 @@ def uniform_pair_probability(n):
 
 
 @lru_cache(maxsize=64)
+def _edge_table(n):
+    """The ``(2, n(n-1)/2)`` read-only table of :func:`complete_graph_edges`:
+    row 0 holds every pair's ``i``, row 1 its ``j``."""
+    table = np.array(np.triu_indices(int(n), k=1))
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=64)
 def complete_graph_edges(n):
     """Index arrays ``(i, j)`` of all pairs with ``i < j``, lexicographic.
 
-    Built once per ``n`` and cached; the arrays are read-only.
+    Built once per ``n`` and cached; the arrays are read-only views of
+    the rows of one table, which the batch simulator reads too.
     """
-    edges = np.triu_indices(int(n), k=1)
-    for a in edges:
-        a.flags.writeable = False
-    return edges
+    return tuple(_edge_table(n))
 
 
 @dataclass(frozen=True)

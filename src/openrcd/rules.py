@@ -29,8 +29,9 @@ MAX_ABS_BUDGET = 1e150
 
 #: largest agent count anywhere: ``(|b| + n) ** 2`` and ``n ** 4`` stay
 #: finite floats, and a simulate batch of 1024 rows holds agent-major
-#: ``(n, 1024)`` float64 arrays of at most 8 MiB each (about ten of them,
-#: 80 MiB) and an edge table of ``n (n - 1)`` indices (at most 8 MiB)
+#: ``(n, 1024)`` float64 arrays of at most 8 MiB each (five of them,
+#: 40 MiB, besides a worker's swap rounds and solves) and reads the one
+#: edge table of ``n (n - 1)`` indices (at most 8 MiB) all batches share
 MAX_AGENTS = 1024
 
 
