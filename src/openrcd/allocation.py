@@ -148,6 +148,12 @@ def _roster_arrays(fs, names, solver):
         raise TypeError(f"{solver} needs a roster with {', '.join(names)}") from exc
 
 
+def _pinned(fs, budget, method):
+    """A one-agent roster's minimizer: the constraint pins its coordinate."""
+    point = Allocation(np.array([budget]), budget)
+    return MinimizerResult(point, float(fs[0].gradient(budget)), method)
+
+
 def closed_form_quadratic_minimizer(fs, budget):
     """Constrained minimizer of a quadratic roster, in closed form.
 
@@ -166,9 +172,7 @@ def closed_form_quadratic_minimizer(fs, budget):
     """
     budget = float(budget)
     if len(fs) == 1:
-        # constraint pins the single coordinate exactly
-        point = Allocation(np.array([budget]), budget)
-        return MinimizerResult(point, float(fs[0].gradient(budget)), "closed_form")
+        return _pinned(fs, budget, "closed_form")
     theta, mu = _roster_arrays(fs, ("theta", "mu"), "closed form")
     x, t = _quadratic_point(mu, 1.0 / theta, budget)
     return MinimizerResult(Allocation(x, budget), 2.0 * t, "closed_form")
@@ -188,8 +192,7 @@ def _logcosh_newton_minimizer(fs, budget):
     to the targets :func:`_solver_targets` gives for ``FEASIBILITY_TOL``."""
     budget = float(budget)
     if len(fs) == 1:
-        point = Allocation(np.array([budget]), budget)
-        return MinimizerResult(point, float(fs[0].gradient(budget)), "newton")
+        return _pinned(fs, budget, "newton")
     theta, mu, weight = _roster_arrays(fs, ("theta", "mu", "weight"), "log-cosh Newton")
     x, nu = _logcosh_point(theta, mu, weight, budget, fs[0].certificate)
     return MinimizerResult(Allocation(x, budget), float(nu), "newton")
@@ -324,8 +327,7 @@ def dual_bisection_minimizer(fs, budget, tol=FEASIBILITY_TOL, max_iterations=200
     budget = float(budget)
     n = len(fs)
     if n == 1:
-        point = Allocation(np.array([budget]), budget)
-        return MinimizerResult(point, float(fs[0].gradient(budget)), "dual_bisection")
+        return _pinned(fs, budget, "dual_bisection")
 
     kappa = max(f.certificate.kappa for f in fs)
     alpha_min = min(f.certificate.alpha for f in fs)

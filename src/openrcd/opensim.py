@@ -14,45 +14,24 @@ for the initial roster, then five uniforms per iteration (event coin,
 edge pick, agent pick, theta quantile, mu quantile); draws not needed
 by the realized event are discarded.  ``run_ensemble`` exploits this by
 simulating all replications of an experiment in either built-in family
-(quadratic or log-cosh) in lockstep with vectorized arithmetic that is
-operation-for-operation identical to the scalar path, because both call
-one copy of each formula: ``rcd._pair_update``, ``quadratic_quantiles``,
-``functions._logcosh_weight``, ``allocation._quadratic_point``,
-``allocation._logcosh_point`` (which stops on
-``allocation._solver_targets``), :func:`_initial_point` and
-``allocation._squared_distance``.  Runs with a custom ``replacement_sampler``
-(which may return any certified cost, e.g. a ``GeneralSmoothFunction``)
-exist only on the scalar path and track the minimizer with the dual
-bisection, in either family.
-
-The batch engine seeds all its rows in one vectorized pass of numpy's
-``SeedSequence`` hash (:func:`_row_generators`), which ``run_trajectory``'s
-``np.random.default_rng`` checks in the tests.  It keeps rosters,
-estimates and minimizers agent-major, as ``(n, rows)`` arrays, and every
-sum over agents goes through ``allocation._agent_sum``, so a row adds
-its agents in the same order as the scalar path.
-
-Large rosters (``n >= _POOL_MIN_AGENTS``) deal their replication
-batches out to the workers of a thread pool, each with its own random
-tape; smaller ones run on one thread, where the pool measured slower.
-The choice is automatic and never changes results, because each batch
-writes its own rows of one shared block of error columns.
+(quadratic or log-cosh) in lockstep (:class:`_Batch`) with vectorized
+arithmetic that is operation-for-operation identical to the scalar path,
+because both call one copy of each formula: ``rcd._pair_update``,
+``quadratic_quantiles``, ``functions._logcosh_weight``,
+``allocation._quadratic_point``, ``allocation._logcosh_point`` (which
+stops on ``allocation._solver_targets``), :func:`_initial_point` and
+``allocation._squared_distance``.  Runs with a custom
+``replacement_sampler`` (which may return any certified cost, e.g. a
+``GeneralSmoothFunction``) exist only on the scalar path and track the
+minimizer with the dual bisection, in either family.
 
 The batch engine solves the roster process first.  Swaps are exogenous:
 which agent leaves, what cost arrives and so where the minimizer moves
 depend on the random tape alone, never on the iterate.  So each tape
-chunk first reads its swaps off the tape and solves them in rounds,
-every row's ``j``-th swap of the chunk in one batched minimizer call on
-the swapping rows' gathered columns (:func:`_chunk_swaps`), so a batch
-keeps one roster and one minimizer; the step loop then only does the
-pair updates, installs each swap's cost and precomputed minimizer, and
-records the error.  A chunk is as many steps as one worker's tape and expected swap
-buffers fit in ``_CHUNK_BYTES``, at most ``_TAPE_STEPS``
-(:func:`_chunk_length`).  A batch (:class:`_Batch`) resumes from one
-chunk to the next, so :func:`run_ensemble` advances every batch by a
-chunk and reduces that chunk's error columns into the mean and spread
-before the next: its memory grows with the replications, not with the
-horizon.  :func:`run_ensemble` states what an ensemble holds.
+chunk first solves its swaps in rounds (:func:`_chunk_swaps`); the step
+loop then only does the pair updates, installs each swap's cost and
+precomputed minimizer, and records the error.  :func:`_footprint` states
+what an ensemble holds.
 """
 
 import math
@@ -87,8 +66,9 @@ from .rcd import (
     _pair_update,
     complete_graph_edges,
     rcd_pair_step,
+    uniform_pair_probability,
 )
-from .rules import ConfigError, _check_count, _check_probability
+from .rules import ConfigError, _check_agents, _check_count, _check_probability
 
 __all__ = [
     "EventSchedule",
@@ -110,8 +90,7 @@ _BATCH_ROWS = 1024
 #: most steps of random tape drawn at a time per row
 _TAPE_STEPS = 256
 
-#: bytes one worker's chunk may hold: its random tape and its expected
-#: swap buffers (:func:`_chunk_length`)
+#: bytes one worker's chunk may hold (:func:`_footprint`)
 _CHUNK_BYTES = 4 * 2**20
 
 #: agent count from which batches run on a thread pool; below it the
@@ -145,11 +124,12 @@ class EventSchedule:
 
     def edge_probability(self, n):
         """Chance a given pair updates this iteration: ``2 p_U / (n(n-1))``."""
+        n = _check_agents("n", n)
         return 2.0 * self.p_update / (n * (n - 1))
 
     def agent_probability(self, n):
         """Chance a given agent is replaced this iteration: ``p_R / n``."""
-        return self.p_replace / n
+        return self.p_replace / _check_agents("n", n, 1)
 
 
 @dataclass(frozen=True)
@@ -274,7 +254,7 @@ def step(state, schedule, rng, step_config=None, family="quadratic",
     if u[0] < schedule.p_update:
         ei, ej = complete_graph_edges(n)
         e = int(u[1] * ei.size)
-        sel = PairSelection(int(ei[e]), int(ej[e]), 2.0 / (n * (n - 1)))
+        sel = PairSelection(int(ei[e]), int(ej[e]), uniform_pair_probability(n))
         after = rcd_pair_step(state.allocation, state.roster, sel, step_config)
         return SystemState(after, state.roster), ("update", sel.i, sel.j)
     agent = int(u[2] * n)
@@ -296,16 +276,8 @@ def _worker_count(config, replications):
 
 def _chunk_length(config, rows):
     """Steps per tape chunk for batches of ``rows`` rows, with the bytes of
-    one worker's tape and of its expected swap buffers at that length.
-
-    A chunk step costs a worker ``rows * 5 * 8`` bytes of tape and, on
-    average, ``rows * (1 - p_update) * (3 + n) * 8`` bytes of swaps
-    (:func:`_chunk_swaps`).  The chunk is as long as ``_CHUNK_BYTES``
-    allows, at most ``_TAPE_STEPS`` steps and at least one (none for a
-    zero horizon).  The shared block of error columns is left out of the
-    budget: it grows with the replications, and counting it would cut
-    very large ensembles to one-step chunks, where filling the tape row
-    by row costs more than the steps.
+    one worker's tape and of its expected swap buffers at that length,
+    sized as :func:`_footprint` states.
     """
     tape_step = rows * 5 * 8
     swap_step = rows * (1.0 - config.p_update) * (3 + config.n) * 8
@@ -316,14 +288,33 @@ def _chunk_length(config, rows):
 
 def _footprint(config, replications):
     """The bytes :func:`run_ensemble` states it holds, split into the part
-    that grows with the rows and the part that grows with the steps.
+    that grows with the rows and the part that grows with the steps.  This
+    is the simulator's one account of its memory.
 
-    Per row: its block row, generator, and five agent-major arrays (the
-    roster's ``theta`` and ``mu``, ``x``, ``xstar`` and the scratch
-    buffer).  Per worker: a tape and a chunk's expected swaps
-    (:func:`_chunk_length`), the three arrays :func:`_chunk_swaps` gathers
-    and a solve's ``_SOLVE_ARRAYS`` working arrays.  Once: the shared
-    edge table, ``n (n - 1)`` indices.  Per step: ``_STEP_BYTES``.
+    Per row: its row of the shared float64 block of ``chunk + 1`` error
+    columns (column 0 carries the previous chunk's last column), its
+    generator (``_GENERATOR_BYTES``) and five agent-major ``n * 8``-byte
+    columns of its :class:`_Batch`: the roster's drawn ``theta`` and
+    ``mu`` (``1/theta`` and the log-cosh weight are recomputed where
+    read), the estimates ``x``, the minimizer ``xstar`` and the error
+    column's scratch buffer.
+
+    Per worker: a random tape of ``rows * 5 * 8`` bytes per chunk step,
+    and a chunk's swaps, ``(3 + n) * 8`` bytes each (the agent, the new
+    cost and the roster's new minimizer), about ``rows * (1 - p_update)``
+    per step.  :func:`_chunk_length` makes a chunk as long as both fit in
+    ``_CHUNK_BYTES``, at most ``_TAPE_STEPS`` steps and at least one
+    (none for a zero horizon).  The block is left out of that budget: it
+    grows with the replications, and counting it would cut very large
+    ensembles to one-step chunks, where filling the tape row by row costs
+    more than the steps.  Also per worker: the three ``(n, rows)`` arrays
+    of the swapping rows that :func:`_chunk_swaps` works on, and a batched
+    solve's ``_SOLVE_ARRAYS`` working arrays.
+
+    Once: the edge table all batches share, ``n (n - 1)`` indices.  Per
+    step: ``_STEP_BYTES``, each statistic's entry and the CLI's columns;
+    nothing else grows with the horizon, because :func:`run_ensemble`
+    reduces every chunk before the next.
     """
     n = config.n
     rows = min(replications, _BATCH_ROWS)
@@ -417,15 +408,6 @@ def run_trajectory(config, seed=None, replacement_sampler=None):
     return TrajectoryRecord(np.arange(horizon + 1), tuple(events), error, subopt, shift, state)
 
 
-@dataclass
-class _BatchOutcome:
-    error: np.ndarray                 # (rows, horizon+1)
-    final_values: np.ndarray          # (rows, n), a view of the agent-major x
-    replacement_count: int
-    max_replacement_shift: float
-    update_mask: np.ndarray           # (rows, horizon), True for a pair update
-
-
 #: numpy's ``SeedSequence`` hash constants (``numpy/random/bit_generator.pyx``)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -500,45 +482,6 @@ def _row_generators(seeds):
     return [np.random.Generator(np.random.PCG64(StateWords(w))) for w in state]
 
 
-class _Rows:
-    """One roster per row: only the drawn ``(n, rows)`` arrays ``theta`` and
-    ``mu``; ``1/theta`` and the log-cosh weight are computed where read.
-
-    Agent ``i`` of row ``r`` is flat index ``i * rows + r`` of both arrays,
-    so one flat ``take`` or ``put`` reaches any mix of rows and agents.
-    ``minimizer(theta, mu)`` solves the family's rosters given as
-    C-contiguous ``(n, k)`` arrays, such as columns gathered from these.
-    """
-
-    def __init__(self, config, theta, mu):
-        self.budget, self.certificate = config.budget, config.certificate
-        self.theta, self.mu = theta, mu
-
-    def replace(self, at, theta, mu):
-        """Give the agents at flat indices ``at`` the costs ``(theta, mu)``."""
-        self.theta.put(at, theta)
-        self.mu.put(at, mu)
-
-
-class _QuadraticRows(_Rows):
-    def gradient(self, at, x):
-        return _quadratic_gradient(self.theta.take(at), self.mu.take(at), x)
-
-    def minimizer(self, theta, mu):
-        return _quadratic_point(mu, 1.0 / theta, self.budget)[0]
-
-
-class _LogCoshRows(_Rows):
-    def gradient(self, at, x):
-        theta = self.theta.take(at)
-        weight = _logcosh_weight(self.certificate, theta)
-        return _logcosh_gradient(theta, self.mu.take(at), weight, x)
-
-    def minimizer(self, theta, mu):
-        weight = _logcosh_weight(self.certificate, theta)
-        return _logcosh_point(theta, mu, weight, self.budget, self.certificate)[0]
-
-
 @dataclass
 class _ChunkSwaps:
     """One tape chunk's swaps in step-major order, solved ahead of its steps.
@@ -558,46 +501,41 @@ class _ChunkSwaps:
     max_shift: float
 
 
-def _chunk_swaps(config, tape, swap, roster, xstar):
-    """Read the swaps marked in ``swap`` (chunk steps x rows) off the tape
-    and solve them ahead of the steps.
+def _chunk_swaps(batch, tape, swap):
+    """Read the swaps marked in ``swap`` (chunk steps x rows) off the
+    :class:`_Batch`'s tape and solve them ahead of the steps.
 
     Which rows swap, which agent leaves and what cost arrives depend on
     the tape alone, never on the iterate.  So the chunk's swaps are
     drawn with one quantile call on 1-D arrays and solved in rounds:
     round ``j`` takes every row's ``j``-th swap of the chunk and solves
-    those rows with one ``minimizer`` call.  ``roster`` and its
-    minimizers ``xstar`` are only read: the swapping rows' columns are
+    those rows with one ``batch.minimizer`` call, so a chunk costs as
+    many solves as the most swaps any row has in it.  The batch is only
+    read: the swapping rows' columns of its roster and minimizer are
     gathered once, as of the chunk's start, and before each round
     narrowed with ``compress`` to the rows that swap again, so every
     round solves C-contiguous ``(n, k)`` arrays as ``take`` gives them.
     Each swap's shift is measured against its row's previous point: the
     previous round's result, or ``xstar`` in the row's first round.
-
-    A chunk costs as many solves as the most swaps any row has in it.
-    The rounds work on three arrays of at most ``(n, rows)``; once the
-    chunk-sized swap mask is gone, the rest is ``(3 + n) * 8`` bytes
-    per swap, and a chunk holds about ``rows * steps * (1 - p_update)``
-    swaps, which is why :func:`_chunk_length` shortens the chunks of
-    swap-heavy runs.
+    :func:`_footprint` states what the rounds hold.
     """
-    n, batch = xstar.shape
+    n, batch_rows = batch.xstar.shape
     step, rows = np.nonzero(swap)
     bounds = np.searchsorted(step, np.arange(swap.shape[0] + 1)).tolist()
-    at = (tape[rows, step, 2] * n).astype(np.intp) * batch + rows
+    at = (tape[rows, step, 2] * n).astype(np.intp) * batch_rows + rows
     theta, mu = quadratic_quantiles(
-        config.certificate, tape[rows, step, 3], tape[rows, step, 4]
+        batch.certificate, tape[rows, step, 3], tape[rows, step, 4]
     )
     moved = np.empty((n, rows.size))
     by_row = np.argsort(rows, kind="stable")   # each row's swaps in step order
-    counts = np.bincount(rows, minlength=batch)
+    counts = np.bincount(rows, minlength=batch_rows)
     first = np.cumsum(counts) - counts
     del step, rows
 
     max_shift = 0.0
     swapping = np.flatnonzero(counts)
     work_theta, work_mu, point = (
-        a.take(swapping, axis=1) for a in (roster.theta, roster.mu, xstar)
+        a.take(swapping, axis=1) for a in (batch.theta, batch.mu, batch.xstar)
     )
     for j in range(int(counts.max(initial=0))):
         more = counts[swapping] > j
@@ -609,10 +547,10 @@ def _chunk_swaps(config, tape, swap, roster, xstar):
             )
         sel = by_row[first[swapping] + j]
         k = swapping.size
-        cell = at[sel] // batch * k + np.arange(k)   # each swap's flat index in the work
+        cell = at[sel] // batch_rows * k + np.arange(k)   # each swap's flat index in the work
         work_theta.put(cell, theta[sel])
         work_mu.put(cell, mu[sel])
-        previous, point = point, roster.minimizer(work_theta, work_mu)
+        previous, point = point, batch.minimizer(work_theta, work_mu)
         max_shift = max(max_shift, float(_squared_distance(point, previous).max()))
         moved[:, sel] = point
     return _ChunkSwaps(bounds, at, theta, mu, moved, max_shift)
@@ -620,49 +558,51 @@ def _chunk_swaps(config, tape, swap, roster, xstar):
 
 class _Batch:
     """Lockstep simulation of many replications of a built-in family,
-    resumable between tape chunks.
+    resumable between tape chunks: the one holder of their state.
 
     Row ``r`` reproduces ``run_trajectory(config, seed=seeds[r])``
-    exactly: the same uniforms feed the same arithmetic in the same
-    order, only batched across rows.  The state carried from one chunk
-    to the next is the rows' generators, seeded in one pass
-    (:func:`_row_generators`), the rosters, the estimates ``x``, the
-    minimizers ``xstar``, the error column's scratch buffer and the
-    swap counters.  Rosters, estimates and minimizers are agent-major
-    ``(n, rows)`` arrays, so each agent sum adds whole rows of them in
-    agent order (``allocation._agent_sum``), as the scalar path adds one
-    roster.
-
-    The roster process does not depend on the iterate, so each chunk
-    (:meth:`advance`) solves it first: the chunk's swaps are read off
-    the tape and solved, in rounds of one swap per row, on the swapping
-    rows' columns (:func:`_chunk_swaps`).  Each step then does three
-    things: the pair updates, as one flat gather and one flat scatter on
-    ``x``, their flat indices scaled from the shared edge table
-    (``rcd._edge_table``); the step's swaps, written into the rosters
-    the gradients read together with their precomputed minimizers; and
-    the error column, computed in the reused ``(n, rows)`` scratch
-    buffer.
+    exactly: the same uniforms, from generators seeded in one pass
+    (:func:`_row_generators`), feed the same arithmetic in the same order.
+    The rosters (only the drawn ``theta`` and ``mu``), the estimates ``x``
+    and the minimizers ``xstar`` are agent-major ``(n, rows)`` arrays:
+    agent ``i`` of row ``r`` is flat index ``i * rows + r``, so one flat
+    ``take`` or ``put`` reaches any mix of rows and agents, and each agent
+    sum adds whole rows in agent order (``allocation._agent_sum``), as the
+    scalar path adds one roster.  :func:`_footprint` states what it holds.
     """
 
     def __init__(self, config, seeds):
         self.config = config
+        self.budget, self.certificate = config.budget, config.certificate
+        self.logcosh = config.function_family != "quadratic"
         self.gens = _row_generators(seeds)
         rows = self.rows = len(self.gens)
         init_u = np.empty((rows, config.n, 2))
         for g, u in zip(self.gens, init_u):
             g.random(out=u)
         init_u = np.ascontiguousarray(init_u.transpose(2, 1, 0))   # (2, n, rows)
-
-        family = _QuadraticRows if config.function_family == "quadratic" else _LogCoshRows
-        theta, mu = quadratic_quantiles(config.certificate, init_u[0], init_u[1])
+        self.theta, self.mu = quadratic_quantiles(self.certificate, init_u[0], init_u[1])
         del init_u
-        self.roster = family(config, theta, mu)
-        self.xstar = self.roster.minimizer(theta, mu)
+        self.xstar = self.minimizer(self.theta, self.mu)
         self.x = _initial_point(config, (rows,), lambda: self.xstar)
         self.scratch = np.empty_like(self.x)
         self.replacement_count = 0
         self.max_replacement_shift = 0.0
+
+    def gradient(self, at, x):
+        """The gradients at ``x`` of the agents at flat indices ``at``."""
+        theta, mu = self.theta.take(at), self.mu.take(at)
+        if self.logcosh:
+            return _logcosh_gradient(theta, mu, _logcosh_weight(self.certificate, theta), x)
+        return _quadratic_gradient(theta, mu, x)
+
+    def minimizer(self, theta, mu):
+        """The constrained minimizers of the family's rosters given as
+        C-contiguous ``(n, k)`` arrays, such as columns gathered from these."""
+        if self.logcosh:
+            weight = _logcosh_weight(self.certificate, theta)
+            return _logcosh_point(theta, mu, weight, self.budget, self.certificate)[0]
+        return _quadratic_point(mu, 1.0 / theta, self.budget)[0]
 
     def error(self):
         """Every row's ``||x - x*||^2`` at the current step."""
@@ -674,9 +614,12 @@ class _Batch:
         The rows' uniforms are drawn into the ``(rows, steps, 5)`` front
         of ``tape``, one row's block per ``Generator.random`` call;
         consecutive calls continue one stream exactly, so any chunk
-        length draws the same uniforms.  Step ``c``'s error column goes
-        to ``out[:, c]``.  Returns the ``(steps, rows)`` mask of pair
-        updates.
+        length draws the same uniforms.  The chunk's swaps are solved
+        first (:func:`_chunk_swaps`).  Each step then does its pair
+        updates, one flat gather and scatter on ``x`` indexed from the
+        shared edge table (``rcd._edge_table``); installs its swaps'
+        costs and precomputed minimizers; and writes its error column to
+        ``out[:, c]``.  Returns the ``(steps, rows)`` mask of pair updates.
         """
         config, rows, steps = self.config, self.rows, out.shape[1]
         tape = tape[:rows, :steps]
@@ -684,11 +627,11 @@ class _Batch:
             g.random(out=row)
         # (steps, rows), True for a pair update: each step reads one contiguous row
         coin = np.ascontiguousarray((tape[:, :, 0] < config.p_update).T)
-        swaps = _chunk_swaps(config, tape, ~coin, self.roster, self.xstar)
+        swaps = _chunk_swaps(self, tape, ~coin)
         self.replacement_count += swaps.at.size
         self.max_replacement_shift = max(self.max_replacement_shift, swaps.max_shift)
 
-        roster, x, xstar, scratch = self.roster, self.x, self.xstar, self.scratch
+        x, xstar, scratch = self.x, self.xstar, self.scratch
         edges = _edge_table(config.n)
         flat_x = x.reshape(-1)
         row_index = np.arange(rows)
@@ -702,45 +645,19 @@ class _Batch:
                 pair *= rows
                 pair += urows                  # their flat indices in x
                 xp = flat_x[pair]
-                grad = roster.gradient(pair, xp)
+                grad = self.gradient(pair, xp)
                 _pair_update(xp, 0, 1, grad[0], grad[1], config.h)
                 flat_x[pair] = xp
 
             lo, hi = bounds[c], bounds[c + 1]
             if hi > lo:
                 at = swaps.at[lo:hi]
-                roster.replace(at, swaps.theta[lo:hi], swaps.mu[lo:hi])
+                self.theta.put(at, swaps.theta[lo:hi])
+                self.mu.put(at, swaps.mu[lo:hi])
                 xstar[:, at % rows] = swaps.moved[:, lo:hi]
 
             out[:, c] = _squared_distance(x, xstar, scratch)
         return coin
-
-
-def _simulate_batch(config, seeds):
-    """Every step's error of a :class:`_Batch`, as one ``(rows, horizon + 1)``
-    matrix (column 0 is the initial state), with the final estimates and
-    the ``(rows, horizon)`` pair-update mask.
-
-    This full-matrix form, ``(horizon + 1) * 8`` bytes per row, is the
-    reference the engine tests compare rows and statistics with; it
-    holds the batch's state and one tape on top, in chunks of the length
-    :func:`_chunk_length` gives ``rows`` rows.  :func:`run_ensemble`
-    never builds the matrix.
-    """
-    batch = _Batch(config, seeds)
-    horizon, rows = config.horizon, batch.rows
-    chunk = _chunk_length(config, rows)[0]
-    error = np.empty((rows, horizon + 1))
-    error[:, 0] = batch.error()
-    tape = np.empty((rows, chunk, 5))
-    update_mask = np.empty((rows, horizon), dtype=bool)
-    for start in range(0, horizon, max(chunk, 1)):
-        steps = min(chunk, horizon - start)
-        coin = batch.advance(tape, error[:, start + 1:start + steps + 1])
-        update_mask[:, start:start + steps] = coin.T
-    return _BatchOutcome(
-        error, batch.x.T, batch.replacement_count, batch.max_replacement_shift, update_mask
-    )
 
 
 def _column_stats(error):
@@ -777,33 +694,16 @@ def run_ensemble(config, replications=None, base_seed=None):
     its rows of one shared ``(replications, chunk + 1)`` block, whose
     column 0 carries the previous chunk's last column, and the block's
     columns are then reduced into the mean and standard deviation
-    (:func:`_column_stats`).
-    numpy adds axis 0 of a row-major block of two or more columns row
-    after row, so every statistic has the bits it would have from the
-    full ``(replications, horizon + 1)`` matrix; the carried column
-    keeps a one-step last chunk at two columns.  From
-    ``_POOL_MIN_AGENTS`` agents up the batches run on one thread pool of
-    ``workers = min(cpu_count, 8, batches)`` threads, otherwise on the
-    calling thread.  Worker ``w`` owns batches ``w``, ``w + workers``,
-    ... and one random tape, and runs its batches through each chunk in
-    turn; the rows a batch writes are fixed by its seeds, so the
-    statistics never depend on scheduling.
-
-    Each batch solves its rosters' swaps ahead of its steps, so a chunk
-    costs as many minimizer calls as the most swaps any row has in it.
-
-    Memory does not grow with the horizon beyond the ``horizon + 1``
-    entries of each statistic.  The run holds the block,
-    ``(chunk + 1) * 8`` bytes per row; per row its generator (about
-    1.3 KB), its roster (``theta`` and ``mu``) and three more
-    agent-major arrays (the estimates, the minimizer and the error
-    column's scratch buffer), ``n * 8`` bytes each; per worker one
-    random tape and one chunk's swaps, ``(3 + n) * 8`` bytes per swap,
-    which together are sized to about ``_CHUNK_BYTES``, plus the three
-    arrays of the swapping rows that :func:`_chunk_swaps` works on and
-    the working arrays of one batched solve; and once, the edge table
-    all batches share.  A run whose stated footprint (:func:`_footprint`)
-    exceeds physical memory is refused before any batch is built.
+    (:func:`_column_stats`).  numpy adds axis 0 of a row-major block of
+    two or more columns row after row, so every statistic has the bits it
+    would have from the full ``(replications, horizon + 1)`` matrix; the
+    carried column keeps a one-step last chunk at two columns.  The
+    batches run on :func:`_worker_count` threads: worker ``w`` owns
+    batches ``w``, ``w + workers``, ... and one random tape, and runs its
+    batches through each chunk in turn; the rows a batch writes are fixed
+    by its seeds, so the statistics never depend on scheduling.  A run
+    whose stated footprint (:func:`_footprint`) exceeds physical memory
+    is refused before any batch is built.
 
     Parameters
     ----------

@@ -28,10 +28,7 @@ MAX_KAPPA = 1e100
 MAX_ABS_BUDGET = 1e150
 
 #: largest agent count anywhere: ``(|b| + n) ** 2`` and ``n ** 4`` stay
-#: finite floats, and a simulate batch of 1024 rows holds agent-major
-#: ``(n, 1024)`` float64 arrays of at most 8 MiB each (five of them,
-#: 40 MiB, besides a worker's swap rounds and solves) and reads the one
-#: edge table of ``n (n - 1)`` indices (at most 8 MiB) all batches share
+#: finite floats; ``opensim._footprint`` states what a simulate run holds
 MAX_AGENTS = 1024
 
 

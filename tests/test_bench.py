@@ -46,3 +46,14 @@ def test_traced_worstcase_counts_its_starts(tmp_path):
     assert counts["worstcase.starts"] == 2 * 2 * 4   # n in 2:3, kappa in {2, 5}
     # the benchmark counts cells as calls of maximize_displacement
     assert counts["span:worstcase.cell"] == 2 * 2
+
+
+def test_traced_single_replication_counts_the_scalar_path(tmp_path):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("replications = 1\nhorizon = 300\np_U = 0.8\n", encoding="utf-8")
+    counts = traced_counts(tmp_path, ["simulate", "--preset", "fig1", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+    assert counts["span:opensim.step"] == 300
+    assert counts["span:rcd.pair_step"] == counts["opensim.event_update"]
+    # one solve for the initial roster, then one per replacement
+    assert counts["allocation.closed_form"] == 1 + counts["opensim.event_replace"]

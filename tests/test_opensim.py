@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batch_reference import _simulate_batch
 from openrcd import allocation
 from openrcd.allocation import NonConvergenceError, dual_bisection_minimizer
 from openrcd.cli import main
@@ -26,7 +27,6 @@ from openrcd.opensim import (
     EventSchedule,
     _column_stats,
     _row_generators,
-    _simulate_batch,
     initial_system_state,
     run_ensemble,
     run_trajectory,
@@ -54,6 +54,19 @@ def test_event_schedule_probabilities():
     assert s.p_replace == pytest.approx(0.05)
     assert s.edge_probability(5) == pytest.approx(2 * 0.95 / 20)
     assert s.agent_probability(5) == pytest.approx(0.05 / 5)
+
+
+@pytest.mark.parametrize("method, n", [
+    ("edge_probability", 1),
+    ("edge_probability", 2.5),
+    ("edge_probability", 1025),
+    ("agent_probability", 0),
+    ("agent_probability", 2.5),
+])
+def test_event_schedule_names_a_bad_agent_count(method, n):
+    with pytest.raises(ConfigError) as err:
+        getattr(EventSchedule(0.95), method)(n)
+    assert err.value.key == "n"
 
 
 def test_initial_state_modes():
