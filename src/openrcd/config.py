@@ -130,6 +130,10 @@ def _convert(key, raw):
         return raw
     try:
         if kind is int:
+            try:
+                return int(raw)   # exact, at any size
+            except ValueError:
+                pass
             # tolerate "600.0"-style ints but reject fractional and non-finite values
             value = float(raw)
             if not value.is_integer():

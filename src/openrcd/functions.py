@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import _check_count
+
 __all__ = [
     "ParameterRangeError",
     "ConvexityCertificate",
@@ -351,11 +353,12 @@ def certify(f, sample_count, rng, certificate=None, radius=None):
         Truthy on success; carries the first failing ``(x, y, slope)``
         triple otherwise.
     """
+    sample_count = _check_count("sample_count", sample_count, 0)
     cert = f.certificate if certificate is None else certificate
     if radius is None:
         radius = 1.0 + math.sqrt(cert.kappa)
     slack = 1e-9 * max(1.0, cert.beta)
-    pairs = rng.uniform(-radius, radius, size=(int(sample_count), 2))
+    pairs = rng.uniform(-radius, radius, size=(sample_count, 2))
     for x, y in pairs:
         if abs(x - y) < 1e-9:
             continue

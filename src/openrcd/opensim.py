@@ -97,12 +97,15 @@ _CHUNK_BYTES = 4 * 2**20
 #: per-step numpy calls are too small for threads to beat one thread
 _POOL_MIN_AGENTS = 64
 
-#: bytes a row's generator holds, ``PCG64`` and ``Generator`` (about 1.3 KB)
+#: bytes a row's generator holds, ``PCG64`` and ``Generator``, with headroom:
+#: measured 785 traced and 812 RSS bytes a row (numpy 2.4, x86-64)
 _GENERATOR_BYTES = 1536
 
-#: agent-major ``(n, rows)`` arrays a batched minimizer solve holds at
-#: once: log-cosh Newton's count, measured (the closed form holds fewer)
-_SOLVE_ARRAYS = 16
+#: agent-major ``(n, rows)`` arrays one worker holds at once: the three
+#: swapping-row columns of :func:`_chunk_swaps` and a batched log-cosh
+#: solve's; traced peaks past the chunk's swaps were 18.7 (n = 64) and
+#: 16.3 (n = 256) at ``p_update = 0``, 1024 rows
+_WORKER_ARRAYS = 19
 
 #: bytes per step of a run's step-indexed outputs: a trajectory's four
 #: columns and event log, or an ensemble's statistics, with the CLI's columns
@@ -275,52 +278,32 @@ def _worker_count(config, replications):
 
 
 def _chunk_length(config, rows):
-    """Steps per tape chunk for batches of ``rows`` rows, with the bytes of
-    one worker's tape and of its expected swap buffers at that length,
-    sized as :func:`_footprint` states.
-    """
-    tape_step = rows * 5 * 8
-    swap_step = rows * (1.0 - config.p_update) * (3 + config.n) * 8
-    fits = int(_CHUNK_BYTES // (tape_step + swap_step))
-    steps = min(config.horizon, max(1, min(_TAPE_STEPS, fits)))
-    return steps, steps * tape_step, math.ceil(steps * swap_step)
+    """Steps per tape chunk for batches of ``rows`` rows, and the bytes one
+    step holds: its tape and expected swaps.  A chunk is as long as fits in
+    ``_CHUNK_BYTES``, one to ``_TAPE_STEPS`` steps; the error block is left
+    out, or very large ensembles would run one-step chunks."""
+    step_bytes = rows * 5 * 8 + rows * (1.0 - config.p_update) * (3 + config.n) * 8
+    fits = int(_CHUNK_BYTES // step_bytes)
+    return min(config.horizon, max(1, min(_TAPE_STEPS, fits))), step_bytes
 
 
 def _footprint(config, replications):
-    """The bytes :func:`run_ensemble` states it holds, split into the part
-    that grows with the rows and the part that grows with the steps.  This
-    is the simulator's one account of its memory.
+    """The bytes :func:`run_ensemble` states it holds, ``(by_rows, by_steps)``;
+    the simulator's one account of its memory.
 
-    Per row: its row of the shared float64 block of ``chunk + 1`` error
-    columns (column 0 carries the previous chunk's last column), its
-    generator (``_GENERATOR_BYTES``) and five agent-major ``n * 8``-byte
-    columns of its :class:`_Batch`: the roster's drawn ``theta`` and
-    ``mu`` (``1/theta`` and the log-cosh weight are recomputed where
-    read), the estimates ``x``, the minimizer ``xstar`` and the error
-    column's scratch buffer.
-
-    Per worker: a random tape of ``rows * 5 * 8`` bytes per chunk step,
-    and a chunk's swaps, ``(3 + n) * 8`` bytes each (the agent, the new
-    cost and the roster's new minimizer), about ``rows * (1 - p_update)``
-    per step.  :func:`_chunk_length` makes a chunk as long as both fit in
-    ``_CHUNK_BYTES``, at most ``_TAPE_STEPS`` steps and at least one
-    (none for a zero horizon).  The block is left out of that budget: it
-    grows with the replications, and counting it would cut very large
-    ensembles to one-step chunks, where filling the tape row by row costs
-    more than the steps.  Also per worker: the three ``(n, rows)`` arrays
-    of the swapping rows that :func:`_chunk_swaps` works on, and a batched
-    solve's ``_SOLVE_ARRAYS`` working arrays.
-
-    Once: the edge table all batches share, ``n (n - 1)`` indices.  Per
-    step: ``_STEP_BYTES``, each statistic's entry and the CLI's columns;
-    nothing else grows with the horizon, because :func:`run_ensemble`
-    reduces every chunk before the next.
+    - per row: ``(chunk + 1) * 8`` for its row of the shared error block,
+      ``_GENERATOR_BYTES`` for its generator, and ``5 * n * 8`` for its
+      :class:`_Batch` columns (``theta``, ``mu``, ``x``, ``xstar``, scratch);
+    - per worker: ``chunk * step_bytes`` for its tape and expected swaps
+      (:func:`_chunk_length`), and ``_WORKER_ARRAYS * n * rows * 8``;
+    - once: ``n (n - 1) * 8`` for the shared edge table;
+    - per step: ``_STEP_BYTES``; every chunk is reduced before the next.
     """
     n = config.n
     rows = min(replications, _BATCH_ROWS)
-    chunk, tape_bytes, swap_bytes = _chunk_length(config, rows)
+    chunk, step_bytes = _chunk_length(config, rows)
     row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 5 * n * 8
-    worker_bytes = tape_bytes + swap_bytes + (3 + _SOLVE_ARRAYS) * n * rows * 8
+    worker_bytes = chunk * step_bytes + _WORKER_ARRAYS * n * rows * 8
     by_rows = (replications * row_bytes + n * (n - 1) * 8
                + _worker_count(config, replications) * worker_bytes)
     return by_rows, (config.horizon + 1) * _STEP_BYTES
@@ -482,28 +465,16 @@ def _row_generators(seeds):
     return [np.random.Generator(np.random.PCG64(StateWords(w))) for w in state]
 
 
-@dataclass
-class _ChunkSwaps:
-    """One tape chunk's swaps in step-major order, solved ahead of its steps.
-
-    The swaps of chunk step ``c`` are entries ``bounds[c]:bounds[c + 1]``.
-    ``at`` is the flat index ``agent * rows + row`` of the agent each swap
-    replaces, ``theta`` and ``mu`` the new cost and column ``s`` of the
-    ``(n, swaps)`` array ``moved`` the row's constrained minimizer after
-    swap ``s``.
-    """
-
-    bounds: list
-    at: np.ndarray
-    theta: np.ndarray
-    mu: np.ndarray
-    moved: np.ndarray
-    max_shift: float
-
-
 def _chunk_swaps(batch, tape, swap):
     """Read the swaps marked in ``swap`` (chunk steps x rows) off the
     :class:`_Batch`'s tape and solve them ahead of the steps.
+
+    Returns ``(bounds, at, theta, mu, moved, max_shift)``, the swaps in
+    step-major order: those of chunk step ``c`` are entries ``bounds[c]:
+    bounds[c + 1]``; ``at`` is the flat index ``agent * rows + row`` of the
+    agent each swap replaces, ``theta`` and ``mu`` the new cost, column
+    ``s`` of the ``(n, swaps)`` array ``moved`` the row's constrained
+    minimizer after swap ``s``, and ``max_shift`` the largest squared shift.
 
     Which rows swap, which agent leaves and what cost arrives depend on
     the tape alone, never on the iterate.  So the chunk's swaps are
@@ -517,7 +488,6 @@ def _chunk_swaps(batch, tape, swap):
     round solves C-contiguous ``(n, k)`` arrays as ``take`` gives them.
     Each swap's shift is measured against its row's previous point: the
     previous round's result, or ``xstar`` in the row's first round.
-    :func:`_footprint` states what the rounds hold.
     """
     n, batch_rows = batch.xstar.shape
     step, rows = np.nonzero(swap)
@@ -553,7 +523,7 @@ def _chunk_swaps(batch, tape, swap):
         previous, point = point, batch.minimizer(work_theta, work_mu)
         max_shift = max(max_shift, float(_squared_distance(point, previous).max()))
         moved[:, sel] = point
-    return _ChunkSwaps(bounds, at, theta, mu, moved, max_shift)
+    return bounds, at, theta, mu, moved, max_shift
 
 
 class _Batch:
@@ -627,16 +597,15 @@ class _Batch:
             g.random(out=row)
         # (steps, rows), True for a pair update: each step reads one contiguous row
         coin = np.ascontiguousarray((tape[:, :, 0] < config.p_update).T)
-        swaps = _chunk_swaps(self, tape, ~coin)
-        self.replacement_count += swaps.at.size
-        self.max_replacement_shift = max(self.max_replacement_shift, swaps.max_shift)
+        bounds, at, theta, mu, moved, max_shift = _chunk_swaps(self, tape, ~coin)
+        self.replacement_count += at.size
+        self.max_replacement_shift = max(self.max_replacement_shift, max_shift)
 
         x, xstar, scratch = self.x, self.xstar, self.scratch
         edges = _edge_table(config.n)
         flat_x = x.reshape(-1)
         row_index = np.arange(rows)
         edge_count = edges.shape[1]
-        bounds = swaps.bounds
         for c in range(steps):
             urows = row_index[coin[c]]
             if urows.size:
@@ -651,10 +620,10 @@ class _Batch:
 
             lo, hi = bounds[c], bounds[c + 1]
             if hi > lo:
-                at = swaps.at[lo:hi]
-                self.theta.put(at, swaps.theta[lo:hi])
-                self.mu.put(at, swaps.mu[lo:hi])
-                xstar[:, at % rows] = swaps.moved[:, lo:hi]
+                agents = at[lo:hi]
+                self.theta.put(agents, theta[lo:hi])
+                self.mu.put(agents, mu[lo:hi])
+                xstar[:, agents % rows] = moved[:, lo:hi]
 
             out[:, c] = _squared_distance(x, xstar, scratch)
         return coin

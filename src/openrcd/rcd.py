@@ -176,6 +176,7 @@ def selection_matrix(i, j, n):
     ``(j, j)`` and ``-1/2`` at ``(i, j)`` and ``(j, i)``; the pair
     update is ``x -> x - h Q grad``.
     """
+    n = _check_agents("n", n)
     if i == j or not (0 <= i < n) or not (0 <= j < n):
         raise ValueError(f"need two distinct agents inside range, got ({i}, {j})")
     q = np.zeros((n, n))
@@ -191,7 +192,7 @@ def laplacian_identity_check(n, tol=1e-14):
     idempotent, and the probability-weighted sum over all pairs equals
     ``p/2 * (n I - ones ones^T)`` with ``p = 2/(n(n-1))``.
     """
-    n = int(n)
+    n = _check_agents("n", n)
     p = uniform_pair_probability(n)
     acc = np.zeros((n, n))
     for i, j in zip(*complete_graph_edges(n)):

@@ -64,6 +64,19 @@ def test_parse_rejects_bad_value_types():
     assert err.value.key == "initial_state"
 
 
+def test_config_counts_are_read_exactly():
+    # both exceed 2**53, so a float cannot hold either
+    cfg = parse_config_text(
+        GOOD.replace("seed = 17", "seed = 12345678901234567891")
+        .replace("horizon = 100", "horizon = 9007199254740993")
+    )
+    assert (cfg.seed, cfg.horizon) == (12345678901234567891, 9007199254740993)
+    spelled = parse_config_text(
+        GOOD.replace("horizon = 100", "horizon = 600.0").replace("seed = 17", "seed = 1e3")
+    )
+    assert (spelled.horizon, spelled.seed) == (600, 1000)
+
+
 def test_validation_errors_name_their_key():
     cases = [
         (dict(n=1), "n"),

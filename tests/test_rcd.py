@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from openrcd.allocation import Allocation, closed_form_quadratic_minimizer
-from openrcd.functions import ConvexityCertificate, ParameterRangeError, make_quadratic
+from openrcd.functions import (
+    ConvexityCertificate,
+    ParameterRangeError,
+    certify,
+    make_quadratic,
+)
 from openrcd.rcd import (
     DegenerateWeightsError,
     PairSelection,
@@ -17,6 +22,9 @@ from openrcd.rcd import (
     selection_matrix,
     uniform_pair_probability,
 )
+from openrcd.rules import ConfigError
+
+_F = make_quadratic(1.0, 0.3, ConvexityCertificate(2.0, 2.0))
 
 
 def test_uniform_pair_probability():
@@ -122,6 +130,19 @@ def test_selection_matrix_structure():
 def test_laplacian_identity():
     for n in range(2, 11):
         assert laplacian_identity_check(n)
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda: laplacian_identity_check(5.7), "n"),
+    (lambda: selection_matrix(0, 1, 5.5), "n"),
+    (lambda: certify(_F, 2.5, np.random.default_rng(0)), "sample_count"),
+    (lambda: certify(_F, -3, np.random.default_rng(0)), "sample_count"),
+    (lambda: certify(_F, math.nan, np.random.default_rng(0)), "sample_count"),
+], ids=["laplacian-5.7", "selection-5.5", "certify-2.5", "certify-minus-3", "certify-nan"])
+def test_library_counts_name_their_argument(call, key):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.key == key
 
 
 def test_exact_onestep_two_agents_equal_curvature():
