@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import _check_count
+from .rules import _check_count, _need
 
 __all__ = [
     "ParameterRangeError",
@@ -346,6 +346,7 @@ def certify(f, sample_count, rng, certificate=None, radius=None):
     certificate : ConvexityCertificate, optional
         Claim to check; defaults to ``f.certificate``.
     radius : float, optional
+        Finite and positive.
 
     Returns
     -------
@@ -357,6 +358,7 @@ def certify(f, sample_count, rng, certificate=None, radius=None):
     cert = f.certificate if certificate is None else certificate
     if radius is None:
         radius = 1.0 + math.sqrt(cert.kappa)
+    _need(0.0 < radius < math.inf, "radius", "a finite radius > 0", radius)
     slack = 1e-9 * max(1.0, cert.beta)
     pairs = rng.uniform(-radius, radius, size=(sample_count, 2))
     for x, y in pairs:

@@ -28,10 +28,12 @@ minimizer with the dual bisection, in either family.
 The batch engine solves the roster process first.  Swaps are exogenous:
 which agent leaves, what cost arrives and so where the minimizer moves
 depend on the random tape alone, never on the iterate.  So each tape
-chunk first solves its swaps in rounds (:func:`_chunk_swaps`); the step
-loop then only does the pair updates, installs each swap's cost and
-precomputed minimizer, and records the error.  :func:`_footprint` states
-what an ensemble holds.
+chunk first solves its swaps (:func:`_chunk_swaps`): sorted by row, then
+by step, and cut into blocks of whole rows, each swap's full roster is
+built by a forward fill along its row's swaps, and a block's rosters are
+solved with one minimizer call.  The step loop then only does the pair
+updates, installs each swap's cost and precomputed minimizer, and
+records the error.  :func:`_footprint` states what an ensemble holds.
 """
 
 import math
@@ -101,10 +103,11 @@ _POOL_MIN_AGENTS = 64
 #: measured 785 traced and 812 RSS bytes a row (numpy 2.4, x86-64)
 _GENERATOR_BYTES = 1536
 
-#: agent-major ``(n, rows)`` arrays one worker holds at once: the three
-#: swapping-row columns of :func:`_chunk_swaps` and a batched log-cosh
-#: solve's; traced peaks past the chunk's swaps were 18.7 (n = 64) and
-#: 16.3 (n = 256) at ``p_update = 0``, 1024 rows
+#: agent-major ``(n, block)`` arrays one worker holds at once while it
+#: solves a block of swaps (:func:`_chunk_swaps`): the block's rosters and
+#: a batched log-cosh solve's; traced peaks past the chunk's swaps were
+#: 18.7 log-cosh and 7.4 quadratic at n = 64, 15.2 and 5.2 at n = 256
+#: (``p_update`` 0 or 0.95, 64 or 1024 rows)
 _WORKER_ARRAYS = 19
 
 #: bytes per step of a run's step-indexed outputs: a trajectory's four
@@ -295,7 +298,9 @@ def _footprint(config, replications):
       ``_GENERATOR_BYTES`` for its generator, and ``5 * n * 8`` for its
       :class:`_Batch` columns (``theta``, ``mu``, ``x``, ``xstar``, scratch);
     - per worker: ``chunk * step_bytes`` for its tape and expected swaps
-      (:func:`_chunk_length`), and ``_WORKER_ARRAYS * n * rows * 8``;
+      (:func:`_chunk_length`), and ``_WORKER_ARRAYS * n * block * 8``
+      while it solves a block of ``block`` swaps: whole rows up to
+      ``_BATCH_ROWS`` swaps, or one row's, and never more than a chunk has;
     - once: ``n (n - 1) * 8`` for the shared edge table;
     - per step: ``_STEP_BYTES``; every chunk is reduced before the next.
     """
@@ -303,7 +308,8 @@ def _footprint(config, replications):
     rows = min(replications, _BATCH_ROWS)
     chunk, step_bytes = _chunk_length(config, rows)
     row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 5 * n * 8
-    worker_bytes = chunk * step_bytes + _WORKER_ARRAYS * n * rows * 8
+    block = min(max(_BATCH_ROWS, chunk), chunk * rows)
+    worker_bytes = chunk * step_bytes + _WORKER_ARRAYS * n * block * 8
     by_rows = (replications * row_bytes + n * (n - 1) * 8
                + _worker_count(config, replications) * worker_bytes)
     return by_rows, (config.horizon + 1) * _STEP_BYTES
@@ -465,6 +471,29 @@ def _row_generators(seeds):
     return [np.random.Generator(np.random.PCG64(StateWords(w))) for w in state]
 
 
+def _block_rosters(batch, at, theta, mu, lead):
+    """The roster after each of a block's swaps, ``(theta, mu)`` as
+    C-contiguous ``(n, swaps)`` arrays.  The swaps are whole rows in row,
+    then step order; ``at``, ``theta`` and ``mu`` are as
+    :func:`_chunk_swaps` returns them, and ``lead[s]`` is the position
+    of the first swap of swap ``s``'s row.
+
+    A segmented forward fill: each swap's position goes in its agent's
+    entry, ``maximum.accumulate`` carries it along the swaps, and entries
+    still before their row's first swap keep the batch's roster as of the
+    chunk's start.
+    """
+    n, batch_rows = batch.theta.shape
+    agent, row = np.divmod(at, batch_rows)
+    cols = np.arange(at.size)
+    latest = np.full((n, at.size), -1, dtype=np.intp)
+    latest[agent, cols] = cols
+    np.maximum.accumulate(latest, axis=1, out=latest)
+    fresh = latest >= lead
+    return [np.where(fresh, drawn.take(latest), start.take(row, axis=1))
+            for start, drawn in ((batch.theta, theta), (batch.mu, mu))]
+
+
 def _chunk_swaps(batch, tape, swap):
     """Read the swaps marked in ``swap`` (chunk steps x rows) off the
     :class:`_Batch`'s tape and solve them ahead of the steps.
@@ -478,16 +507,14 @@ def _chunk_swaps(batch, tape, swap):
 
     Which rows swap, which agent leaves and what cost arrives depend on
     the tape alone, never on the iterate.  So the chunk's swaps are
-    drawn with one quantile call on 1-D arrays and solved in rounds:
-    round ``j`` takes every row's ``j``-th swap of the chunk and solves
-    those rows with one ``batch.minimizer`` call, so a chunk costs as
-    many solves as the most swaps any row has in it.  The batch is only
-    read: the swapping rows' columns of its roster and minimizer are
-    gathered once, as of the chunk's start, and before each round
-    narrowed with ``compress`` to the rows that swap again, so every
-    round solves C-contiguous ``(n, k)`` arrays as ``take`` gives them.
-    Each swap's shift is measured against its row's previous point: the
-    previous round's result, or ``xstar`` in the row's first round.
+    drawn with one quantile call on 1-D arrays, sorted by row, then by
+    step, and cut into blocks of whole rows with at most ``_BATCH_ROWS``
+    swaps (a row with more is a block of its own).  Each block builds the
+    roster after every one of its swaps (:func:`_block_rosters`) and
+    solves them all with one ``batch.minimizer`` call, so a chunk costs
+    one solve per block; the batch is only read.  Each swap's shift is
+    measured against its row's previous swap, or ``xstar`` for the
+    row's first.
     """
     n, batch_rows = batch.xstar.shape
     step, rows = np.nonzero(swap)
@@ -499,30 +526,26 @@ def _chunk_swaps(batch, tape, swap):
     moved = np.empty((n, rows.size))
     by_row = np.argsort(rows, kind="stable")   # each row's swaps in step order
     counts = np.bincount(rows, minlength=batch_rows)
-    first = np.cumsum(counts) - counts
     del step, rows
+    swapping = np.flatnonzero(counts)
+    counts = counts[swapping]
+    starts = np.concatenate(([0], np.cumsum(counts)))   # each row's first swap in by_row
 
     max_shift = 0.0
-    swapping = np.flatnonzero(counts)
-    work_theta, work_mu, point = (
-        a.take(swapping, axis=1) for a in (batch.theta, batch.mu, batch.xstar)
-    )
-    for j in range(int(counts.max(initial=0))):
-        more = counts[swapping] > j
-        if not more.all():
-            swapping = swapping[more]
-            # compress keeps C order; a[:, more] would be F-ordered
-            work_theta, work_mu, point = (
-                a.compress(more, axis=1) for a in (work_theta, work_mu, point)
-            )
-        sel = by_row[first[swapping] + j]
-        k = swapping.size
-        cell = at[sel] // batch_rows * k + np.arange(k)   # each swap's flat index in the work
-        work_theta.put(cell, theta[sel])
-        work_mu.put(cell, mu[sel])
-        previous, point = point, batch.minimizer(work_theta, work_mu)
-        max_shift = max(max_shift, float(_squared_distance(point, previous).max()))
+    first = 0   # the block's first row, an index into swapping
+    while first < swapping.size:
+        lo = starts[first]
+        last = max(first + 1, int(np.searchsorted(starts, lo + _BATCH_ROWS, "right")) - 1)
+        sel = by_row[lo:starts[last]]
+        heads = starts[first:last] - lo
+        lead = np.repeat(heads, counts[first:last])
+        point = batch.minimizer(*_block_rosters(batch, at[sel], theta[sel], mu[sel], lead))
+        previous = np.empty_like(point)
+        previous[:, 1:] = point[:, :-1]
+        previous[:, heads] = batch.xstar.take(swapping[first:last], axis=1)
+        max_shift = max(max_shift, float(_squared_distance(point, previous, previous).max()))
         moved[:, sel] = point
+        first = last
     return bounds, at, theta, mu, moved, max_shift
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .allocation import Allocation, _squared_distance
 from .functions import ParameterRangeError
-from .rules import _check_agents
+from .rules import _check_agents, _check_count, _need
 
 __all__ = [
     "DegenerateWeightsError",
@@ -177,8 +177,9 @@ def selection_matrix(i, j, n):
     update is ``x -> x - h Q grad``.
     """
     n = _check_agents("n", n)
-    if i == j or not (0 <= i < n) or not (0 <= j < n):
-        raise ValueError(f"need two distinct agents inside range, got ({i}, {j})")
+    for key, agent in (("i", i), ("j", j)):
+        _need(_check_count(key, agent, 0) < n, key, f"an agent index < n = {n}", agent)
+    _need(i != j, "j", f"an agent other than i = {i}", j)
     q = np.zeros((n, n))
     q[i, i] = q[j, j] = 0.5
     q[i, j] = q[j, i] = -0.5

@@ -130,12 +130,12 @@ def test_trajectory_matches_batch_engine_bitwise():
                         initial_state="minimizer"), 5),
         (logcosh_config(n=9, horizon=80, p_update=0.7,
                         initial_state=(1.0, -0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0)), 3),
-        # agent-major sums: one row is an (n, 1) column and a round may
-        # solve one row of a crowd, where numpy's own axis-0 sum is pairwise
+        # agent-major sums: one row is an (n, 1) column and a block may
+        # hold one swap of a crowd, where numpy's own axis-0 sum is pairwise
         (fig1_config(n=200, horizon=_TAPE_STEPS + 45, p_update=0.8), 13),
         (logcosh_config(n=200, horizon=_TAPE_STEPS + 45, p_update=0.8), 13),
-        # swap-heavy two-agent rosters: rows' swap counts in a chunk differ
-        # widely, so the rounds narrow to fewer and fewer rows
+        # swap-heavy two-agent rosters: a row's many swaps in a chunk each
+        # fill its roster forward from the swap before
         (fig1_config(n=2, horizon=_TAPE_STEPS + 45, p_update=0.3), 17),
         (logcosh_config(n=2, horizon=_TAPE_STEPS + 45, p_update=0.3), 17),
     ]:
@@ -551,6 +551,62 @@ def test_logcosh_ensemble_solves_each_chunk_in_rounds(monkeypatch):
     assert len(calls) <= 1 + most
     # far fewer than one solve per step in which some row swaps
     assert len(calls) < swaps.any(axis=0).sum() // 2
+
+
+def test_logcosh_ensemble_solves_each_chunk_in_one_call(monkeypatch):
+    monkeypatch.setattr(opensim, "_TAPE_STEPS", 37)
+    calls = []
+    real = opensim._logcosh_point
+
+    def counting(theta, *args):
+        calls.append(theta.shape[1])
+        return real(theta, *args)
+
+    monkeypatch.setattr(opensim, "_logcosh_point", counting)
+    cfg = logcosh_config(horizon=150, p_update=0.9)
+    run_ensemble(cfg, replications=64, base_seed=5)
+    swaps = _swap_steps(cfg, range(5, 69))
+    per_chunk = [int(swaps[:, lo:lo + 37].sum()) for lo in range(0, 150, 37)]
+    assert max(per_chunk) <= opensim._BATCH_ROWS
+    # one solve for the starting rosters, then one per chunk that swaps,
+    # each of all the chunk's swaps at once
+    assert calls == [64] + [k for k in per_chunk if k]
+
+
+@pytest.mark.parametrize("make", [fig1_config, logcosh_config])
+@pytest.mark.parametrize("p_update", [0.0, 0.6])
+def test_swap_blocks_cut_at_the_cap_match_trajectories(make, p_update, monkeypatch):
+    # 16-step chunks against a cap of 5 swaps: a chunk splits into many
+    # blocks, and a row with more swaps than the cap is a block of its
+    # own (at p_U = 0 every row has 16); the run is small, so a cut that
+    # never advanced would show as a hang here, not as a large allocation
+    monkeypatch.setattr(opensim, "_TAPE_STEPS", 16)
+    monkeypatch.setattr(opensim, "_BATCH_ROWS", 5)
+    blocks = []
+    real = opensim._block_rosters
+
+    def recording(batch, at, *args):
+        blocks.append((at.size, np.unique(at % batch.rows).size))
+        return real(batch, at, *args)
+
+    monkeypatch.setattr(opensim, "_block_rosters", recording)
+    cfg = make(n=2, horizon=40, p_update=p_update)
+    seeds = range(11, 17)
+    out = _simulate_batch(cfg, seeds)
+    records = [run_trajectory(cfg, seed=s) for s in seeds]
+    for r, rec in enumerate(records):
+        assert np.array_equal(out.error[r], rec.error)
+        assert np.array_equal(out.final_values[r], rec.final_state.allocation.values)
+    assert out.replacement_count == sum(rec.event.count("replace") for rec in records)
+    assert out.max_replacement_shift == max(float(rec.minimizer_shift.max()) for rec in records)
+
+    assert sum(size for size, _ in blocks) == out.replacement_count
+    assert len(blocks) > 3 * 2   # more than two blocks a chunk
+    assert any(size > 5 for size, _ in blocks)
+    # a block past the cap is one row's; any other holds whole rows
+    assert all(rows == 1 for size, rows in blocks if size > 5)
+    if p_update:
+        assert any(rows > 1 for _, rows in blocks)
 
 
 def _fail_after(calls_allowed):

@@ -145,6 +145,27 @@ def test_library_counts_name_their_argument(call, key):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("call, key", [
+    # numpy raised a bare IndexError for 0.5 and read True as a mask
+    (lambda: selection_matrix(0.5, 1, 5), "i"),
+    (lambda: selection_matrix(True, 0, 3), "i"),
+    (lambda: selection_matrix(0, 5, 5), "j"),
+    (lambda: selection_matrix(-1, 2, 5), "i"),
+    (lambda: selection_matrix(2, 2, 5), "j"),
+    # numpy raised OverflowError for nan and inf, a bare ValueError for -1
+    (lambda: certify(_F, 10, np.random.default_rng(0), radius=math.nan), "radius"),
+    (lambda: certify(_F, 10, np.random.default_rng(0), radius=math.inf), "radius"),
+    (lambda: certify(_F, 10, np.random.default_rng(0), radius=-1.0), "radius"),
+    (lambda: certify(_F, 10, np.random.default_rng(0), radius=0.0), "radius"),
+], ids=["selection-0.5", "selection-True", "selection-5-of-5", "selection-minus-1",
+        "selection-same", "certify-radius-nan", "certify-radius-inf",
+        "certify-radius-minus-1", "certify-radius-0"])
+def test_library_indices_and_radius_name_their_argument(call, key):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.key == key
+
+
 def test_exact_onestep_two_agents_equal_curvature():
     # n=2 with h=1/beta and matched curvature contracts to zero in one step
     cert = ConvexityCertificate(2.0, 2.0)
