@@ -53,20 +53,23 @@ __all__ = ["main", "cmd_simulate", "cmd_bounds", "cmd_worstcase"]
 
 
 def _fmt(value):
+    """A bound block's cell: ``yes``/``no`` for a flag, else a float."""
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, str):
-        return value
     return f"{float(value):.17g}"
 
 
-def _write_csv(path, header, rows):
+#: the ``%`` conversion of each CSV column kind; ``g`` prints as :func:`_fmt`
+_CONVERSIONS = {"d": "%d", "s": "%s", "g": "%.17g"}
+
+
+def _write_csv(path, header, kinds, rows):
+    """Write ``rows``, tuples whose columns are of ``kinds``, one letter
+    each: ``d`` an int, ``s`` a string, ``g`` a float."""
+    line = ",".join(_CONVERSIONS[kind] for kind in kinds) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def _make_out_dir(path):
@@ -252,6 +255,7 @@ def cmd_simulate(args):
         _write_csv(
             path,
             ("k", "event", "C_k", "subopt", "min_shift"),
+            "dsggg",
             zip(
                 record.k.tolist(),
                 record.event,
@@ -273,6 +277,7 @@ def cmd_simulate(args):
         _write_csv(
             path,
             ("k", "mean_C", "ci_lo", "ci_hi", "bound_general", "bound_quadratic"),
+            "dggggg",
             zip(
                 range(config.horizon + 1),
                 stats.mean_error,
@@ -368,6 +373,7 @@ def cmd_worstcase(args):
     _write_csv(
         path,
         ("n", "kappa", "empirical_max", "bound_general", "bound_quadratic", "conjecture"),
+        "dggggg",
         (
             (r.n, r.kappa, r.empirical_max, r.bound_general, r.bound_quadratic, r.conjecture)
             for r in rows

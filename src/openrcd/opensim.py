@@ -38,7 +38,6 @@ records the error.  :func:`_footprint` states what an ensemble holds.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import repeat
@@ -109,6 +108,12 @@ _GENERATOR_BYTES = 1536
 #: 18.7 log-cosh and 7.4 quadratic at n = 64, 15.2 and 5.2 at n = 256
 #: (``p_update`` 0 or 0.95, 64 or 1024 rows)
 _WORKER_ARRAYS = 19
+
+#: swap-length index arrays one worker holds while it draws a chunk's swaps
+#: (:func:`_chunk_swaps`): ``np.nonzero``'s steps and rows and two tape
+#: gathers; traced 32.5 bytes a swap past the swaps themselves at n = 2
+#: (``p_update = 0``, 1024 rows)
+_SWAP_INDEX_ARRAYS = 4
 
 #: bytes per step of a run's step-indexed outputs: a trajectory's four
 #: columns and event log, or an ensemble's statistics, with the CLI's columns
@@ -298,7 +303,8 @@ def _footprint(config, replications):
       ``_GENERATOR_BYTES`` for its generator, and ``5 * n * 8`` for its
       :class:`_Batch` columns (``theta``, ``mu``, ``x``, ``xstar``, scratch);
     - per worker: ``chunk * step_bytes`` for its tape and expected swaps
-      (:func:`_chunk_length`), and ``_WORKER_ARRAYS * n * block * 8``
+      (:func:`_chunk_length`), ``_SWAP_INDEX_ARRAYS * 8`` per expected
+      swap while it draws them, and ``_WORKER_ARRAYS * n * block * 8``
       while it solves a block of ``block`` swaps: whole rows up to
       ``_BATCH_ROWS`` swaps, or one row's, and never more than a chunk has;
     - once: ``n (n - 1) * 8`` for the shared edge table;
@@ -309,7 +315,9 @@ def _footprint(config, replications):
     chunk, step_bytes = _chunk_length(config, rows)
     row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 5 * n * 8
     block = min(max(_BATCH_ROWS, chunk), chunk * rows)
-    worker_bytes = chunk * step_bytes + _WORKER_ARRAYS * n * block * 8
+    swaps = chunk * rows * (1.0 - config.p_update)
+    worker_bytes = (chunk * step_bytes + swaps * _SWAP_INDEX_ARRAYS * 8
+                    + _WORKER_ARRAYS * n * block * 8)
     by_rows = (replications * row_bytes + n * (n - 1) * 8
                + _worker_count(config, replications) * worker_bytes)
     return by_rows, (config.horizon + 1) * _STEP_BYTES
@@ -418,7 +426,7 @@ def _row_generators(seeds):
     ``run_trajectory`` still calls ``default_rng``, the reference that
     the bitwise engine tests hold this to.
     """
-    # numpy.random loads here, as default_rng would, not on import
+    # numpy.random loads here, at the first batch, as default_rng would
     from numpy.random.bit_generator import ISeedSequence
 
     class StateWords(ISeedSequence):
@@ -693,7 +701,8 @@ def run_ensemble(config, replications=None, base_seed=None):
     batches run on :func:`_worker_count` threads: worker ``w`` owns
     batches ``w``, ``w + workers``, ... and one random tape, and runs its
     batches through each chunk in turn; the rows a batch writes are fixed
-    by its seeds, so the statistics never depend on scheduling.  A run
+    by its seeds, so the statistics never depend on scheduling; only a
+    pooled run imports ``concurrent.futures``.  A run
     whose stated footprint (:func:`_footprint`) exceeds physical memory
     is refused before any batch is built.
 
@@ -743,6 +752,7 @@ def run_ensemble(config, replications=None, base_seed=None):
     with ExitStack() as stack:
         run = map
         if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor   # only pooled runs load it
             run = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         batches = list(run(begin, starts))
         if not horizon:

@@ -8,7 +8,9 @@ the search against the closed-form caps over a parameter grid.
 
 The search is deterministic: a fixed sequence of starting points
 (corner and midpoint combinations of a reduced six-slot template, then
-seeded random draws), each refined by coordinate-wise ascent.  A larger
+seeded random draws), each refined by coordinate-wise ascent.  The
+random tail's generator is built at its first start, after the 729
+templates, so a search within them never loads ``numpy.random``.  A larger
 ``search_budget`` consumes a longer prefix of the same sequence, so the
 reported maximum is nondecreasing in the budget.  Minimizers are
 invariant under a common scaling of all curvature weights, so the box
@@ -315,8 +317,13 @@ def _ascend(start, n, b, lines, max_sweeps=60):
     return best, kt + [t1, t2] + km + [m1, m2]
 
 
-def _start_sequence(n, theta_box, rng):
-    """Deterministic, unbounded start generator: corners, mixes, random."""
+def _start_sequence(n, theta_box, seed):
+    """Deterministic, unbounded start generator: corners, mixes, random.
+
+    The 729 templated starts come first.  The random tail draws from
+    ``np.random.default_rng(seed)``, built at the first random start, so
+    a search that stops within the templates never loads ``numpy.random``.
+    """
     lo, hi = theta_box
     theta_levels = (lo, 0.5 * (lo + hi), hi)
     mu_levels = (-1.0, 0.0, 1.0)
@@ -334,6 +341,7 @@ def _start_sequence(n, theta_box, rng):
     mixed = [c for c in itertools.product((0, 1, 2), repeat=6) if 1 in c]
     for template in corners + mixed:
         yield expand(template)
+    rng = np.random.default_rng(seed)
     while True:
         kt = rng.uniform(lo, hi, size=n - 1)
         ts = rng.uniform(lo, hi, size=2)
@@ -379,12 +387,12 @@ def maximize_displacement(n, kappa, b, search_budget=64, seed=0):
     n = int(n)
     search_budget = _check_count("search_budget", search_budget, 1)
     theta_box = (0.5, 0.5 * kappa)
-    rng = np.random.default_rng(_check_count("seed", seed, 0))
+    seed = _check_count("seed", seed, 0)
     lines = _LineMaxima(*theta_box, _LINE_CACHE_CAP)
 
     best_value = -math.inf
     best_vec = None
-    for _, start in zip(range(search_budget), _start_sequence(n, theta_box, rng)):
+    for _, start in zip(range(search_budget), _start_sequence(n, theta_box, seed)):
         value, vec = _ascend(start, n, float(b), lines)
         if value > best_value:
             best_value, best_vec = value, vec

@@ -1,12 +1,17 @@
 import csv
 import hashlib
 import math
+import struct
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from openrcd.cli import main
+from openrcd.cli import _CONVERSIONS, _fmt, main
 
 SMALL_CFG = """
 n = 4
@@ -228,6 +233,28 @@ def test_simulate_fig1_outputs_are_pinned(keys, name, digest, tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--preset", "fig1", "--config", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+# every bit pattern, every nan payload included
+_ANY_DOUBLE = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats() | _ANY_DOUBLE)
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(-5e-324)
+@example(sys.float_info.max)
+@example(-sys.float_info.max)
+def test_csv_float_columns_print_as_fmt(x):
+    # _write_csv prints a row with one % format; _fmt prints the stdout blocks
+    assert _CONVERSIONS["g"] % x == _fmt(x)
+    assert _CONVERSIONS["g"] % np.float64(x) == _fmt(np.float64(x))
 
 
 def test_worstcase_rerun_is_byte_identical(tmp_path):

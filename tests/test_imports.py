@@ -1,0 +1,64 @@
+"""Each command loads only what it runs, checked in fresh interpreters."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: printed by a snippet after it runs: which of these modules it loaded
+REPORT = """
+import sys
+print(sorted(m for m in ("numpy.random", "concurrent.futures") if m in sys.modules))
+"""
+
+
+def loaded_after(code):
+    """The lazily loaded modules a fresh interpreter holds after ``code``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code + REPORT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_loads_neither_numpy_random_nor_the_pool():
+    assert loaded_after("import openrcd.cli") == "[]"
+
+
+def test_the_fig2_sweep_never_loads_numpy_random(tmp_path):
+    code = ("from openrcd.cli import main\n"
+            f"assert main(['worstcase', '--preset', 'fig2-analogue', '--out', {str(tmp_path)!r}]) == 0")
+    assert loaded_after(code) == "[]"
+
+
+@pytest.mark.parametrize("starts, loaded", [
+    (729, "[]"),                    # every templated start, no random one
+    (730, "['numpy.random']"),      # the first random start builds the generator
+    (760, "['numpy.random']"),
+])
+def test_a_search_loads_numpy_random_at_its_first_random_start(starts, loaded):
+    code = ("from openrcd.worstcase import maximize_displacement\n"
+            f"maximize_displacement(3, 4.0, 1.0, search_budget={starts}, seed=3)")
+    assert loaded_after(code) == loaded
+
+
+@pytest.mark.parametrize("n, loaded", [
+    (5, "['numpy.random']"),
+    (64, "['concurrent.futures', 'numpy.random']"),   # pooled from _POOL_MIN_AGENTS
+])
+def test_only_a_pooled_ensemble_loads_the_thread_pool(n, loaded):
+    # two 40-row batches on two workers when pooled
+    code = ("import os\n"
+            "from openrcd import opensim\n"
+            "from openrcd.config import ExperimentConfig\n"
+            "os.cpu_count = lambda: 2\n"
+            "opensim._BATCH_ROWS = 40\n"
+            f"cfg = ExperimentConfig(n={n}, alpha=1.0, beta=1.2, budget=1.0, p_update=0.9,\n"
+            "                       horizon=5, replications=80, seed=1)\n"
+            "opensim.run_ensemble(cfg)")
+    assert loaded_after(code) == loaded

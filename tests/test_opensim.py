@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import sys
 import tracemalloc
@@ -292,7 +293,7 @@ def test_mean_error_dominates_conditional_update_mean():
 def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
     # three batches on a 4-core machine: the pool runs whatever the host
     pools = []
-    real_pool = opensim.ThreadPoolExecutor
+    real_pool = concurrent.futures.ThreadPoolExecutor
 
     def recording_pool(max_workers):
         pools.append(max_workers)
@@ -300,7 +301,7 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
 
     monkeypatch.setattr(opensim.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(opensim, "_BATCH_ROWS", 40)
-    monkeypatch.setattr(opensim, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     cfg = fig1_config(n=_POOL_MIN_AGENTS, horizon=60, p_update=0.9)
     stats = run_ensemble(cfg, replications=100, base_seed=3)
     assert pools == [3]
@@ -739,6 +740,10 @@ def test_swap_heavy_chunks_stay_within_the_budget(monkeypatch):
     (logcosh_config(horizon=600), 64),
     # the shared edge table is counted once, and no batch copies it
     (fig1_config(n=1024, horizon=50), 4),
+    # swap-heavy runs at small n, where the swaps' index arrays dominate
+    (fig1_config(n=2, p_update=0.0, horizon=120), 1024),
+    (logcosh_config(n=2, p_update=0.0, horizon=120), 1024),
+    (logcosh_config(p_update=0.5, horizon=120), 64),
 ])
 def test_stated_footprint_covers_the_traced_peak(cfg, replications):
     run_ensemble(cfg, replications=3)  # warm lazy imports and caches
