@@ -20,9 +20,10 @@ CLI and the library call too: a bad value raises :class:`ConfigError`
 (a ``ValueError``) naming its key or argument.
 """
 
+import math
 from dataclasses import dataclass
 
-from .allocation import Allocation, FeasibilityError
+from .allocation import Allocation, FeasibilityError, minimizer_ball_radius
 from .functions import ConvexityCertificate
 from .rules import (  # noqa: F401  (ConfigError and the limits are re-exported)
     MAX_ABS_BUDGET,
@@ -31,6 +32,7 @@ from .rules import (  # noqa: F401  (ConfigError and the limits are re-exported)
     ConfigError,
     _check_agents,
     _check_budget,
+    _check_cost_scale,
     _check_count,
     _check_curvature,
     _check_kappa,
@@ -96,6 +98,12 @@ class ExperimentConfig:
             object.__setattr__(self, "initial_state", vec)
         _need(self.function_family in _FAMILIES, "function_family", f"one of {_FAMILIES}",
               self.function_family)
+        # the constrained minimizers and the start lie in the ball of the
+        # larger radius, and every cost minimizer (in [-1, 1]^n) within
+        # sqrt(n) of it: the suboptimality's roster values stay finite there
+        start = 0.0 if isinstance(self.initial_state, str) else math.hypot(*self.initial_state)
+        ball = max(minimizer_ball_radius(self.n, self.kappa, self.budget), start)
+        _check_cost_scale(self.beta, ball + math.sqrt(self.n))
 
     @property
     def kappa(self):

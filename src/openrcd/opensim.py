@@ -28,12 +28,14 @@ minimizer with the dual bisection, in either family.
 The batch engine solves the roster process first.  Swaps are exogenous:
 which agent leaves, what cost arrives and so where the minimizer moves
 depend on the random tape alone, never on the iterate.  So each tape
-chunk first solves its swaps (:func:`_chunk_swaps`): sorted by row, then
-by step, and cut into blocks of whole rows, each swap's full roster is
-built by a forward fill along its row's swaps, and a block's rosters are
-solved with one minimizer call.  The step loop then only does the pair
-updates, installs each swap's cost and precomputed minimizer, and
-records the error.  :func:`_footprint` states what an ensemble holds.
+chunk is drawn one block of rows at a time, keeping only the coin mask,
+the edge picks and the swaps' uniforms (:meth:`_Batch.draw`), and then
+solves its swaps (:func:`_chunk_swaps`): in row, then step order, cut
+into blocks of whole rows, each swap's full roster is built by a forward
+fill along its row's swaps, and a block's rosters are solved with one
+minimizer call.  The step loop then only does the pair updates, installs
+each swap's cost and precomputed minimizer, and records the error.
+:func:`_footprint` states what an ensemble holds.
 """
 
 import math
@@ -94,13 +96,33 @@ _TAPE_STEPS = 256
 #: bytes one worker's chunk may hold (:func:`_footprint`)
 _CHUNK_BYTES = 4 * 2**20
 
+#: bytes of random tape a batch draws at once, one block of rows
+#: (:meth:`_Batch.draw`): 69 rows of ``fig1``'s 94-step chunks; blocks of
+#: 128 KiB to 1 MiB ran ``fig1`` equally fast
+_FILL_BYTES = _CHUNK_BYTES // 16
+
 #: agent count from which batches run on a thread pool; below it the
 #: per-step numpy calls are too small for threads to beat one thread
 _POOL_MIN_AGENTS = 64
 
 #: bytes a row's generator holds, ``PCG64`` and ``Generator``, with headroom:
-#: measured 785 traced and 812 RSS bytes a row (numpy 2.4, x86-64)
-_GENERATOR_BYTES = 1536
+#: measured 588 traced and 572 RSS bytes a row (numpy 2.4, x86-64), all
+#: rows' generators sharing one seed-words object
+_GENERATOR_BYTES = 1024
+
+#: bytes one worker holds per row-step of a chunk (:meth:`_Batch.draw`):
+#: the coin mask and its complement (1 + 1) and the edge picks (8); past
+#: them and twice ``_FILL_BYTES``, a chunk at ``p_update = 1`` traced
+#: nothing more (1024 rows, 94 or 256 steps)
+_CELL_BYTES = 10
+
+#: bytes one worker holds per swap of a chunk besides its ``(n,)``
+#: minimizer (:func:`_chunk_swaps`): three uniforms, the decoded agent and
+#: cost, its place and order, and one array's step-order copy; past the
+#: other terms of :func:`_footprint`, traced 56.7 at n = 2, 43.0 at n = 5
+#: (``p_update = 0``) and 48.2 at log-cosh n = 5 (``p_update = 0.5``),
+#: 1024 rows each
+_SWAP_BYTES = 64
 
 #: agent-major ``(n, block)`` arrays one worker holds at once while it
 #: solves a block of swaps (:func:`_chunk_swaps`): the block's rosters and
@@ -108,12 +130,6 @@ _GENERATOR_BYTES = 1536
 #: 18.7 log-cosh and 7.4 quadratic at n = 64, 15.2 and 5.2 at n = 256
 #: (``p_update`` 0 or 0.95, 64 or 1024 rows)
 _WORKER_ARRAYS = 19
-
-#: swap-length index arrays one worker holds while it draws a chunk's swaps
-#: (:func:`_chunk_swaps`): ``np.nonzero``'s steps and rows and two tape
-#: gathers; traced 32.5 bytes a swap past the swaps themselves at n = 2
-#: (``p_update = 0``, 1024 rows)
-_SWAP_INDEX_ARRAYS = 4
 
 #: bytes per step of a run's step-indexed outputs: a trajectory's four
 #: columns and event log, or an ensemble's statistics, with the CLI's columns
@@ -286,10 +302,13 @@ def _worker_count(config, replications):
 
 
 def _chunk_length(config, rows):
-    """Steps per tape chunk for batches of ``rows`` rows, and the bytes one
-    step holds: its tape and expected swaps.  A chunk is as long as fits in
-    ``_CHUNK_BYTES``, one to ``_TAPE_STEPS`` steps; the error block is left
-    out, or very large ensembles would run one-step chunks."""
+    """Steps per tape chunk for batches of ``rows`` rows, and the bytes it
+    budgets per step: each row's five uniforms and the expected swaps.  A
+    chunk is as long as fits in ``_CHUNK_BYTES``, one to ``_TAPE_STEPS``
+    steps.  The uniforms are counted whole although a batch keeps only a
+    block of them (:meth:`_Batch.draw`), which keeps chunks short and so the
+    shared error block small; that block is left out, or very large
+    ensembles would run one-step chunks."""
     step_bytes = rows * 5 * 8 + rows * (1.0 - config.p_update) * (3 + config.n) * 8
     fits = int(_CHUNK_BYTES // step_bytes)
     return min(config.horizon, max(1, min(_TAPE_STEPS, fits))), step_bytes
@@ -302,22 +321,23 @@ def _footprint(config, replications):
     - per row: ``(chunk + 1) * 8`` for its row of the shared error block,
       ``_GENERATOR_BYTES`` for its generator, and ``5 * n * 8`` for its
       :class:`_Batch` columns (``theta``, ``mu``, ``x``, ``xstar``, scratch);
-    - per worker: ``chunk * step_bytes`` for its tape and expected swaps
-      (:func:`_chunk_length`), ``_SWAP_INDEX_ARRAYS * 8`` per expected
-      swap while it draws them, and ``_WORKER_ARRAYS * n * block * 8``
-      while it solves a block of ``block`` swaps: whole rows up to
-      ``_BATCH_ROWS`` swaps, or one row's, and never more than a chunk has;
+    - per worker: ``2 * _FILL_BYTES`` for the block of uniforms it draws
+      into and that block's masks and picks, ``_CELL_BYTES`` per row-step
+      of a chunk, ``_SWAP_BYTES + n * 8`` per expected swap, and
+      ``_WORKER_ARRAYS * n * block * 8`` while it solves a block of
+      ``block`` swaps: whole rows up to ``_BATCH_ROWS`` swaps, or one
+      row's, and never more than a chunk has;
     - once: ``n (n - 1) * 8`` for the shared edge table;
     - per step: ``_STEP_BYTES``; every chunk is reduced before the next.
     """
     n = config.n
     rows = min(replications, _BATCH_ROWS)
-    chunk, step_bytes = _chunk_length(config, rows)
+    chunk = _chunk_length(config, rows)[0]
     row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 5 * n * 8
     block = min(max(_BATCH_ROWS, chunk), chunk * rows)
     swaps = chunk * rows * (1.0 - config.p_update)
-    worker_bytes = (chunk * step_bytes + swaps * _SWAP_INDEX_ARRAYS * 8
-                    + _WORKER_ARRAYS * n * block * 8)
+    worker_bytes = (2 * _FILL_BYTES + chunk * rows * _CELL_BYTES
+                    + swaps * (_SWAP_BYTES + n * 8) + _WORKER_ARRAYS * n * block * 8)
     by_rows = (replications * row_bytes + n * (n - 1) * 8
                + _worker_count(config, replications) * worker_bytes)
     return by_rows, (config.horizon + 1) * _STEP_BYTES
@@ -430,13 +450,15 @@ def _row_generators(seeds):
     from numpy.random.bit_generator import ISeedSequence
 
     class StateWords(ISeedSequence):
-        """A seed sequence whose ``PCG64`` state words are already computed."""
+        """One seed sequence for all the rows: each ``PCG64`` it seeds
+        reads the next row's precomputed state words, and every generator
+        keeps this one object rather than one of its own."""
 
         def __init__(self, words):
-            self.words = words
+            self.rows = iter(words)
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
+            return next(self.rows)
 
     seeds = [int(s) for s in seeds]
     if min(seeds, default=0) < 0:
@@ -476,14 +498,15 @@ def _row_generators(seeds):
         value = value * np.uint32(const)
         state.append(value ^ (value >> _XSHIFT))
     state = np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(StateWords(w))) for w in state]
+    words = StateWords(state)
+    return [np.random.Generator(np.random.PCG64(words)) for _ in seeds]
 
 
 def _block_rosters(batch, at, theta, mu, lead):
     """The roster after each of a block's swaps, ``(theta, mu)`` as
     C-contiguous ``(n, swaps)`` arrays.  The swaps are whole rows in row,
     then step order; ``at``, ``theta`` and ``mu`` are as
-    :func:`_chunk_swaps` returns them, and ``lead[s]`` is the position
+    :func:`_chunk_swaps` decodes them, and ``lead[s]`` is the position
     of the first swap of swap ``s``'s row.
 
     A segmented forward fill: each swap's position goes in its agent's
@@ -502,58 +525,68 @@ def _block_rosters(batch, at, theta, mu, lead):
             for start, drawn in ((batch.theta, theta), (batch.mu, mu))]
 
 
-def _chunk_swaps(batch, tape, swap):
-    """Read the swaps marked in ``swap`` (chunk steps x rows) off the
-    :class:`_Batch`'s tape and solve them ahead of the steps.
+def _chunk_swaps(batch, swap, drawn):
+    """Solve a tape chunk's swaps ahead of its steps.
 
-    Returns ``(bounds, at, theta, mu, moved, max_shift)``, the swaps in
-    step-major order: those of chunk step ``c`` are entries ``bounds[c]:
-    bounds[c + 1]``; ``at`` is the flat index ``agent * rows + row`` of the
-    agent each swap replaces, ``theta`` and ``mu`` the new cost, column
-    ``s`` of the ``(n, swaps)`` array ``moved`` the row's constrained
-    minimizer after swap ``s``, and ``max_shift`` the largest squared shift.
+    ``swap`` is the chunk's ``(steps, rows)`` mask of swaps and ``drawn``
+    their ``(swaps, 3)`` uniforms (agent pick, theta and mu quantiles) in
+    row, then step order, as :meth:`_Batch.draw` keeps them.  Returns
+    ``(bounds, at, theta, mu, moved, max_shift)``, the swaps in step-major
+    order: those of chunk step ``c`` are entries ``bounds[c]:bounds[c +
+    1]``; ``at`` is the flat index ``agent * rows + row`` of the agent each
+    swap replaces, ``theta`` and ``mu`` the new cost, column ``s`` of the
+    ``(n, swaps)`` array ``moved`` the row's constrained minimizer after
+    swap ``s``, and ``max_shift`` the largest squared shift.
 
     Which rows swap, which agent leaves and what cost arrives depend on
-    the tape alone, never on the iterate.  So the chunk's swaps are
-    drawn with one quantile call on 1-D arrays, sorted by row, then by
-    step, and cut into blocks of whole rows with at most ``_BATCH_ROWS``
-    swaps (a row with more is a block of its own).  Each block builds the
-    roster after every one of its swaps (:func:`_block_rosters`) and
-    solves them all with one ``batch.minimizer`` call, so a chunk costs
-    one solve per block; the batch is only read.  Each swap's shift is
-    measured against its row's previous swap, or ``xstar`` for the
-    row's first.
+    the tape alone, never on the iterate.  So the swaps are decoded with
+    one quantile call and, still in row order, cut into blocks of whole
+    rows with at most ``_BATCH_ROWS`` swaps (a row with more is a block of
+    its own), each a slice.  Each block builds the roster after every one
+    of its swaps (:func:`_block_rosters`) and solves them all with one
+    ``batch.minimizer`` call, so a chunk costs one solve per block; the
+    batch is only read.  Each swap's shift is measured against its row's
+    previous swap, or ``xstar`` for the row's first.  The minimizers are
+    written to their step-major columns as they are solved, and the costs
+    are put in step order last.
     """
     n, batch_rows = batch.xstar.shape
-    step, rows = np.nonzero(swap)
-    bounds = np.searchsorted(step, np.arange(swap.shape[0] + 1)).tolist()
-    at = (tape[rows, step, 2] * n).astype(np.intp) * batch_rows + rows
-    theta, mu = quadratic_quantiles(
-        batch.certificate, tape[rows, step, 3], tape[rows, step, 4]
-    )
-    moved = np.empty((n, rows.size))
-    by_row = np.argsort(rows, kind="stable")   # each row's swaps in step order
-    counts = np.bincount(rows, minlength=batch_rows)
-    del step, rows
+    cell = np.flatnonzero(swap)   # step * rows + row of each swap, in step order
+    bounds = np.searchsorted(cell, np.arange(swap.shape[0] + 1) * batch_rows).tolist()
+    # each swap's step-major position, listed in row order: a stable argsort
+    # of 8- or 16-bit keys is a radix sort
+    row = (cell % batch_rows).astype(np.min_scalar_type(batch_rows - 1))
+    place = np.argsort(row, kind="stable")
+    counts = np.bincount(row, minlength=batch_rows)   # each row's swaps
+    del cell, row
+    at = (drawn[:, 0] * n).astype(np.intp) * batch_rows
+    at += np.repeat(np.arange(batch_rows), counts)
+    theta, mu = quadratic_quantiles(batch.certificate, drawn[:, 1], drawn[:, 2])
+    moved = np.empty((n, at.size))
     swapping = np.flatnonzero(counts)
     counts = counts[swapping]
-    starts = np.concatenate(([0], np.cumsum(counts)))   # each row's first swap in by_row
+    starts = np.concatenate(([0], np.cumsum(counts)))   # each swapping row's first swap
 
     max_shift = 0.0
     first = 0   # the block's first row, an index into swapping
     while first < swapping.size:
         lo = starts[first]
         last = max(first + 1, int(np.searchsorted(starts, lo + _BATCH_ROWS, "right")) - 1)
-        sel = by_row[lo:starts[last]]
+        block = slice(lo, starts[last])
         heads = starts[first:last] - lo
         lead = np.repeat(heads, counts[first:last])
-        point = batch.minimizer(*_block_rosters(batch, at[sel], theta[sel], mu[sel], lead))
+        point = batch.minimizer(*_block_rosters(batch, at[block], theta[block], mu[block], lead))
         previous = np.empty_like(point)
         previous[:, 1:] = point[:, :-1]
         previous[:, heads] = batch.xstar.take(swapping[first:last], axis=1)
         max_shift = max(max_shift, float(_squared_distance(point, previous, previous).max()))
-        moved[:, sel] = point
+        moved[:, place[block]] = point
         first = last
+    order = np.empty_like(place)
+    order[place] = np.arange(place.size)
+    at = at.take(order)
+    theta = theta.take(order)
+    mu = mu.take(order)
     return bounds, at, theta, mu, moved, max_shift
 
 
@@ -609,26 +642,51 @@ class _Batch:
         """Every row's ``||x - x*||^2`` at the current step."""
         return _squared_distance(self.x, self.xstar, self.scratch)
 
-    def advance(self, tape, out):
+    def draw(self, steps):
+        """Draw the next ``steps`` steps of every row's uniforms and keep
+        what the step loop reads: ``(coin, picks, drawn)``.
+
+        The uniforms go into a scratch of about ``_FILL_BYTES``, one block
+        of rows at a time, one row's steps per ``Generator.random`` call;
+        consecutive calls continue one stream exactly, so any chunk length
+        or block draws the same uniforms.  ``coin`` (True for a pair
+        update) and ``picks`` (each cell's edge pick, read where ``coin``
+        holds) are ``(steps, rows)``, so each step reads one contiguous row
+        of both; ``drawn`` holds each swap's three uniforms, in row, then
+        step order.
+        """
+        rows = self.rows
+        edge_count = _edge_table(self.config.n).shape[1]
+        coin = np.empty((steps, rows), dtype=bool)
+        picks = np.empty((steps, rows), dtype=np.intp)
+        drawn = []
+        fill = max(1, _FILL_BYTES // (steps * 5 * 8))
+        tape = np.empty((min(fill, rows), steps, 5))
+        for lo in range(0, rows, fill):
+            part = tape[:rows - lo]
+            hi = lo + len(part)
+            for g, row in zip(self.gens[lo:hi], part):
+                g.random(out=row)
+            hit = part[:, :, 0] < self.config.p_update
+            coin[:, lo:hi] = hit.T
+            picks[:, lo:hi] = (part[:, :, 1] * edge_count).astype(np.intp).T
+            drawn.append(part[~hit, 2:])
+        return coin, picks, np.concatenate(drawn)
+
+    def advance(self, out):
         """Run the next ``steps = out.shape[1]`` steps, one tape chunk.
 
-        The rows' uniforms are drawn into the ``(rows, steps, 5)`` front
-        of ``tape``, one row's block per ``Generator.random`` call;
-        consecutive calls continue one stream exactly, so any chunk
-        length draws the same uniforms.  The chunk's swaps are solved
-        first (:func:`_chunk_swaps`).  Each step then does its pair
+        The chunk's uniforms are drawn first (:meth:`draw`) and its swaps
+        solved (:func:`_chunk_swaps`).  Each step then does its pair
         updates, one flat gather and scatter on ``x`` indexed from the
-        shared edge table (``rcd._edge_table``); installs its swaps'
-        costs and precomputed minimizers; and writes its error column to
-        ``out[:, c]``.  Returns the ``(steps, rows)`` mask of pair updates.
+        shared edge table (``rcd._edge_table``); installs its swaps' costs
+        and precomputed minimizers; and writes its error column to ``out[:,
+        c]``.  Returns the ``(steps, rows)`` mask of pair updates.
         """
         config, rows, steps = self.config, self.rows, out.shape[1]
-        tape = tape[:rows, :steps]
-        for g, row in zip(self.gens, tape):
-            g.random(out=row)
-        # (steps, rows), True for a pair update: each step reads one contiguous row
-        coin = np.ascontiguousarray((tape[:, :, 0] < config.p_update).T)
-        bounds, at, theta, mu, moved, max_shift = _chunk_swaps(self, tape, ~coin)
+        coin, picks, drawn = self.draw(steps)
+        bounds, at, theta, mu, moved, max_shift = _chunk_swaps(self, ~coin, drawn)
+        del drawn
         self.replacement_count += at.size
         self.max_replacement_shift = max(self.max_replacement_shift, max_shift)
 
@@ -636,12 +694,10 @@ class _Batch:
         edges = _edge_table(config.n)
         flat_x = x.reshape(-1)
         row_index = np.arange(rows)
-        edge_count = edges.shape[1]
         for c in range(steps):
             urows = row_index[coin[c]]
             if urows.size:
-                e = (tape[urows, c, 1] * edge_count).astype(np.intp)
-                pair = edges.take(e, axis=1)   # i (row 0) and j (row 1) of each pick
+                pair = edges.take(picks[c, urows], axis=1)   # i (row 0) and j (row 1)
                 pair *= rows
                 pair += urows                  # their flat indices in x
                 xp = flat_x[pair]
@@ -699,10 +755,10 @@ def run_ensemble(config, replications=None, base_seed=None):
     would have from the full ``(replications, horizon + 1)`` matrix; the
     carried column keeps a one-step last chunk at two columns.  The
     batches run on :func:`_worker_count` threads: worker ``w`` owns
-    batches ``w``, ``w + workers``, ... and one random tape, and runs its
-    batches through each chunk in turn; the rows a batch writes are fixed
-    by its seeds, so the statistics never depend on scheduling; only a
-    pooled run imports ``concurrent.futures``.  A run
+    batches ``w``, ``w + workers``, ... and runs them through each chunk
+    in turn, so it holds one batch's chunk buffers at a time; the rows a
+    batch writes are fixed by its seeds, so the statistics never depend on
+    scheduling; only a pooled run imports ``concurrent.futures``.  A run
     whose stated footprint (:func:`_footprint`) exceeds physical memory
     is refused before any batch is built.
 
@@ -735,7 +791,6 @@ def run_ensemble(config, replications=None, base_seed=None):
     starts = range(0, replications, _BATCH_ROWS)
 
     workers = _worker_count(config, replications)
-    tapes = [np.empty((rows, chunk, 5)) for _ in range(workers)]
 
     def begin(lo):
         hi = min(lo + _BATCH_ROWS, replications)
@@ -744,10 +799,9 @@ def run_ensemble(config, replications=None, base_seed=None):
         return batch
 
     def advance(worker, steps):
-        # a worker owns every workers-th batch; they take its tape in turn
-        tape = tapes[worker]
+        # a worker owns every workers-th batch and runs them in turn
         for lo, batch in zip(starts[worker::workers], batches[worker::workers]):
-            batch.advance(tape, block[lo:lo + batch.rows, 1:steps + 1])
+            batch.advance(block[lo:lo + batch.rows, 1:steps + 1])
 
     with ExitStack() as stack:
         run = map

@@ -73,5 +73,18 @@ def _check_curvature(alpha, beta):
     return _check_kappa("beta", beta / alpha)
 
 
+def _check_cost_scale(beta, radius):
+    """``beta`` small enough that ``beta * radius**2`` is a finite float.
+
+    A certified cost is at most ``beta / 2`` times the squared distance to
+    its own minimizer, so where ``radius`` bounds that distance each cost
+    value, and a roster's sum of them, stays finite.
+    """
+    r = float(radius)   # Python floats overflow to inf without a numpy warning
+    return _need(float(beta) * r * r < math.inf, "beta",
+                 f"a finite beta * r**2 at the distance r = {r:.6g} from the "
+                 "estimates to the cost minimizers", beta)
+
+
 def _check_step(h, beta):
     return _need(0.0 < h <= 1.0 / beta < math.inf, "h", f"0 < h <= 1/beta={1.0 / beta}", h)

@@ -28,18 +28,17 @@ def _simulate_batch(config, seeds):
     ``(rows, horizon)`` pair-update mask.
 
     The batch runs in chunks of the length ``opensim._chunk_length``
-    gives ``rows`` rows, one tape reused across them.
+    gives ``rows`` rows.
     """
     batch = opensim._Batch(config, seeds)
     horizon, rows = config.horizon, batch.rows
     chunk = opensim._chunk_length(config, rows)[0]
     error = np.empty((rows, horizon + 1))
     error[:, 0] = batch.error()
-    tape = np.empty((rows, chunk, 5))
     update_mask = np.empty((rows, horizon), dtype=bool)
     for start in range(0, horizon, max(chunk, 1)):
         steps = min(chunk, horizon - start)
-        coin = batch.advance(tape, error[:, start + 1:start + steps + 1])
+        coin = batch.advance(error[:, start + 1:start + steps + 1])
         update_mask[:, start:start + steps] = coin.T
     return _BatchOutcome(
         error, batch.x.T, batch.replacement_count, batch.max_replacement_shift, update_mask

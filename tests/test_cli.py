@@ -294,6 +294,20 @@ def test_simulate_huge_finite_inputs_exit_2(key, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_simulate_overflowing_cost_values_exit_2(tmp_path, capsys):
+    # beta/2 (x - mu)^2 at b = -1e6 overflows: each roster value was inf,
+    # and the trajectory's suboptimality inf - inf = nan in every row
+    path = tmp_path / "huge.cfg"
+    path.write_text("alpha = 1e300\nbeta = 1e300\nb = -1e6\nhorizon = 3\nreplications = 1\n",
+                    encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "fig1", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config key 'beta'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, key", [
     ("seed = -1", "seed"),
     ("initial_state = nan,0,0,1", "initial_state"),

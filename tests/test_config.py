@@ -100,6 +100,10 @@ def test_validation_errors_name_their_key():
         (dict(replications=2.0), "replications"),
         (dict(budget=-1e300), "b"),
         (dict(alpha=1e-200, beta=1.0), "beta"),
+        # cost values beta/2 (x - mu)^2 overflow on the minimizer ball or at the start
+        (dict(alpha=1e300, beta=1e300, budget=-1e6), "beta"),
+        (dict(alpha=1e10, beta=1e10, budget=0.0, initial_state=(1e150, -1e150, 0.0, 0.0, 0.0)),
+         "beta"),
         (dict(seed=-1), "seed"),
         (dict(seed=np.int64(-3)), "seed"),
         (dict(n=MAX_AGENTS + 1), "n"),

@@ -248,6 +248,18 @@ def test_trajectory_row_semantics():
     assert "replace" in rec.event and "update" in rec.event
 
 
+@pytest.mark.parametrize("budget", [1.0, 2e4, -2e4])
+def test_largest_accepted_cost_scale_keeps_suboptimality_finite(budget):
+    # beta = 1e300 takes budgets up to about 3e4 at n = 5: every roster
+    # value is near 1e300, and their gap is still a number
+    cfg = fig1_config(alpha=1e300, beta=1e300, budget=budget, p_update=0.5, horizon=20)
+    rec = run_trajectory(cfg)
+    assert np.isfinite(rec.suboptimality).all()
+    with pytest.raises(ConfigError) as err:
+        fig1_config(alpha=1e300, beta=1e300, budget=2 * budget + math.copysign(4e4, budget))
+    assert err.value.key == "beta"
+
+
 def test_horizon_zero_trajectory():
     cfg = fig1_config(horizon=0)
     rec = run_trajectory(cfg, seed=0)
@@ -320,8 +332,8 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
 
 
 def test_pooled_chunks_keep_their_tapes_under_thread_switching(monkeypatch):
-    # eight workers on short tapes, switching threads every microsecond:
-    # a tape handed to two running batches at once would mix their draws
+    # eight workers on short chunks, switching threads every microsecond:
+    # a buffer shared by two running batches would mix their draws
     monkeypatch.setattr(opensim.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(opensim, "_BATCH_ROWS", 10)
     monkeypatch.setattr(opensim, "_TAPE_STEPS", 8)
@@ -420,8 +432,8 @@ def test_column_statistics_reduce_in_place():
 
 
 def test_ensemble_memory_does_not_grow_with_the_horizon(monkeypatch):
-    # short tapes and four batches: the block, the tape and the rows'
-    # generators are sized by the replications and _TAPE_STEPS, so only
+    # short chunks and four batches: the block, the chunk buffers and the
+    # rows' generators are sized by the replications and _TAPE_STEPS, so only
     # the statistics' horizon + 1 entries grow with the horizon
     monkeypatch.setattr(opensim, "_BATCH_ROWS", 128)
     monkeypatch.setattr(opensim, "_TAPE_STEPS", 16)
@@ -572,6 +584,34 @@ def test_logcosh_ensemble_solves_each_chunk_in_one_call(monkeypatch):
     # one solve for the starting rosters, then one per chunk that swaps,
     # each of all the chunk's swaps at once
     assert calls == [64] + [k for k in per_chunk if k]
+
+
+@pytest.mark.parametrize("cfg", [
+    fig1_config(n=7, horizon=40, p_update=0.8),
+    logcosh_config(n=7, horizon=40, p_update=0.8),
+    # swap-heavy: most cells of every block are swaps
+    fig1_config(n=2, horizon=40, p_update=0.3),
+    logcosh_config(n=2, horizon=40, p_update=0.3),
+], ids=["quadratic", "logcosh", "quadratic-n2", "logcosh-n2"])
+def test_partial_fill_blocks_match_trajectories(cfg, monkeypatch):
+    # 16-step chunks draw 3 rows at a time and the last 8-step chunk 6, so
+    # a 10-row batch ends each chunk on a short block (3 + 3 + 3 + 1, 6 + 4)
+    monkeypatch.setattr(opensim, "_TAPE_STEPS", 16)
+    seeds = range(21, 31)
+    whole = _simulate_batch(cfg, seeds)
+    monkeypatch.setattr(opensim, "_FILL_BYTES", 3 * 16 * 5 * 8 + 100)
+    assert [opensim._FILL_BYTES // (steps * 5 * 8) for steps in (16, 8)] == [3, 6]
+    blocks = _simulate_batch(cfg, seeds)
+    assert np.array_equal(blocks.error, whole.error)
+    assert np.array_equal(blocks.final_values, whole.final_values)
+    assert np.array_equal(blocks.update_mask, whole.update_mask)
+    for r, seed in enumerate(seeds):
+        rec = run_trajectory(cfg, seed=seed)
+        assert np.array_equal(blocks.error[r], rec.error)
+        assert np.array_equal(blocks.final_values[r], rec.final_state.allocation.values)
+        assert np.array_equal(blocks.update_mask[r], np.array(rec.event[1:]) == "update")
+    assert blocks.replacement_count == whole.replacement_count > 0
+    assert blocks.max_replacement_shift == whole.max_replacement_shift
 
 
 @pytest.mark.parametrize("make", [fig1_config, logcosh_config])
@@ -744,6 +784,8 @@ def test_swap_heavy_chunks_stay_within_the_budget(monkeypatch):
     (fig1_config(n=2, p_update=0.0, horizon=120), 1024),
     (logcosh_config(n=2, p_update=0.0, horizon=120), 1024),
     (logcosh_config(p_update=0.5, horizon=120), 64),
+    # past _BATCH_ROWS: a full and a partial swap-heavy batch on one worker
+    (fig1_config(n=2, p_update=0.0, horizon=120), 1500),
 ])
 def test_stated_footprint_covers_the_traced_peak(cfg, replications):
     run_ensemble(cfg, replications=3)  # warm lazy imports and caches
