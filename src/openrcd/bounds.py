@@ -314,7 +314,7 @@ def evaluate_bounds(n, alpha, beta, b, p_update, h=None):
     BoundSet
     """
     kappa = _check_curvature(alpha, beta)
-    h = 1.0 / beta if h is None else _check_step(h, beta)
+    h = _check_step(h, beta)
     p_min, ratio_max = stability_thresholds(n, kappa)
     ratio = replacement_ratio(p_update)
     return BoundSet(

@@ -111,10 +111,22 @@ def _bound_block(bs):
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f1932d", "#882e72", "#777777")
 
 
+def _span(lo, hi, pad=0.0):
+    """The plotted range of an axis through ``lo`` and ``hi``: widened to
+    ``max(1, |lo|)`` where it is too narrow for its ticks to advance (up,
+    or down where up overflows), then padded by ``pad`` of its width at
+    each end, short of overflow.  Widths are taken of halves, which keeps
+    them finite and, for normal floats, their bits."""
+    if not hi - lo >= 2.0**-40 * max(1.0, abs(lo), abs(hi)):
+        width = max(1.0, abs(lo))
+        lo, hi = (lo, lo + width) if lo + width < math.inf else (lo - width, lo)
+    margin = pad * (hi / 2 - lo / 2) * 2
+    return max(lo - margin, -sys.float_info.max), min(hi + margin, sys.float_info.max)
+
+
 def _ticks(lo, hi, count=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / count
+    lo, hi = _span(lo, hi)
+    raw = (hi / 2 - lo / 2) / count * 2
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * magnitude:
@@ -122,8 +134,8 @@ def _ticks(lo, hi, count=5):
             break
     start = math.ceil(lo / step) * step
     ticks = []
-    t = start
-    while t <= hi + 1e-9 * step:
+    t, end = start, min(hi + 1e-9 * step, sys.float_info.max)
+    while t <= end:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
@@ -139,20 +151,14 @@ def _svg_line_plot(series, title, xlabel, ylabel, width=720, height=460):
     plot_h = height - margin_t - margin_b
     xs_all = [x for _, xs, _, _ in series for x in xs]
     ys_all = [y for _, _, ys, _ in series for y in ys if math.isfinite(y)]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _span(min(xs_all), max(xs_all))
+    y_lo, y_hi = _span(min(ys_all), max(ys_all), 0.05)
 
     def px(x):
-        return margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return margin_l + (x / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * plot_w
 
     def py(y):
-        return margin_t + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return margin_t + (y_hi / 2 - y / 2) / (y_hi / 2 - y_lo / 2) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

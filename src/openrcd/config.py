@@ -80,9 +80,7 @@ class ExperimentConfig:
         _check_curvature(self.alpha, self.beta)
         _check_budget("b", self.budget)
         _check_probability("p_U", self.p_update)
-        if self.h is None:
-            object.__setattr__(self, "h", 1.0 / self.beta)
-        _check_step(self.h, self.beta)
+        object.__setattr__(self, "h", _check_step(self.h, self.beta))
         if isinstance(self.initial_state, str):
             _need(self.initial_state in _INITIAL_STATE_NAMES, "initial_state",
                   f"one of {_INITIAL_STATE_NAMES} or a vector", self.initial_state)

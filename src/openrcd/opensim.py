@@ -31,11 +31,13 @@ depend on the random tape alone, never on the iterate.  So each tape
 chunk is drawn one block of rows at a time, keeping only the coin mask,
 the edge picks and the swaps' uniforms (:meth:`_Batch.draw`), and then
 solves its swaps (:func:`_chunk_swaps`): in row, then step order, cut
-into blocks of whole rows, each swap's full roster is built by a forward
-fill along its row's swaps, and a block's rosters are solved with one
-minimizer call.  The step loop then only does the pair updates, installs
-each swap's cost and precomputed minimizer, and records the error.
-:func:`_footprint` states what an ensemble holds.
+into blocks of whole rows by bytes, each swap's full roster is built by a
+forward fill along its row's swaps, and a block's rosters are solved with
+one minimizer call.  The step loop then only does the pair updates,
+installs each swap's cost and precomputed minimizer, and records the
+error.
+Every per-worker buffer is sized from ``_CHUNK_BYTES``, and
+:func:`_footprint` states what an ensemble holds from that construction.
 """
 
 import math
@@ -97,8 +99,9 @@ _TAPE_STEPS = 256
 _CHUNK_BYTES = 4 * 2**20
 
 #: bytes of random tape a batch draws at once, one block of rows
-#: (:meth:`_Batch.draw`): 69 rows of ``fig1``'s 94-step chunks; blocks of
-#: 128 KiB to 1 MiB ran ``fig1`` equally fast
+#: (:meth:`_Batch.draw`), 72 rows of ``fig1``'s 90-step chunks, and of each
+#: ``(n, block)`` array a block of swaps is solved in (:func:`_chunk_swaps`);
+#: tape blocks of 128 KiB to 1 MiB ran ``fig1`` equally fast
 _FILL_BYTES = _CHUNK_BYTES // 16
 
 #: agent count from which batches run on a thread pool; below it the
@@ -110,25 +113,11 @@ _POOL_MIN_AGENTS = 64
 #: rows' generators sharing one seed-words object
 _GENERATOR_BYTES = 1024
 
-#: bytes one worker holds per row-step of a chunk (:meth:`_Batch.draw`):
-#: the coin mask and its complement (1 + 1) and the edge picks (8); past
-#: them and twice ``_FILL_BYTES``, a chunk at ``p_update = 1`` traced
-#: nothing more (1024 rows, 94 or 256 steps)
-_CELL_BYTES = 10
-
-#: bytes one worker holds per swap of a chunk besides its ``(n,)``
-#: minimizer (:func:`_chunk_swaps`): three uniforms, the decoded agent and
-#: cost, its place and order, and one array's step-order copy; past the
-#: other terms of :func:`_footprint`, traced 56.7 at n = 2, 43.0 at n = 5
-#: (``p_update = 0``) and 48.2 at log-cosh n = 5 (``p_update = 0.5``),
-#: 1024 rows each
-_SWAP_BYTES = 64
-
 #: agent-major ``(n, block)`` arrays one worker holds at once while it
 #: solves a block of swaps (:func:`_chunk_swaps`): the block's rosters and
-#: a batched log-cosh solve's; traced peaks past the chunk's swaps were
-#: 18.7 log-cosh and 7.4 quadratic at n = 64, 15.2 and 5.2 at n = 256
-#: (``p_update`` 0 or 0.95, 64 or 1024 rows)
+#: a batched log-cosh solve's; traced peaks past the chunk's swaps were at
+#: most 18.4 log-cosh and 7.1 quadratic, n = 5 to 1024 (``p_update`` 0 or
+#: 0.95, 64 or 1024 rows)
 _WORKER_ARRAYS = 19
 
 #: bytes per step of a run's step-indexed outputs: a trajectory's four
@@ -303,13 +292,15 @@ def _worker_count(config, replications):
 
 def _chunk_length(config, rows):
     """Steps per tape chunk for batches of ``rows`` rows, and the bytes it
-    budgets per step: each row's five uniforms and the expected swaps.  A
-    chunk is as long as fits in ``_CHUNK_BYTES``, one to ``_TAPE_STEPS``
-    steps.  The uniforms are counted whole although a batch keeps only a
-    block of them (:meth:`_Batch.draw`), which keeps chunks short and so the
-    shared error block small; that block is left out, or very large
-    ensembles would run one-step chunks."""
-    step_bytes = rows * 5 * 8 + rows * (1.0 - config.p_update) * (3 + config.n) * 8
+    budgets per step: each row's five uniforms and, per expected swap, what
+    :func:`_chunk_swaps` keeps of it, eight words (three uniforms, agent,
+    ``theta``, ``mu``, place and order) and its ``(n,)`` minimizer.  A chunk
+    is as long as fits in ``_CHUNK_BYTES``, one to ``_TAPE_STEPS`` steps.
+    The uniforms are counted whole although a batch keeps only its coin
+    mask, complement and edge picks (10 bytes a cell, :meth:`_Batch.draw`),
+    which keeps chunks short and so the shared error block small; that
+    block is left out, or very large ensembles would run one-step chunks."""
+    step_bytes = rows * 5 * 8 + rows * (1.0 - config.p_update) * (8 + config.n) * 8
     fits = int(_CHUNK_BYTES // step_bytes)
     return min(config.horizon, max(1, min(_TAPE_STEPS, fits))), step_bytes
 
@@ -322,22 +313,19 @@ def _footprint(config, replications):
       ``_GENERATOR_BYTES`` for its generator, and ``5 * n * 8`` for its
       :class:`_Batch` columns (``theta``, ``mu``, ``x``, ``xstar``, scratch);
     - per worker: ``2 * _FILL_BYTES`` for the block of uniforms it draws
-      into and that block's masks and picks, ``_CELL_BYTES`` per row-step
-      of a chunk, ``_SWAP_BYTES + n * 8`` per expected swap, and
-      ``_WORKER_ARRAYS * n * block * 8`` while it solves a block of
-      ``block`` swaps: whole rows up to ``_BATCH_ROWS`` swaps, or one
-      row's, and never more than a chunk has;
+      into and that block's masks and picks, ``chunk * step_bytes``
+      (:func:`_chunk_length`) for a chunk's cells and swaps, and
+      ``_WORKER_ARRAYS`` ``(n, block)`` arrays while it solves a block of
+      swaps; :func:`_chunk_swaps` cuts blocks to ``_FILL_BYTES`` unless one
+      row's swaps, at most ``chunk``, are more;
     - once: ``n (n - 1) * 8`` for the shared edge table;
     - per step: ``_STEP_BYTES``; every chunk is reduced before the next.
     """
     n = config.n
-    rows = min(replications, _BATCH_ROWS)
-    chunk = _chunk_length(config, rows)[0]
+    chunk, step_bytes = _chunk_length(config, min(replications, _BATCH_ROWS))
     row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 5 * n * 8
-    block = min(max(_BATCH_ROWS, chunk), chunk * rows)
-    swaps = chunk * rows * (1.0 - config.p_update)
-    worker_bytes = (2 * _FILL_BYTES + chunk * rows * _CELL_BYTES
-                    + swaps * (_SWAP_BYTES + n * 8) + _WORKER_ARRAYS * n * block * 8)
+    worker_bytes = (2 * _FILL_BYTES + chunk * step_bytes
+                    + _WORKER_ARRAYS * max(_FILL_BYTES, 8 * n * chunk))
     by_rows = (replications * row_bytes + n * (n - 1) * 8
                + _worker_count(config, replications) * worker_bytes)
     return by_rows, (config.horizon + 1) * _STEP_BYTES
@@ -541,14 +529,14 @@ def _chunk_swaps(batch, swap, drawn):
     Which rows swap, which agent leaves and what cost arrives depend on
     the tape alone, never on the iterate.  So the swaps are decoded with
     one quantile call and, still in row order, cut into blocks of whole
-    rows with at most ``_BATCH_ROWS`` swaps (a row with more is a block of
-    its own), each a slice.  Each block builds the roster after every one
-    of its swaps (:func:`_block_rosters`) and solves them all with one
-    ``batch.minimizer`` call, so a chunk costs one solve per block; the
-    batch is only read.  Each swap's shift is measured against its row's
-    previous swap, or ``xstar`` for the row's first.  The minimizers are
-    written to their step-major columns as they are solved, and the costs
-    are put in step order last.
+    rows whose ``(n, block)`` float64 array fits in ``_FILL_BYTES`` (a row
+    with more swaps is a block of its own), each a slice.  Each block
+    builds the roster after every one of its swaps (:func:`_block_rosters`)
+    and solves them all with one ``batch.minimizer`` call, so a chunk costs
+    one solve per block; the batch is only read.  Each swap's shift is
+    measured against its row's previous swap, or ``xstar`` for the row's
+    first.  The minimizers are written to their step-major columns as they
+    are solved, and the costs are put in step order last.
     """
     n, batch_rows = batch.xstar.shape
     cell = np.flatnonzero(swap)   # step * rows + row of each swap, in step order
@@ -567,11 +555,12 @@ def _chunk_swaps(batch, swap, drawn):
     counts = counts[swapping]
     starts = np.concatenate(([0], np.cumsum(counts)))   # each swapping row's first swap
 
+    cap = max(1, _FILL_BYTES // (8 * n))   # swaps whose (n, block) array fits
     max_shift = 0.0
     first = 0   # the block's first row, an index into swapping
     while first < swapping.size:
         lo = starts[first]
-        last = max(first + 1, int(np.searchsorted(starts, lo + _BATCH_ROWS, "right")) - 1)
+        last = max(first + 1, int(np.searchsorted(starts, lo + cap, "right")) - 1)
         block = slice(lo, starts[last])
         heads = starts[first:last] - lo
         lead = np.repeat(heads, counts[first:last])

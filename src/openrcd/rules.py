@@ -87,4 +87,9 @@ def _check_cost_scale(beta, radius):
 
 
 def _check_step(h, beta):
+    """A step ``0 < h <= 1/beta``; ``None`` is the default ``1/beta``, and
+    where that is not finite the fault is ``beta``'s."""
+    if h is None:
+        _need(1.0 / beta < math.inf, "beta", "a finite default step h = 1/beta", beta)
+        h = 1.0 / beta
     return _need(0.0 < h <= 1.0 / beta < math.inf, "h", f"0 < h <= 1/beta={1.0 / beta}", h)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from openrcd.cli import _CONVERSIONS, _fmt, main
+from openrcd.cli import _CONVERSIONS, _fmt, _ticks, main
 
 SMALL_CFG = """
 n = 4
@@ -198,6 +198,35 @@ def test_worstcase_csv_and_svg(tmp_path):
     assert all(p.get("points") for p in polylines)
 
 
+@pytest.mark.parametrize("n", ["2", "1024"])
+def test_worstcase_svg_of_one_huge_point(n, tmp_path):
+    # the search reads inf, so each kappa's plot is the conjecture alone, a
+    # lone y of 5e100 (n = 2) or 1e103: widening it by 1.0 left no range and
+    # ended in a math domain error after worstcase.csv was written
+    out = tmp_path / "w"
+    assert main(["worstcase", "--n", n, "--kappa", "1e100", "--b", "1e150",
+                 "--budget", "3", "--out", str(out)]) == 0
+    tree = ET.parse(out / "worstcase.svg")
+    points = tree.getroot().findall(".//{http://www.w3.org/2000/svg}polyline")[1].get("points")
+    assert len(points.split()) == 1 and "nan" not in points
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (5e100, 5e100),
+    (-1.7e308, 1.7e308),
+    (0.0, 5e-324),
+    (sys.float_info.max, sys.float_info.max),
+    (-sys.float_info.max, -sys.float_info.max),
+    (1e300, sys.float_info.max),
+    (1.0, math.nextafter(1.0, 2.0)),
+])
+def test_ticks_span_any_finite_range(lo, hi):
+    ticks = _ticks(lo, hi)
+    assert 2 <= len(ticks) <= 7
+    assert all(math.isfinite(t) for t in ticks)
+    assert ticks == sorted(set(ticks))
+
+
 def test_worstcase_preset(tmp_path):
     out = str(tmp_path / "w")
     assert main(["worstcase", "--preset", "fig2-analogue", "--n", "2:3",
@@ -382,7 +411,8 @@ def test_feasibility_drift_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, key", [
-    ("alpha = 5e-324\nbeta = 5e-324", "h"),
+    # the default step h = 1/beta overflows: beta is named, not the unset h
+    ("alpha = 5e-324\nbeta = 5e-324", "beta"),
     ("n = inf", "n"),
     ("horizon = inf", "horizon"),
     ("replications = -inf", "replications"),

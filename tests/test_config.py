@@ -94,6 +94,8 @@ def test_validation_errors_name_their_key():
         (dict(beta=float("nan")), "beta"),
         (dict(beta=float("inf")), "beta"),
         (dict(h=float("nan")), "h"),
+        # the default step h = 1/beta overflows: the key at fault is beta
+        (dict(alpha=5e-324, beta=5e-324), "beta"),
         (dict(horizon=True), "horizon"),
         (dict(seed=False), "seed"),
         (dict(n=np.int64(1)), "n"),

@@ -580,7 +580,7 @@ def test_logcosh_ensemble_solves_each_chunk_in_one_call(monkeypatch):
     run_ensemble(cfg, replications=64, base_seed=5)
     swaps = _swap_steps(cfg, range(5, 69))
     per_chunk = [int(swaps[:, lo:lo + 37].sum()) for lo in range(0, 150, 37)]
-    assert max(per_chunk) <= opensim._BATCH_ROWS
+    assert max(per_chunk) <= opensim._FILL_BYTES // (8 * cfg.n)
     # one solve for the starting rosters, then one per chunk that swaps,
     # each of all the chunk's swaps at once
     assert calls == [64] + [k for k in per_chunk if k]
@@ -617,12 +617,13 @@ def test_partial_fill_blocks_match_trajectories(cfg, monkeypatch):
 @pytest.mark.parametrize("make", [fig1_config, logcosh_config])
 @pytest.mark.parametrize("p_update", [0.0, 0.6])
 def test_swap_blocks_cut_at_the_cap_match_trajectories(make, p_update, monkeypatch):
-    # 16-step chunks against a cap of 5 swaps: a chunk splits into many
-    # blocks, and a row with more swaps than the cap is a block of its
-    # own (at p_U = 0 every row has 16); the run is small, so a cut that
-    # never advanced would show as a hang here, not as a large allocation
+    # 16-step chunks against a cap of 5 swaps, the (2, 5) float64 arrays
+    # that fit in _FILL_BYTES: a chunk splits into many blocks, and a row
+    # with more swaps than the cap is a block of its own (at p_U = 0 every
+    # row has 16); the run is small, so a cut that never advanced would
+    # show as a hang here, not as a large allocation
     monkeypatch.setattr(opensim, "_TAPE_STEPS", 16)
-    monkeypatch.setattr(opensim, "_BATCH_ROWS", 5)
+    monkeypatch.setattr(opensim, "_FILL_BYTES", 5 * 2 * 8)
     blocks = []
     real = opensim._block_rosters
 
@@ -717,7 +718,7 @@ def test_runs_past_physical_memory_are_refused_before_any_batch(
 
 
 def test_footprint_is_checked_against_the_reported_memory(monkeypatch):
-    # fig1's 10000 x 600 states about 30 MiB: refused with 16 MiB, run with 32
+    # fig1's 10000 x 600 states about 28 MiB: refused with 16 MiB, run with 32
     cfg = fig1_config(horizon=600, replications=10000)
     for mib, fits in ((16, False), (32, True)):
         monkeypatch.setattr(opensim.os, "sysconf",
@@ -731,12 +732,12 @@ def test_footprint_is_checked_against_the_reported_memory(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg, rows, steps", [
-    # fig1: tape and swaps fill the budget at 94 steps
-    (fig1_config(horizon=600), 1024, 94),
+    # fig1: tape and swaps fill the budget at 90 steps
+    (fig1_config(horizon=600), 1024, 90),
     # a 64-row log-cosh run keeps the longest chunk
     (logcosh_config(horizon=600), 64, _TAPE_STEPS),
     # every step swaps every row's 64-agent roster
-    (fig1_config(n=64, p_update=0.0, horizon=600), 1024, 7),
+    (fig1_config(n=64, p_update=0.0, horizon=600), 1024, 6),
     # the budget never cuts a chunk below one step, nor past the horizon
     (fig1_config(n=1024, p_update=0.0, horizon=600), 1024, 1),
     (fig1_config(horizon=40), 1024, 40),
@@ -786,8 +787,21 @@ def test_swap_heavy_chunks_stay_within_the_budget(monkeypatch):
     (logcosh_config(p_update=0.5, horizon=120), 64),
     # past _BATCH_ROWS: a full and a partial swap-heavy batch on one worker
     (fig1_config(n=2, p_update=0.0, horizon=120), 1500),
+    # swap-heavy at n = 1024: one-step chunks of 256 swaps, 2 MiB of minimizers
+    (fig1_config(n=1024, p_update=0.0, horizon=8), 256),
 ])
 def test_stated_footprint_covers_the_traced_peak(cfg, replications):
     run_ensemble(cfg, replications=3)  # warm lazy imports and caches
     _, peak = _traced_peak(run_ensemble, cfg, replications=replications)
     assert peak <= sum(opensim._footprint(cfg, replications))
+
+
+@pytest.mark.parametrize("make", [fig1_config, logcosh_config])
+def test_swap_blocks_do_not_grow_with_the_roster(make):
+    # a block of swaps is cut to _FILL_BYTES of (n, block) arrays, not to a
+    # swap count: blocks of 1024 swaps traced 18.3 MiB here (quadratic) and
+    # 37.1 MiB (log-cosh)
+    cfg = make(n=256, p_update=0.0, horizon=64)
+    run_ensemble(cfg, replications=3)  # warm lazy imports and caches
+    _, peak = _traced_peak(run_ensemble, cfg, replications=64)
+    assert peak < 10 * 2**20
