@@ -219,6 +219,11 @@ def conjectured_displacement_cap(n, kappa, c1=1.0, c2=1.0):
     constants must be finite, the denominator ``n + c2 + kappa``
     positive, the two terms that ``c2`` enters finite, and then ``c1``
     must keep the whole numerator finite, so the cap is never infinite.
+
+    The curve has no budget argument: it is conjectured for ``b = 1`` and
+    is no cap for ``|b| > 1``, where displacements grow with ``b``.  At
+    ``n = 2``, ``kappa = 2`` a search of 8 starts finds 4.5 at ``b = 1``
+    and about 59682 at ``b = 1000``, while the curve reads 7.4 for both.
     """
     _check(n, kappa)
     _need(math.isfinite(c1), "c1", "a finite c1", c1)

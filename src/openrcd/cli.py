@@ -22,7 +22,8 @@ with 17 significant digits so they round-trip):
   mean-error recursions (general and quadratic offsets) from the
   measured initial mean.
 * ``worstcase.csv`` - sweep table; columns ``n,kappa,empirical_max,
-  bound_general,bound_quadratic,conjecture``.
+  bound_general,bound_quadratic,conjecture``; the conjecture is a
+  ``b = 1`` curve, the same at every ``--b``, and no cap for ``|b| > 1``.
 * ``worstcase.svg`` - self-contained plot of the sweep (no plotting
   dependency).
 
@@ -40,12 +41,14 @@ from .bounds import evaluate_bounds, recursion_envelope
 from .config import SIMULATE_PRESETS, WORSTCASE_PRESETS, config_from_table, load_config
 from .opensim import _check_footprint, run_ensemble, run_trajectory
 from .rules import (
+    MAX_SEARCH_BUDGET,
     ConfigError,
     _check_agents,
     _check_budget,
     _check_count,
     _check_kappa,
     _check_probability,
+    _check_search_budget,
 )
 from .worstcase import sweep
 
@@ -370,7 +373,7 @@ def cmd_worstcase(args):
     n_values = _parse_range(flags["n"])
     kappas = [_check_kappa("kappa", kappa) for kappa in _float_list(flags["kappa"], "kappa")]
     b = _check_budget("b", float(flags["b"]))
-    budget = _check_count("budget", int(flags["budget"]), 1)
+    budget = _check_search_budget("budget", int(flags["budget"]))
     seed = _check_count("seed", int(flags["seed"]), 0)
 
     _make_out_dir(args.out)
@@ -432,11 +435,18 @@ def _build_parser():
     p_b.add_argument("--pu", required=True, help="comma-separated p_U grid")
     p_b.set_defaults(func=cmd_bounds)
 
-    p_w = sub.add_parser("worstcase", help="sweep the worst-displacement search")
+    p_w = sub.add_parser(
+        "worstcase",
+        help="sweep the worst-displacement search",
+        description="Sweep the worst-displacement search over n and kappa. The "
+        "conjecture column and curve are the b = 1 conjecture, the same at every "
+        "--b, and no cap for |b| > 1.",
+    )
     p_w.add_argument("--n", help="agent range LO:HI (inclusive)")
     p_w.add_argument("--kappa", help="comma-separated condition ratios")
     p_w.add_argument("--b", type=float)
-    p_w.add_argument("--budget", type=int, help="ascent starts per grid cell")
+    p_w.add_argument("--budget", type=int,
+                     help=f"ascent starts per grid cell, 1 to {MAX_SEARCH_BUDGET}")
     p_w.add_argument("--seed", type=int)
     p_w.add_argument("--preset", help="named preset (fig2-analogue)")
     p_w.add_argument("--out", default=".", help="output directory")

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 from .allocation import Allocation, FeasibilityError, minimizer_ball_radius
 from .functions import ConvexityCertificate
-from .rules import (  # noqa: F401  (ConfigError and the limits are re-exported)
+from .rules import (  # noqa: F401  (ConfigError, the limits and every checker are re-exported)
     MAX_ABS_BUDGET,
     MAX_AGENTS,
     MAX_KAPPA,
+    MAX_SEARCH_BUDGET,
     ConfigError,
     _check_agents,
     _check_budget,
@@ -38,6 +39,7 @@ from .rules import (  # noqa: F401  (ConfigError and the limits are re-exported)
     _check_kappa,
     _check_nonnegative,
     _check_probability,
+    _check_search_budget,
     _check_step,
     _need,
 )

@@ -89,8 +89,8 @@ __all__ = [
 #: two-sided 95% normal quantile used for confidence half-widths
 Z95 = 1.959963984540054
 
-#: replication rows simulated per vectorized batch
-_BATCH_ROWS = 1024
+#: most replication rows simulated per vectorized batch (:func:`_batches`)
+_BATCH_ROWS = 2048
 
 #: most steps of random tape drawn at a time per row
 _TAPE_STEPS = 256
@@ -99,7 +99,7 @@ _TAPE_STEPS = 256
 _CHUNK_BYTES = 4 * 2**20
 
 #: bytes of random tape a batch draws at once, one block of rows
-#: (:meth:`_Batch.draw`), 72 rows of ``fig1``'s 90-step chunks, and of each
+#: (:meth:`_Batch.draw`), 142 rows of ``fig1``'s 46-step chunks, and of each
 #: ``(n, block)`` array a block of swaps is solved in (:func:`_chunk_swaps`);
 #: tape blocks of 128 KiB to 1 MiB ran ``fig1`` equally fast
 _FILL_BYTES = _CHUNK_BYTES // 16
@@ -282,12 +282,23 @@ def step(state, schedule, rng, step_config=None, family="quadratic",
     return SystemState(state.allocation, roster), ("replace", agent)
 
 
-def _worker_count(config, replications):
-    """Threads an ensemble's batches run on: a pool of ``min(cpu_count, 8,
-    batches)`` from ``_POOL_MIN_AGENTS`` agents up, otherwise one."""
-    if config.n < _POOL_MIN_AGENTS:
-        return 1
-    return min(os.cpu_count() or 1, 8, -(-replications // _BATCH_ROWS))
+def _batches(config, replications):
+    """How :func:`run_ensemble` splits its replications: ``(count, rows,
+    workers)``.
+
+    ``count`` batches of equal size, ``rows`` the widest, as few as keep
+    every batch within ``_BATCH_ROWS`` rows; they run on ``workers``
+    threads.  From ``_POOL_MIN_AGENTS`` agents up the pool has
+    ``min(cpu_count, 8)`` threads, and a run is split over up to that many
+    batches of about ``_BATCH_ROWS // 2`` rows or more, so that a run past
+    ``_BATCH_ROWS // 2`` rows keeps its pool (``wide`` runs as 2 x 1024
+    rows on two or more cores) and a smaller one stays one batch on one
+    thread; below it one thread runs every batch.
+    """
+    threads = 1 if config.n < _POOL_MIN_AGENTS else min(os.cpu_count() or 1, 8)
+    count = max(-(-replications // _BATCH_ROWS),
+                min(threads, -(-replications // (_BATCH_ROWS // 2))))
+    return count, -(-replications // count), min(threads, count)
 
 
 def _chunk_length(config, rows):
@@ -297,9 +308,10 @@ def _chunk_length(config, rows):
     ``theta``, ``mu``, place and order) and its ``(n,)`` minimizer.  A chunk
     is as long as fits in ``_CHUNK_BYTES``, one to ``_TAPE_STEPS`` steps.
     The uniforms are counted whole although a batch keeps only its coin
-    mask, complement and edge picks (10 bytes a cell, :meth:`_Batch.draw`),
-    which keeps chunks short and so the shared error block small; that
-    block is left out, or very large ensembles would run one-step chunks."""
+    mask, complement and edge picks (3 to 6 bytes a cell,
+    :meth:`_Batch.draw`), which keeps chunks short and so the shared error
+    block small; that block is left out, or very large ensembles would run
+    one-step chunks."""
     step_bytes = rows * 5 * 8 + rows * (1.0 - config.p_update) * (8 + config.n) * 8
     fits = int(_CHUNK_BYTES // step_bytes)
     return min(config.horizon, max(1, min(_TAPE_STEPS, fits))), step_bytes
@@ -314,7 +326,8 @@ def _footprint(config, replications):
       :class:`_Batch` columns (``theta``, ``mu``, ``x``, ``xstar``, scratch);
     - per worker: ``2 * _FILL_BYTES`` for the block of uniforms it draws
       into and that block's masks and picks, ``chunk * step_bytes``
-      (:func:`_chunk_length`) for a chunk's cells and swaps, and
+      (:func:`_chunk_length` at the widest batch :func:`_batches` builds)
+      for a chunk's cells and swaps, and
       ``_WORKER_ARRAYS`` ``(n, block)`` arrays while it solves a block of
       swaps; :func:`_chunk_swaps` cuts blocks to ``_FILL_BYTES`` unless one
       row's swaps, at most ``chunk``, are more;
@@ -322,12 +335,12 @@ def _footprint(config, replications):
     - per step: ``_STEP_BYTES``; every chunk is reduced before the next.
     """
     n = config.n
-    chunk, step_bytes = _chunk_length(config, min(replications, _BATCH_ROWS))
+    _, rows, workers = _batches(config, replications)
+    chunk, step_bytes = _chunk_length(config, rows)
     row_bytes = (chunk + 1) * 8 + _GENERATOR_BYTES + 5 * n * 8
     worker_bytes = (2 * _FILL_BYTES + chunk * step_bytes
                     + _WORKER_ARRAYS * max(_FILL_BYTES, 8 * n * chunk))
-    by_rows = (replications * row_bytes + n * (n - 1) * 8
-               + _worker_count(config, replications) * worker_bytes)
+    by_rows = replications * row_bytes + n * (n - 1) * 8 + workers * worker_bytes
     return by_rows, (config.horizon + 1) * _STEP_BYTES
 
 
@@ -640,14 +653,15 @@ class _Batch:
         consecutive calls continue one stream exactly, so any chunk length
         or block draws the same uniforms.  ``coin`` (True for a pair
         update) and ``picks`` (each cell's edge pick, read where ``coin``
-        holds) are ``(steps, rows)``, so each step reads one contiguous row
-        of both; ``drawn`` holds each swap's three uniforms, in row, then
+        holds, in the smallest unsigned type that holds every edge index)
+        are ``(steps, rows)``, so each step reads one contiguous row of
+        both; ``drawn`` holds each swap's three uniforms, in row, then
         step order.
         """
         rows = self.rows
         edge_count = _edge_table(self.config.n).shape[1]
         coin = np.empty((steps, rows), dtype=bool)
-        picks = np.empty((steps, rows), dtype=np.intp)
+        picks = np.empty((steps, rows), dtype=np.min_scalar_type(edge_count - 1))
         drawn = []
         fill = max(1, _FILL_BYTES // (steps * 5 * 8))
         tape = np.empty((min(fill, rows), steps, 5))
@@ -658,7 +672,7 @@ class _Batch:
                 g.random(out=row)
             hit = part[:, :, 0] < self.config.p_update
             coin[:, lo:hi] = hit.T
-            picks[:, lo:hi] = (part[:, :, 1] * edge_count).astype(np.intp).T
+            picks[:, lo:hi] = (part[:, :, 1] * edge_count).astype(picks.dtype).T
             drawn.append(part[~hit, 2:])
         return coin, picks, np.concatenate(drawn)
 
@@ -733,9 +747,10 @@ def run_ensemble(config, replications=None, base_seed=None):
     Replication ``r`` is seeded ``base_seed + r`` and reproduces the
     corresponding :func:`run_trajectory` exactly.  Both built-in families
     (quadratic and log-cosh) run through the vectorized batch engine
-    (:class:`_Batch`) in batches of ``_BATCH_ROWS`` rows.  The horizon
-    runs one tape chunk at a time, its length set once per run by
-    :func:`_chunk_length`: every batch advances by the chunk and writes
+    (:class:`_Batch`) in the even batches of at most ``_BATCH_ROWS`` rows
+    that :func:`_batches` gives.  The horizon runs one tape chunk at a
+    time, its length set once per run by :func:`_chunk_length` for the
+    widest batch: every batch advances by the chunk and writes
     its rows of one shared ``(replications, chunk + 1)`` block, whose
     column 0 carries the previous chunk's last column, and the block's
     columns are then reduced into the mean and standard deviation
@@ -743,7 +758,7 @@ def run_ensemble(config, replications=None, base_seed=None):
     two or more columns row after row, so every statistic has the bits it
     would have from the full ``(replications, horizon + 1)`` matrix; the
     carried column keeps a one-step last chunk at two columns.  The
-    batches run on :func:`_worker_count` threads: worker ``w`` owns
+    batches run on the threads :func:`_batches` gives: worker ``w`` owns
     batches ``w``, ``w + workers``, ... and runs them through each chunk
     in turn, so it holds one batch's chunk buffers at a time; the rows a
     batch writes are fixed by its seeds, so the statistics never depend on
@@ -773,16 +788,14 @@ def run_ensemble(config, replications=None, base_seed=None):
     _check_footprint(config, replications)
 
     horizon = config.horizon
-    rows = min(replications, _BATCH_ROWS)
+    count, rows, workers = _batches(config, replications)
     chunk = _chunk_length(config, rows)[0]
     block = np.empty((replications, chunk + 1))
     mean, std = np.empty(horizon + 1), np.empty(horizon + 1)
-    starts = range(0, replications, _BATCH_ROWS)
+    bounds = [b * replications // count for b in range(count + 1)]
+    starts = bounds[:-1]
 
-    workers = _worker_count(config, replications)
-
-    def begin(lo):
-        hi = min(lo + _BATCH_ROWS, replications)
+    def begin(lo, hi):
         batch = _Batch(config, range(base_seed + lo, base_seed + hi))
         block[lo:hi, 0] = batch.error()
         return batch
@@ -797,7 +810,7 @@ def run_ensemble(config, replications=None, base_seed=None):
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor   # only pooled runs load it
             run = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-        batches = list(run(begin, starts))
+        batches = list(run(begin, starts, bounds[1:]))
         if not horizon:
             mean, std = _column_stats(block)
         for start in range(0, horizon, max(chunk, 1)):

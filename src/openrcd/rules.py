@@ -31,6 +31,11 @@ MAX_ABS_BUDGET = 1e150
 #: finite floats; ``opensim._footprint`` states what a simulate run holds
 MAX_AGENTS = 1024
 
+#: most ascent starts a worst-case search takes per cell; a start's cost
+#: grows with n: about 150 us at ``fig2-analogue``'s n of 2 to 12 (two to
+#: three minutes a full cell) and about 42 ms at n = 1024 (about 12 hours)
+MAX_SEARCH_BUDGET = 2**20
+
 
 def _need(ok, key, need, value):
     if not ok:
@@ -48,6 +53,13 @@ def _check_agents(key, n, lowest=2):
     """An agent count: a count >= ``lowest`` and at most ``MAX_AGENTS``, as an int."""
     n = _check_count(key, n, lowest)
     return _need(n <= MAX_AGENTS, key, f"at most MAX_AGENTS = {MAX_AGENTS} agents", n)
+
+
+def _check_search_budget(key, starts):
+    """A search budget: a count >= 1 and at most ``MAX_SEARCH_BUDGET``, as an int."""
+    starts = _check_count(key, starts, 1)
+    return _need(starts <= MAX_SEARCH_BUDGET, key,
+                 f"at most MAX_SEARCH_BUDGET = {MAX_SEARCH_BUDGET} starts", starts)
 
 
 def _check_kappa(key, kappa):

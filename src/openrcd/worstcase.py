@@ -54,7 +54,13 @@ from .bounds import (
     displacement_bound_quadratic,
 )
 from .functions import ConvexityCertificate, QuadraticFunction
-from .rules import _check_agents, _check_budget, _check_count, _check_kappa
+from .rules import (
+    _check_agents,
+    _check_budget,
+    _check_count,
+    _check_kappa,
+    _check_search_budget,
+)
 
 __all__ = [
     "ReplacementInstance",
@@ -373,9 +379,9 @@ def maximize_displacement(n, kappa, b, search_budget=64, seed=0):
     b : float
         Budget, ``|b| <= MAX_ABS_BUDGET``.
     search_budget : int
-        Number of ascent starts, an integer >= 1, consumed from the
-        deterministic start sequence; the result is nondecreasing in
-        this number.
+        Number of ascent starts, an integer from 1 to ``MAX_SEARCH_BUDGET``
+        (``openrcd.rules``), consumed from the deterministic start
+        sequence; the result is nondecreasing in this number.
     seed : int
         Seed for the random tail of the start sequence, an integer >= 0.
 
@@ -385,7 +391,7 @@ def maximize_displacement(n, kappa, b, search_budget=64, seed=0):
     """
     _check(n, kappa, b)
     n = int(n)
-    search_budget = _check_count("search_budget", search_budget, 1)
+    search_budget = _check_search_budget("search_budget", search_budget)
     theta_box = (0.5, 0.5 * kappa)
     seed = _check_count("seed", seed, 0)
     lines = _LineMaxima(*theta_box, _LINE_CACHE_CAP)
@@ -439,7 +445,7 @@ def sweep(n_values, kappa_values, b, search_budget=64, seed=0):
     for kappa in kappa_values:
         _check_kappa("kappa", kappa)
     _check_budget("b", b)
-    _check_count("search_budget", search_budget, 1)
+    _check_search_budget("search_budget", search_budget)
     seed = _check_count("seed", seed, 0)
     rows = []
     for ki, kappa in enumerate(kappa_values):

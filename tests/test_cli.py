@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openrcd.cli import _CONVERSIONS, _fmt, _ticks, main
+from openrcd.rules import MAX_SEARCH_BUDGET
 
 SMALL_CFG = """
 n = 4
@@ -136,6 +137,11 @@ def test_bounds_bad_pu_list_exits_2(capsys):
         (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "1", "--seed", "-1"], "seed"),
         (["worstcase", "--preset", "fig2-analogue", "--seed", "-5"], "seed"),
         (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "1", "--budget", "0"], "budget"),
+        # budgets past MAX_SEARCH_BUDGET used to search until killed
+        (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "1",
+          "--budget", str(MAX_SEARCH_BUDGET + 1)], "budget"),
+        (["worstcase", "--n", "2:3", "--kappa", "2", "--b", "1",
+          "--budget", str(2**64)], "budget"),
         (["worstcase", "--n", "2:3", "--kappa", ",", "--b", "1"], "kappa"),
         (["worstcase", "--preset", "nope"], "preset"),
         (["simulate", "--preset", "nope"], "preset"),

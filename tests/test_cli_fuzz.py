@@ -12,8 +12,9 @@ RuntimeWarning, no ``nan`` in stdout or in any file written, and no
 Run sizes are capped so the whole file takes a few seconds: ``horizon``,
 ``replications`` and the search ``--budget`` take the pool's values that
 are refused or small, never a valid size past 3, and a worst-case ``--n``
-range spans at most two agent counts.  Huge sizes are refused by the
-memory check, which has its own test.
+range spans at most two agent counts.  The ``--budget`` pool also holds
+``MAX_SEARCH_BUDGET + 1`` and ``2**64``, both refused at once.  Huge
+sizes are refused by the memory check, which has its own test.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openrcd.cli import main
-from openrcd.rules import MAX_ABS_BUDGET, MAX_AGENTS, MAX_KAPPA
+from openrcd.rules import MAX_ABS_BUDGET, MAX_AGENTS, MAX_KAPPA, MAX_SEARCH_BUDGET
 
 #: each rule's limits: kappa and p_U in [1, MAX_KAPPA] and [0, 1], |b| at
 #: most MAX_ABS_BUDGET, n in [2, MAX_AGENTS]
@@ -52,7 +53,11 @@ def _is_size_past(raw, most):
 
 
 #: the pool's values that are refused as run sizes or run at most 3
-SIZES = st.sampled_from([raw for raw in EDGES if not _is_size_past(raw, 3)] + ["3"])
+_SMALL_SIZES = [raw for raw in EDGES if not _is_size_past(raw, 3)] + ["3"]
+SIZES = st.sampled_from(_SMALL_SIZES)
+
+#: search budgets: the small sizes and two past ``MAX_SEARCH_BUDGET``
+BUDGETS = st.sampled_from(_SMALL_SIZES + [str(MAX_SEARCH_BUDGET + 1), str(2**64)])
 
 edge = st.sampled_from(EDGES)
 
@@ -159,11 +164,12 @@ def _agent_range(flags):
 
 @settings(max_examples=300, deadline=None)
 @given(_perturbed({"n": "2:3", "kappa": "2", "b": "1", "budget": "2", "seed": "0"},
-                  {"budget": SIZES}, lists=("kappa",)),
+                  {"budget": BUDGETS}, lists=("kappa",)),
        st.sampled_from(["", ":", ":2", ":3", ":1024", ":1025", ":1"]))
 # a lone agent count gives one curve point per series: at this kappa and b
 # the search reads inf and the conjecture 5e100 alone spans no y range
 @example({"n": "2", "kappa": "1e100", "b": "1e150", "budget": "3", "seed": "0"}, "")
+@example({"n": "2:3", "kappa": "2", "b": "1", "budget": str(2**64), "seed": "0"}, "")
 def test_worstcase_edges_exit_0_2_or_3(flags, upper):
     if ":" not in flags.get("n", ":"):
         flags["n"] += upper

@@ -303,7 +303,7 @@ def test_mean_error_dominates_conditional_update_mean():
 
 
 def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
-    # three batches on a 4-core machine: the pool runs whatever the host
+    # five batches of 20 rows on a 4-core machine: one worker runs two
     pools = []
     real_pool = concurrent.futures.ThreadPoolExecutor
 
@@ -312,11 +312,11 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
         return real_pool(max_workers=max_workers)
 
     monkeypatch.setattr(opensim.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(opensim, "_BATCH_ROWS", 40)
+    monkeypatch.setattr(opensim, "_BATCH_ROWS", 20)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     cfg = fig1_config(n=_POOL_MIN_AGENTS, horizon=60, p_update=0.9)
     stats = run_ensemble(cfg, replications=100, base_seed=3)
-    assert pools == [3]
+    assert pools == [4]
 
     out = _simulate_batch(cfg, np.arange(3, 103))
     assert np.array_equal(stats.mean_error, out.error.mean(axis=0))
@@ -328,7 +328,7 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
 
     # below the agent-count threshold the batches stay on one thread
     run_ensemble(fig1_config(n=_POOL_MIN_AGENTS - 1, horizon=5), replications=100)
-    assert pools == [3]
+    assert pools == [4]
 
 
 def test_pooled_chunks_keep_their_tapes_under_thread_switching(monkeypatch):
@@ -356,11 +356,31 @@ def _budget_for(cfg, rows, steps):
     return (steps + 0.5) * opensim._chunk_length(cfg, rows)[1]
 
 
+def _recording_batches(monkeypatch):
+    """Record the rows of every batch built and every ``_chunk_length``
+    width asked for, in two lists."""
+    built, widths = [], []
+    real_batch, real_chunk = opensim._Batch, opensim._chunk_length
+
+    class Recording(real_batch):
+        def __init__(self, config, seeds):
+            super().__init__(config, seeds)
+            built.append(self.rows)
+
+    def recording_chunk(config, rows):
+        widths.append(rows)
+        return real_chunk(config, rows)
+
+    monkeypatch.setattr(opensim, "_Batch", Recording)
+    monkeypatch.setattr(opensim, "_chunk_length", recording_chunk)
+    return built, widths
+
+
 _FULL_MATRIX_CASES = [
     # 64 columns, reduced in place in one pass
     (fig1_config(horizon=63, p_update=0.9), None),
     (logcosh_config(horizon=60, p_update=0.8), None),
-    # from _POOL_MIN_AGENTS up the three batches run on the thread pool
+    # from _POOL_MIN_AGENTS up the four batches run on the thread pool
     (fig1_config(n=_POOL_MIN_AGENTS, horizon=50, p_update=0.9), None),
     # one column: numpy sums a one-column matrix's axis 0 pairwise
     (fig1_config(horizon=0), None),
@@ -384,11 +404,13 @@ _FULL_MATRIX_CASES = [
     "cfg, chunk", _FULL_MATRIX_CASES, ids=[f"cfg{i}" for i in range(len(_FULL_MATRIX_CASES))]
 )
 def test_ensemble_statistics_match_the_full_matrix(cfg, chunk, monkeypatch):
+    # three batches of 20 rows, or four of 15 on the pool's four workers
     monkeypatch.setattr(opensim.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(opensim, "_BATCH_ROWS", 25)
+    rows = opensim._batches(cfg, 60)[1]
     if chunk is not None:
-        monkeypatch.setattr(opensim, "_CHUNK_BYTES", _budget_for(cfg, 25, chunk))
-        assert opensim._chunk_length(cfg, 25)[0] == chunk
+        monkeypatch.setattr(opensim, "_CHUNK_BYTES", _budget_for(cfg, rows, chunk))
+        assert opensim._chunk_length(cfg, rows)[0] == chunk
     stats = run_ensemble(cfg, replications=60, base_seed=3)
 
     full = np.vstack([_simulate_batch(cfg, [seed]).error for seed in range(3, 63)])
@@ -396,6 +418,54 @@ def test_ensemble_statistics_match_the_full_matrix(cfg, chunk, monkeypatch):
     assert np.array_equal(
         stats.ci_halfwidth, Z95 * full.std(axis=0, ddof=1) / math.sqrt(60)
     )
+
+
+@pytest.mark.parametrize("make", [fig1_config, logcosh_config])
+def test_ensemble_results_do_not_depend_on_the_batch_width(make, monkeypatch):
+    # 2101 rows: batches of 1050 and 1051 at the cap of 2048, three of 700
+    # or 701 at 1024, and five of 420 or 421 at 500, which divides neither
+    cfg = make(horizon=12, p_update=0.8)
+    runs = {}
+    for cap in (2048, 1024, 500):
+        monkeypatch.setattr(opensim, "_BATCH_ROWS", cap)
+        built, _ = _recording_batches(monkeypatch)
+        runs[cap] = run_ensemble(cfg, replications=2101, base_seed=5)
+        assert len(built) == -(-2101 // cap)
+        assert max(built) - min(built) == 1
+    first = runs[2048]
+    for stats in runs.values():
+        assert np.array_equal(stats.mean_error, first.mean_error)
+        assert np.array_equal(stats.ci_halfwidth, first.ci_halfwidth)
+        assert stats.replacement_count == first.replacement_count
+        assert stats.max_replacement_shift == first.max_replacement_shift
+
+
+@pytest.mark.parametrize("cpus, replications, batches", [
+    # wide's geometry: one batch would fit, two of 1024 are built on two or
+    # more cores, and one of 2048 on one core
+    (2, 2048, 2),
+    (8, 2048, 2),
+    (1, 2048, 1),
+    # up to _BATCH_ROWS // 2 rows a run stays one batch on one thread
+    (4, 3, 1),
+    (8, 1024, 1),
+    (8, 1025, 2),
+    (8, 3000, 3),
+    (2, 4097, 3),     # past _BATCH_ROWS the cap sets the count
+    (1, 100, 1),
+])
+def test_pooled_runs_give_every_worker_a_batch(cpus, replications, batches, monkeypatch):
+    monkeypatch.setattr(opensim.os, "cpu_count", lambda: cpus)
+    built, widths = _recording_batches(monkeypatch)
+    cfg = fig1_config(n=_POOL_MIN_AGENTS, horizon=3, p_update=0.9)
+    run_ensemble(cfg, replications=replications)
+    assert len(built) == batches
+    assert sum(built) == replications
+    assert max(built) - min(built) <= 1 and max(built) <= opensim._BATCH_ROWS
+    assert opensim._batches(cfg, replications) == (batches, max(built), min(cpus, batches))
+    # the stated footprint and the run's chunk both read the widest batch
+    opensim._footprint(cfg, replications)
+    assert set(widths) == {max(built)} and len(widths) >= 3
 
 
 def test_overflowing_column_statistics_are_rescaled_exactly():
@@ -718,7 +788,7 @@ def test_runs_past_physical_memory_are_refused_before_any_batch(
 
 
 def test_footprint_is_checked_against_the_reported_memory(monkeypatch):
-    # fig1's 10000 x 600 states about 28 MiB: refused with 16 MiB, run with 32
+    # fig1's 10000 x 600 states about 24.5 MiB: refused with 16 MiB, run with 32
     cfg = fig1_config(horizon=600, replications=10000)
     for mib, fits in ((16, False), (32, True)):
         monkeypatch.setattr(opensim.os, "sysconf",
@@ -732,8 +802,10 @@ def test_footprint_is_checked_against_the_reported_memory(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg, rows, steps", [
-    # fig1: tape and swaps fill the budget at 90 steps
+    # fig1: tape and swaps fill the budget at 90 steps, at 46 in the
+    # 2000-row batches its 10000 replications run in
     (fig1_config(horizon=600), 1024, 90),
+    (fig1_config(horizon=600), 2000, 46),
     # a 64-row log-cosh run keeps the longest chunk
     (logcosh_config(horizon=600), 64, _TAPE_STEPS),
     # every step swaps every row's 64-agent roster
@@ -785,8 +857,8 @@ def test_swap_heavy_chunks_stay_within_the_budget(monkeypatch):
     (fig1_config(n=2, p_update=0.0, horizon=120), 1024),
     (logcosh_config(n=2, p_update=0.0, horizon=120), 1024),
     (logcosh_config(p_update=0.5, horizon=120), 64),
-    # past _BATCH_ROWS: a full and a partial swap-heavy batch on one worker
-    (fig1_config(n=2, p_update=0.0, horizon=120), 1500),
+    # past _BATCH_ROWS: swap-heavy batches of 1250 and 1251 rows on one worker
+    (fig1_config(n=2, p_update=0.0, horizon=120), 2501),
     # swap-heavy at n = 1024: one-step chunks of 256 swaps, 2 MiB of minimizers
     (fig1_config(n=1024, p_update=0.0, horizon=8), 256),
 ])

@@ -15,6 +15,7 @@ from openrcd.bounds import (
     displacement_bound_quadratic,
 )
 from openrcd.functions import ConvexityCertificate
+from openrcd.rules import MAX_SEARCH_BUDGET, _check_search_budget
 from openrcd.worstcase import (
     ReplacementInstance,
     _ascend,
@@ -194,6 +195,11 @@ def test_sweep_deterministic():
     (sweep, ([3, 2.5], [2.0], 1.0, 2), {}, "n"),
     (sweep, ([3, 4], [2.0, 5.0], math.nan, 2), {}, "b"),
     (sweep, ([3, 4], [2.0, 5.0], 1.0, 2.5), {}, "search_budget"),
+    # budgets past MAX_SEARCH_BUDGET used to search until killed
+    (sweep, ([3, 4], [2.0, 5.0], 1.0, MAX_SEARCH_BUDGET + 1), {}, "search_budget"),
+    (sweep, ([3, 4], [2.0, 5.0], 1.0, 2**64), {}, "search_budget"),
+    (maximize_displacement, (3, 2.0, 1.0, MAX_SEARCH_BUDGET + 1), {}, "search_budget"),
+    (maximize_displacement, (3, 2.0, 1.0, 2**64), {}, "search_budget"),
     (sweep, ([3, 4], [2.0, 5.0], 1.0, 2), {"seed": 1.5}, "seed"),
     (sweep, ([3, 4], [2.0, 5.0], 1.0, 2), {"seed": -1}, "seed"),
     (maximize_displacement, (3, 2.0, 1.0, 2), {"seed": 1.5}, "seed"),
@@ -213,6 +219,10 @@ def test_sweep_checks_every_input_before_searching(monkeypatch, search, args, kw
     with pytest.raises(ConfigError) as err:
         search(*args, **kwargs)
     assert err.value.key == key
+
+
+def test_the_search_budget_cap_itself_is_legal():
+    assert _check_search_budget("search_budget", MAX_SEARCH_BUDGET) == MAX_SEARCH_BUDGET
 
 
 def test_sweep_bits_are_pinned_past_the_corner_starts():
