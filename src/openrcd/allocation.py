@@ -75,7 +75,7 @@ class Allocation:
         v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise FeasibilityError("values must be a 1-D array with n >= 1")
-        gap = abs(float(v.sum()) - self.budget)
+        gap = abs(sum(v.tolist()) - self.budget)   # agent order, as _agent_sum adds
         if not (gap <= FEASIBILITY_TOL):
             raise FeasibilityError(
                 f"sum(values) misses budget by {gap:.3e} (> {FEASIBILITY_TOL:.0e})"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .allocation import Allocation, FeasibilityError, minimizer_ball_radius
 from .functions import ConvexityCertificate
-from .rules import (  # noqa: F401  (ConfigError, the limits and every checker are re-exported)
+from .rules import (  # noqa: F401  (ConfigError and the limits are re-exported)
     MAX_ABS_BUDGET,
     MAX_AGENTS,
     MAX_KAPPA,
@@ -36,10 +36,7 @@ from .rules import (  # noqa: F401  (ConfigError, the limits and every checker a
     _check_cost_scale,
     _check_count,
     _check_curvature,
-    _check_kappa,
-    _check_nonnegative,
     _check_probability,
-    _check_search_budget,
     _check_step,
     _need,
 )

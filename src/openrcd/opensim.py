@@ -71,7 +71,6 @@ from .rcd import (
     _pair_update,
     complete_graph_edges,
     rcd_pair_step,
-    uniform_pair_probability,
 )
 from .rules import ConfigError, _check_agents, _check_count, _check_probability
 
@@ -270,7 +269,7 @@ def step(state, schedule, rng, step_config=None, family="quadratic",
     if u[0] < schedule.p_update:
         ei, ej = complete_graph_edges(n)
         e = int(u[1] * ei.size)
-        sel = PairSelection(int(ei[e]), int(ej[e]), uniform_pair_probability(n))
+        sel = PairSelection(int(ei[e]), int(ej[e]))
         after = rcd_pair_step(state.allocation, state.roster, sel, step_config)
         return SystemState(after, state.roster), ("update", sel.i, sel.j)
     agent = int(u[2] * n)

@@ -3,43 +3,35 @@
 How far can the constrained minimizer jump when one agent of a
 quadratic roster swaps its cost?  ``displacement`` evaluates one
 concrete instance; ``maximize_displacement`` searches the instance
-space for a certified lower bound on the worst case; ``sweep`` tables
-the search against the closed-form caps over a parameter grid.
+space for a lower bound on the worst case; ``sweep`` tables the search
+against the closed-form caps over a parameter grid.
 
 The search is deterministic: a fixed sequence of starting points
 (corner and midpoint combinations of a reduced six-slot template, then
-seeded random draws), each refined by coordinate-wise ascent.  The
-random tail's generator is built at its first start, after the 729
-templates, so a search within them never loads ``numpy.random``.  A larger
+seeded random draws), each refined by coordinate-wise ascent.  A larger
 ``search_budget`` consumes a longer prefix of the same sequence, so the
 reported maximum is nondecreasing in the budget.  Minimizers are
 invariant under a common scaling of all curvature weights, so the box
 ``[alpha/2, beta/2]`` is normalized to ``alpha = 1``, ``beta = kappa``.
 
 Coordinate ascent exploits the objective's structure: it is convex in
-every location parameter (so those line maxima sit at box endpoints)
-and rational in every curvature weight (searched by grid plus
-golden-section refinement).
+every location parameter (so ``_objective``, the reference closed form,
+scores those lines at the box endpoints) and rational in every
+curvature weight (grid plus golden-section refinement, 47 points a
+line).  The curvature line builders (each kept curvature, ``t1``,
+``t2``) compute once what stays fixed (``b - s - m1``, ``m1 - m2``,
+``1/t1``, ``z0 + 1/t``, ``t * z``, ...) and keep ``_objective``'s
+operands in its order, so each value carries its exact bits.
 
-``_objective`` is the reference closed form.  The lines of one sweep
-(each kept curvature, ``t1``, ``t2``, and the kept locations as one
-phase) are evaluated by builders that compute once what stays fixed:
-``b - s - m1``, ``b - s - m2``, ``m1 - m2``, ``1/t1``, ``1/t2``,
-``z0 + 1/t`` and ``t * z``, with ``_objective``'s operands in its order,
-so each value carries ``_objective``'s exact bits.  ``_objective`` still
-scores the ``m1``/``m2`` steps and each sweep's value.  The grid of a
-curvature line depends only on the box, so one search computes it once.
-
-The curvature line maxima are pure functions of the inputs their line
-objective reads, and the ascents of one search converge to a few
-states, so one ``maximize_displacement`` call shares them across its
-starts in a cache keyed by exactly those inputs.  The cache is exact:
-every start ends on the same value and vector, bit for bit, as it would
-alone, so the result is still nondecreasing in the budget.  It is
-bounded: past a fixed number of entries it stops storing (the seeded
-random tail's first-sweep lines never repeat) and only serves lookups.
+The ascents of one search converge to a few states, so one
+``maximize_displacement`` call shares its curvature line maxima across
+its starts in a ``functools.lru_cache`` of recently used lines, keyed
+by every input the line reads.  A line maximum is a pure function of
+that key, so each start ends as it would alone, bit for bit, and the
+result is still nondecreasing in the budget.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -185,25 +177,6 @@ def _t2_line(s, z0, q0, b, t1, m1, m2):
     return value
 
 
-def _location_line(z0, q0, b, t1, m1, t2, m2):
-    """``s -> _objective(s, z0, q0, b, t1, m1, t2, m2)``."""
-    dm = m1 - m2
-    z1 = z0 + 1.0 / t1
-    z2 = z0 + 1.0 / t2
-    t1z1 = t1 * z1
-    t2z2 = t2 * z2
-
-    def value(s):
-        bs = b - s
-        big_t1 = bs - m1
-        big_t2 = bs - m2
-        a = big_t1 / z1 - big_t2 / z2
-        c = dm + big_t1 / t1z1 - big_t2 / t2z2
-        return a * a * q0 + c * c
-
-    return value
-
-
 _THETA_GRID = 17
 _GOLDEN_ITERS = 28
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -231,51 +204,41 @@ def _line_max(func, xs):
     return x
 
 
-#: most line maxima one search stores; the fig2-analogue cells hold at
+#: most line maxima one search keeps; the fig2-analogue cells hold at
 #: most a few hundred, the random tail adds about n + 1 per start
 _LINE_CACHE_CAP = 1 << 14
 
 
-class _LineMaxima:
-    """Curvature line maxima on ``[lo, hi]``, shared by one search's starts.
+def _line_maxima(lo, hi, cap):
+    """``argmax(line, *args)``: curvature line maxima on ``[lo, hi]``.
 
     A line is a builder (``_kept_theta_line``, ``_t1_line`` or
-    ``_t2_line``) and its arguments, which together are the cache key;
-    the grid of ``_THETA_GRID`` points depends only on ``lo`` and ``hi``,
-    which one search holds fixed, so it is computed once.  Python float
-    keys alias ``0.0`` with ``-0.0``; that is harmless because every
-    input reaches the objective's value only through sums, products and
-    quotients that end in a square, and ``x + 0.0 == x - 0.0 == x`` for
-    ``x != 0``, so a zero's sign can flip only the sign of an
-    intermediate zero, which the square drops.  ``cap = 0`` stores
-    nothing and recomputes every line.
+    ``_t2_line``) and its arguments; together they key an LRU cache of
+    ``cap`` entries, and ``cap = 0`` recomputes every line.  The grid is
+    built once, from ``lo`` and ``hi`` alone.  Python float keys alias
+    ``0.0`` with ``-0.0``; that is harmless because every input reaches
+    the objective's value only through sums, products and quotients that
+    end in a square, and ``x + 0.0 == x - 0.0 == x`` for ``x != 0``, so a
+    zero's sign can flip only the sign of an intermediate zero, which the
+    square drops.
     """
+    grid = [lo + (hi - lo) * g / (_THETA_GRID - 1) for g in range(_THETA_GRID)]
 
-    def __init__(self, lo, hi, cap):
-        self.grid = [lo + (hi - lo) * g / (_THETA_GRID - 1) for g in range(_THETA_GRID)]
-        self.cap = cap
-        self.store = {}
+    @functools.lru_cache(maxsize=cap)
+    def argmax(line, *args):
+        return _line_max(line(*args), grid)
 
-    def argmax(self, line, *args):
-        key = (line, *args)
-        x = self.store.get(key)
-        if x is None:
-            x = _line_max(line(*args), self.grid)
-            if len(self.store) < self.cap:
-                self.store[key] = x
-        return x
+    return argmax
 
 
-def _ascend(start, n, b, lines, max_sweeps=60):
-    """Coordinate-wise ascent from one start; returns (value, vector).
+def _ascend(start, b, lines, max_sweeps=60):
+    """Coordinate-wise ascent from one start; returns (value, state).
 
-    Vector layout: ``kt[0..n-2], t1, t2, km[0..n-2], m1, m2``.
-    ``lines`` supplies the curvature line maxima.
+    A state is ``(kt, t1, t2, km, m1, m2)``, the kept curvatures and
+    locations as lists; ``lines`` supplies the curvature line maxima.
     """
-    kt = list(start[: n - 1])
-    t1, t2 = start[n - 1], start[n]
-    km = list(start[n + 1: 2 * n])
-    m1, m2 = start[2 * n], start[2 * n + 1]
+    kt, t1, t2, km, m1, m2 = start
+    kt, km = list(kt), list(km)
 
     best = -math.inf
     for _ in range(max_sweeps):
@@ -285,50 +248,46 @@ def _ascend(start, n, b, lines, max_sweeps=60):
         q0 = sum(1.0 / (t * t) for t in kt)
 
         # curvature weights of the kept agents
-        for idx in range(n - 1):
-            z0_rest = z0 - 1.0 / kt[idx]
-            q0_rest = q0 - 1.0 / (kt[idx] * kt[idx])
-            kt[idx] = lines.argmax(_kept_theta_line, s, z0_rest, q0_rest, b, t1, m1, t2, m2)
-            z0 = z0_rest + 1.0 / kt[idx]
-            q0 = q0_rest + 1.0 / (kt[idx] * kt[idx])
+        for idx, t in enumerate(kt):
+            z0_rest = z0 - 1.0 / t
+            q0_rest = q0 - 1.0 / (t * t)
+            t = kt[idx] = lines(_kept_theta_line, s, z0_rest, q0_rest, b, t1, m1, t2, m2)
+            z0 = z0_rest + 1.0 / t
+            q0 = q0_rest + 1.0 / (t * t)
 
         # curvature weights of the replaced agent, old and new
-        t1 = lines.argmax(_t1_line, s, z0, q0, b, m1, t2, m2)
-        t2 = lines.argmax(_t2_line, s, z0, q0, b, t1, m1, m2)
+        t1 = lines(_t1_line, s, z0, q0, b, m1, t2, m2)
+        t2 = lines(_t2_line, s, z0, q0, b, t1, m1, m2)
 
         # location parameters: convex coordinatewise, endpoints suffice
-        on_s = _location_line(z0, q0, b, t1, m1, t2, m2)
-        for idx in range(n - 1):
-            s_rest = s - km[idx]
-            km[idx] = 1.0 if on_s(s_rest + 1.0) >= on_s(s_rest - 1.0) else -1.0
-            s = s_rest + km[idx]
-        m1 = (
-            1.0
-            if _objective(s, z0, q0, b, t1, 1.0, t2, m2)
-            >= _objective(s, z0, q0, b, t1, -1.0, t2, m2)
-            else -1.0
-        )
-        m2 = (
-            1.0
-            if _objective(s, z0, q0, b, t1, m1, t2, 1.0)
-            >= _objective(s, z0, q0, b, t1, m1, t2, -1.0)
-            else -1.0
-        )
+        for idx, m in enumerate(km):
+            s_rest = s - m
+            up = _objective(s_rest + 1.0, z0, q0, b, t1, m1, t2, m2)
+            down = _objective(s_rest - 1.0, z0, q0, b, t1, m1, t2, m2)
+            m = km[idx] = 1.0 if up >= down else -1.0
+            s = s_rest + m
+        up = _objective(s, z0, q0, b, t1, 1.0, t2, m2)
+        down = _objective(s, z0, q0, b, t1, -1.0, t2, m2)
+        m1 = 1.0 if up >= down else -1.0
+        up = _objective(s, z0, q0, b, t1, m1, t2, 1.0)
+        down = _objective(s, z0, q0, b, t1, m1, t2, -1.0)
+        m2 = 1.0 if up >= down else -1.0
 
         value = _objective(s, z0, q0, b, t1, m1, t2, m2)
         if value <= best + 1e-12 * max(1.0, abs(best)):
             best = max(best, value)
             break
         best = value
-    return best, kt + [t1, t2] + km + [m1, m2]
+    return best, (kt, t1, t2, km, m1, m2)
 
 
 def _start_sequence(n, theta_box, seed):
-    """Deterministic, unbounded start generator: corners, mixes, random.
+    """Deterministic, unbounded generator of ``_ascend`` start states.
 
-    The 729 templated starts come first.  The random tail draws from
-    ``np.random.default_rng(seed)``, built at the first random start, so
-    a search that stops within the templates never loads ``numpy.random``.
+    The 729 templated starts (corners, then midpoint mixes) come first.
+    The random tail draws from ``np.random.default_rng(seed)``, built at
+    the first random start, so a search that stops within the templates
+    never loads ``numpy.random``.
     """
     lo, hi = theta_box
     theta_levels = (lo, 0.5 * (lo + hi), hi)
@@ -337,10 +296,8 @@ def _start_sequence(n, theta_box, seed):
     def expand(template):
         kt_l, t1_l, t2_l, km_l, m1_l, m2_l = template
         return (
-            [theta_levels[kt_l]] * (n - 1)
-            + [theta_levels[t1_l], theta_levels[t2_l]]
-            + [mu_levels[km_l]] * (n - 1)
-            + [mu_levels[m1_l], mu_levels[m2_l]]
+            [theta_levels[kt_l]] * (n - 1), theta_levels[t1_l], theta_levels[t2_l],
+            [mu_levels[km_l]] * (n - 1), mu_levels[m1_l], mu_levels[m2_l],
         )
 
     corners = list(itertools.product((0, 2), repeat=6))
@@ -353,12 +310,21 @@ def _start_sequence(n, theta_box, seed):
         ts = rng.uniform(lo, hi, size=2)
         km = rng.uniform(-1.0, 1.0, size=n - 1)
         ms = rng.uniform(-1.0, 1.0, size=2)
-        yield list(kt) + list(ts) + list(km) + list(ms)
+        yield list(kt), *ts, list(km), *ms
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best instance found; ``value`` is a certified lower bound."""
+    """Best instance found; ``value`` is ``_objective`` at ``witness``.
+
+    ``_objective`` cancels ``b - s - m1`` against ``b - s - m2``, so
+    ``value`` can exceed the true maximum at large ``|b|``.  At
+    ``kappa = 1`` (true maximum ``4 (1 - 1/n)`` at every ``b``), budget 48
+    finds it to 1.9e-9 relative up to ``|b| = 1e12``; the error then grows
+    about as ``(|b| 2**-52)**2`` (2e-3 at 1e15), ``b = 1e16`` reads 4,
+    4.75 and 4 at n = 2, 3, 4 (true: 2, 2.67, 3), and from about 1e17
+    most cells read 0.
+    """
 
     value: float
     witness: ReplacementInstance
@@ -377,7 +343,8 @@ def maximize_displacement(n, kappa, b, search_budget=64, seed=0):
         Condition ratio of the certificate (normalized alpha=1), in
         ``[1, MAX_KAPPA]``.
     b : float
-        Budget, ``|b| <= MAX_ABS_BUDGET``.
+        Budget, ``|b| <= MAX_ABS_BUDGET``; past ``|b| = 1e12`` the value
+        can exceed the true maximum (see :class:`SearchResult`).
     search_budget : int
         Number of ascent starts, an integer from 1 to ``MAX_SEARCH_BUDGET``
         (``openrcd.rules``), consumed from the deterministic start
@@ -394,30 +361,27 @@ def maximize_displacement(n, kappa, b, search_budget=64, seed=0):
     search_budget = _check_search_budget("search_budget", search_budget)
     theta_box = (0.5, 0.5 * kappa)
     seed = _check_count("seed", seed, 0)
-    lines = _LineMaxima(*theta_box, _LINE_CACHE_CAP)
+    lines = _line_maxima(*theta_box, _LINE_CACHE_CAP)
 
     best_value = -math.inf
-    best_vec = None
+    best = None
     for _, start in zip(range(search_budget), _start_sequence(n, theta_box, seed)):
-        value, vec = _ascend(start, n, float(b), lines)
+        value, state = _ascend(start, float(b), lines)
         if value > best_value:
-            best_value, best_vec = value, vec
+            best_value, best = value, state
 
-    cert = ConvexityCertificate(1.0, float(kappa))
+    kt, t1, t2, km, m1, m2 = best
     witness = ReplacementInstance(
-        kept_theta=tuple(best_vec[: n - 1]),
-        kept_mu=tuple(best_vec[n + 1: 2 * n]),
-        replaced_before=(best_vec[n - 1], best_vec[2 * n]),
-        replaced_after=(best_vec[n], best_vec[2 * n + 1]),
+        kept_theta=tuple(kt),
+        kept_mu=tuple(km),
+        replaced_before=(t1, m1),
+        replaced_after=(t2, m2),
         budget=float(b),
-        certificate=cert,
+        certificate=ConvexityCertificate(1.0, float(kappa)),
     )
     lo, hi = theta_box
     edge_tol = 1e-9 * max(1.0, hi - lo)
-    on_edge = all(
-        min(t - lo, hi - t) <= edge_tol
-        for t in (*witness.kept_theta, witness.replaced_before[0], witness.replaced_after[0])
-    )
+    on_edge = all(min(t - lo, hi - t) <= edge_tol for t in (*kt, t1, t2))
     return SearchResult(best_value, witness, search_budget, on_edge)
 
 

@@ -26,9 +26,9 @@ seed = 3
 """
 
 
-# sums to exactly 1 in Python, but numpy's sum misses b = 1 by 1.4e-9
-NUMPY_SUM_MISSES_B = ("963485.023,343637.366,736601.421,986104.285,"
-                      "106141.99,10991.927,749019.8,-3895980.812000001")
+# numpy's pairwise sum is exactly 1, but the agent-order sum misses b = 1 by 1.1e-9
+AGENT_SUM_MISSES_B = ("963485.023,736601.421,10991.927,986104.285,"
+                      "343637.366,749019.8,-3895980.812000001,106141.99")
 
 
 @pytest.fixture
@@ -348,10 +348,10 @@ def test_simulate_overflowing_cost_values_exit_2(tmp_path, capsys):
     ("initial_state = nan,0,0,1", "initial_state"),
     ("initial_state = 1e300,-1e300,0,1", "initial_state"),
     # the batch and the scalar engine must both refuse it
-    pytest.param("n = 8\ninitial_state = " + NUMPY_SUM_MISSES_B, "initial_state",
-                 id="numpy-sum-misses-b-ensemble"),
-    pytest.param("n = 8\nreplications = 1\ninitial_state = " + NUMPY_SUM_MISSES_B,
-                 "initial_state", id="numpy-sum-misses-b-trajectory"),
+    pytest.param("n = 8\ninitial_state = " + AGENT_SUM_MISSES_B, "initial_state",
+                 id="agent-sum-misses-b-ensemble"),
+    pytest.param("n = 8\nreplications = 1\ninitial_state = " + AGENT_SUM_MISSES_B,
+                 "initial_state", id="agent-sum-misses-b-trajectory"),
 ])
 def test_simulate_bad_seed_or_start_exits_2(line, key, tmp_path, capsys):
     path = tmp_path / "bad.cfg"

@@ -84,7 +84,9 @@ def _run(argv):
             for name in sorted(os.listdir(out)):
                 with open(os.path.join(out, name), encoding="utf-8") as fh:
                     written[name] = fh.read()
-    assert "nan" not in stdout.getvalue(), argv
+    # the "wrote PATH" lines name the random temporary directory, whose
+    # name may itself contain "nan", as tmpnan7d4tr does
+    assert "nan" not in stdout.getvalue().replace(tmp, "TMP"), argv
     for name, text in written.items():
         assert "nan" not in text, (argv, name)
     return status
