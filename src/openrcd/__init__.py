@@ -13,158 +13,17 @@ The package has three legs:
   single replacement that moves the constrained minimizer farthest.
 """
 
-from .allocation import (
-    FEASIBILITY_TOL,
-    Allocation,
-    FeasibilityError,
-    MinimizerResult,
-    NonConvergenceError,
-    check_in_ball,
-    closed_form_quadratic_minimizer,
-    dual_bisection_minimizer,
-    minimizer_ball_radius,
-)
-from .bounds import (
-    BoundSet,
-    closed_system_rate,
-    conjectured_displacement_cap,
-    displacement_bound_general,
-    displacement_bound_quadratic,
-    evaluate_bounds,
-    max_agent_probability,
-    open_contraction_rate,
-    open_recursion,
-    recursion_envelope,
-    replacement_error_map,
-    replacement_offset,
-    replacement_ratio,
-    quadratic_replacement_offset,
-    stability_thresholds,
-    steady_state_envelope,
-    steady_state_from_recursion,
-    steady_state_level,
-)
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    config_from_table,
-    load_config,
-    parse_config_text,
-)
-from .functions import (
-    CertificationResult,
-    ConvexityCertificate,
-    CostFunction,
-    GeneralSmoothFunction,
-    LogCoshQuadratic,
-    ParameterRangeError,
-    QuadraticFunction,
-    certify,
-    make_logcosh_quadratic,
-    make_quadratic,
-    sample_logcosh_replacement,
-    sample_replacement,
-)
-from .opensim import (
-    EventSchedule,
-    ReplicationStats,
-    SystemState,
-    TrajectoryRecord,
-    initial_system_state,
-    run_ensemble,
-    run_trajectory,
-    step,
-)
-from .rcd import (
-    DegenerateWeightsError,
-    PairSelection,
-    StepConfig,
-    complete_graph_edges,
-    exact_onestep_expectation,
-    general_weight_pair_step,
-    laplacian_identity_check,
-    rcd_pair_step,
-    selection_matrix,
-    uniform_pair_probability,
-)
-from .worstcase import (
-    ReplacementInstance,
-    SearchResult,
-    SweepRow,
-    displacement,
-    maximize_displacement,
-    sweep,
-)
+from . import allocation, bounds, config, functions, opensim, rcd, worstcase
+from .allocation import *
+from .bounds import *
+from .config import *
+from .functions import *
+from .opensim import *
+from .rcd import *
+from .worstcase import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Allocation",
-    "BoundSet",
-    "CertificationResult",
-    "ConfigError",
-    "ConvexityCertificate",
-    "CostFunction",
-    "DegenerateWeightsError",
-    "EventSchedule",
-    "ExperimentConfig",
-    "FEASIBILITY_TOL",
-    "FeasibilityError",
-    "GeneralSmoothFunction",
-    "LogCoshQuadratic",
-    "MinimizerResult",
-    "NonConvergenceError",
-    "PairSelection",
-    "ParameterRangeError",
-    "QuadraticFunction",
-    "ReplacementInstance",
-    "ReplicationStats",
-    "SearchResult",
-    "StepConfig",
-    "SweepRow",
-    "SystemState",
-    "TrajectoryRecord",
-    "certify",
-    "check_in_ball",
-    "closed_form_quadratic_minimizer",
-    "closed_system_rate",
-    "complete_graph_edges",
-    "config_from_table",
-    "conjectured_displacement_cap",
-    "displacement",
-    "displacement_bound_general",
-    "displacement_bound_quadratic",
-    "dual_bisection_minimizer",
-    "evaluate_bounds",
-    "exact_onestep_expectation",
-    "general_weight_pair_step",
-    "initial_system_state",
-    "laplacian_identity_check",
-    "load_config",
-    "make_logcosh_quadratic",
-    "make_quadratic",
-    "max_agent_probability",
-    "maximize_displacement",
-    "minimizer_ball_radius",
-    "open_contraction_rate",
-    "open_recursion",
-    "parse_config_text",
-    "quadratic_replacement_offset",
-    "rcd_pair_step",
-    "recursion_envelope",
-    "replacement_error_map",
-    "replacement_offset",
-    "run_ensemble",
-    "run_trajectory",
-    "replacement_ratio",
-    "sample_logcosh_replacement",
-    "sample_replacement",
-    "selection_matrix",
-    "stability_thresholds",
-    "steady_state_envelope",
-    "steady_state_from_recursion",
-    "steady_state_level",
-    "step",
-    "sweep",
-    "uniform_pair_probability",
-]
+# each public name is declared once, in its module's __all__
+__all__ = [name for module in (allocation, bounds, config, functions, opensim, rcd, worstcase)
+           for name in module.__all__]

@@ -28,6 +28,7 @@ from .functions import LogCoshQuadratic, _logcosh_gradient
 from .rules import _check_agents, _check_budget, _check_kappa
 
 __all__ = [
+    "FEASIBILITY_TOL",
     "FeasibilityError",
     "NonConvergenceError",
     "Allocation",
@@ -265,14 +266,14 @@ def _solver_targets(tol, n, alpha, beta, radius):
     return 0.5 * tol, max(width / n, floor), max(width, floor)
 
 
-def _inverse_gradient(f, nu, tol, max_iterations=200):
+def _inverse_gradient(f, nu, tol):
     """Solve ``f.gradient(z) == nu`` for z, to ``|gradient - nu| <= tol``.
 
     The curvature certificate brackets the root around the minimizer:
     ``z - minimizer`` lies between ``nu/beta`` and ``nu/alpha``.  Inside
     that bracket a safeguarded secant iteration does the work (exact in
     two steps for quadratics); every third step bisects so the bracket
-    provably shrinks.
+    provably shrinks, for at most 200 steps.
     """
     cert = f.certificate
     x0 = f.minimizer
@@ -284,7 +285,7 @@ def _inverse_gradient(f, nu, tol, max_iterations=200):
         return x0 + nu / cert.beta
     z_prev = g_prev = None
     z = 0.5 * (lo + hi)
-    for it in range(max_iterations):
+    for it in range(200):
         g = f.gradient(z) - nu
         if abs(g) <= tol:
             return z

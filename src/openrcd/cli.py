@@ -127,9 +127,10 @@ def _span(lo, hi, pad=0.0):
     return max(lo - margin, -sys.float_info.max), min(hi + margin, sys.float_info.max)
 
 
-def _ticks(lo, hi, count=5):
+def _ticks(lo, hi):
+    """About five round tick positions across ``[lo, hi]``."""
     lo, hi = _span(lo, hi)
-    raw = (hi / 2 - lo / 2) / count * 2
+    raw = (hi / 2 - lo / 2) / 5 * 2
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * magnitude:
@@ -144,11 +145,12 @@ def _ticks(lo, hi, count=5):
     return ticks
 
 
-def _svg_line_plot(series, title, xlabel, ylabel, width=720, height=460):
+def _svg_line_plot(series, title, xlabel, ylabel):
     """Render polyline series to an SVG document string.
 
     ``series`` is a list of ``(label, xs, ys, dashed)`` tuples.
     """
+    width, height = 720, 460
     margin_l, margin_r, margin_t, margin_b = 64, 16, 36, 48
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

@@ -757,13 +757,13 @@ def run_ensemble(config, replications=None, base_seed=None):
     two or more columns row after row, so every statistic has the bits it
     would have from the full ``(replications, horizon + 1)`` matrix; the
     carried column keeps a one-step last chunk at two columns.  The
-    batches run on the threads :func:`_batches` gives: worker ``w`` owns
-    batches ``w``, ``w + workers``, ... and runs them through each chunk
-    in turn, so it holds one batch's chunk buffers at a time; the rows a
-    batch writes are fixed by its seeds, so the statistics never depend on
-    scheduling; only a pooled run imports ``concurrent.futures``.  A run
-    whose stated footprint (:func:`_footprint`) exceeds physical memory
-    is refused before any batch is built.
+    batches run on the threads :func:`_batches` gives, one pool task per
+    batch and chunk, so a thread holds one batch's chunk buffers at a
+    time; the rows a batch writes are fixed by its seeds, so the
+    statistics never depend on scheduling; only a pooled run imports
+    ``concurrent.futures``.  A run whose stated footprint
+    (:func:`_footprint`) exceeds physical memory is refused before any
+    batch is built.
 
     Parameters
     ----------
@@ -799,10 +799,8 @@ def run_ensemble(config, replications=None, base_seed=None):
         block[lo:hi, 0] = batch.error()
         return batch
 
-    def advance(worker, steps):
-        # a worker owns every workers-th batch and runs them in turn
-        for lo, batch in zip(starts[worker::workers], batches[worker::workers]):
-            batch.advance(block[lo:lo + batch.rows, 1:steps + 1])
+    def advance(lo, batch, steps):
+        batch.advance(block[lo:lo + batch.rows, 1:steps + 1])
 
     with ExitStack() as stack:
         run = map
@@ -814,7 +812,7 @@ def run_ensemble(config, replications=None, base_seed=None):
             mean, std = _column_stats(block)
         for start in range(0, horizon, max(chunk, 1)):
             steps = min(chunk, horizon - start)
-            list(run(advance, range(workers), repeat(steps)))
+            list(run(advance, starts, batches, repeat(steps)))
             carry = block[:, steps].copy()   # _column_stats consumes the block
             columns = slice(start, start + steps + 1)
             mean[columns], std[columns] = _column_stats(block[:, :steps + 1])

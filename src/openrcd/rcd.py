@@ -64,17 +64,14 @@ def complete_graph_edges(n):
 
 @dataclass(frozen=True)
 class PairSelection:
-    """A selected pair of distinct agents, optionally with its probability."""
+    """A selected pair of distinct agents."""
 
     i: int
     j: int
-    probability: float | None = None
 
     def __post_init__(self):
         if self.i == self.j or self.i < 0 or self.j < 0:
             raise ValueError(f"pair must be two distinct agents, got ({self.i}, {self.j})")
-        if self.probability is not None and not (0.0 < self.probability <= 1.0):
-            raise ValueError(f"probability={self.probability} outside (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,11 @@ def _line_maxima(lo, hi, cap):
     return argmax
 
 
-def _ascend(start, b, lines, max_sweeps=60):
+#: most coordinate sweeps one ascent makes
+_MAX_SWEEPS = 60
+
+
+def _ascend(start, b, lines):
     """Coordinate-wise ascent from one start; returns (value, state).
 
     A state is ``(kt, t1, t2, km, m1, m2)``, the kept curvatures and
@@ -241,7 +245,7 @@ def _ascend(start, b, lines, max_sweeps=60):
     kt, km = list(kt), list(km)
 
     best = -math.inf
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         # resync aggregates each sweep so incremental updates cannot drift
         s = sum(km)
         z0 = sum(1.0 / t for t in kt)

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import openrcd
+from openrcd import allocation, bounds, config, functions, opensim, rcd, worstcase
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: printed by a snippet after it runs: which of these modules it loaded
@@ -62,3 +65,13 @@ def test_only_a_pooled_ensemble_loads_the_thread_pool(n, loaded):
             "                       horizon=5, replications=80, seed=1)\n"
             "opensim.run_ensemble(cfg)")
     assert loaded_after(code) == loaded
+
+
+def test_the_package_exports_every_module_name_once():
+    assert len(openrcd.__all__) == len(set(openrcd.__all__))
+    for module in (allocation, bounds, config, functions, opensim, rcd, worstcase):
+        for name in module.__all__:
+            assert getattr(openrcd, name) is getattr(module, name), (module.__name__, name)
+    namespace = {}
+    exec("from openrcd import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(openrcd.__all__)

@@ -60,8 +60,6 @@ def test_step_config_validation():
 def test_pair_selection_validation():
     with pytest.raises(ValueError):
         PairSelection(2, 2)
-    with pytest.raises(ValueError):
-        PairSelection(0, 1, probability=0.0)
 
 
 def test_pair_step_example():
