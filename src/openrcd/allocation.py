@@ -39,7 +39,8 @@ __all__ = [
     "dual_bisection_minimizer",
 ]
 
-#: absolute slack allowed between sum(values) and the budget
+#: slack allowed between sum(values) and the budget, per unit of |budget|
+#: past 1 (:func:`_feasibility_tol`)
 FEASIBILITY_TOL = 1e-9
 
 #: Newton steps before a log-cosh roster falls back to the dual
@@ -76,11 +77,8 @@ class Allocation:
         v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise FeasibilityError("values must be a 1-D array with n >= 1")
-        gap = abs(sum(v.tolist()) - self.budget)   # agent order, as _agent_sum adds
-        if not (gap <= FEASIBILITY_TOL):
-            raise FeasibilityError(
-                f"sum(values) misses budget by {gap:.3e} (> {FEASIBILITY_TOL:.0e})"
-            )
+        # agent order, as _agent_sum adds
+        _check_feasible(abs(sum(v.tolist()) - self.budget), self.budget)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -92,6 +90,25 @@ class Allocation:
     def uniform(cls, n, budget):
         """Equal split ``budget / n`` per agent."""
         return cls(np.full(n, budget / n), float(budget))
+
+
+def _feasibility_tol(budget, tol=FEASIBILITY_TOL):
+    """``tol * max(1, |budget|)``, by default the slack between an
+    allocation's sum and its budget: absolute up to ``|budget| = 1`` and
+    relative past it, so that the rounding of a large budget's sum, an
+    ulp of the budget or a few, stays well inside it."""
+    return tol * max(1.0, abs(budget))
+
+
+def _check_feasible(gap, budget):
+    """Raise :class:`FeasibilityError` unless ``gap``, the largest
+    ``|sum(x) - budget|`` measured (agents added in order), is within
+    :func:`_feasibility_tol`; ``nan``, and any gap at an infinite budget,
+    fail.  Both simulation engines end a run that drifts off its budget
+    here."""
+    tol = _feasibility_tol(budget)
+    if not (gap <= tol < math.inf):
+        raise FeasibilityError(f"sum(values) misses budget by {gap:.3e} (> {tol:.3e})")
 
 
 @dataclass(frozen=True)
@@ -220,7 +237,7 @@ def _logcosh_point(theta, mu, weight, budget, certificate):
     point, nu = np.empty_like(x), np.empty(x.shape[1])
     radius = minimizer_ball_radius(n, certificate.kappa, budget)
     sum_tol, grad_tol, _ = _solver_targets(
-        FEASIBILITY_TOL, n, certificate.alpha, certificate.beta, radius)
+        FEASIBILITY_TOL, budget, n, certificate.alpha, certificate.beta, radius)
     rows = np.arange(x.shape[1])  # where the unconverged rosters go in the output
     for _ in range(_NEWTON_ITERATIONS):
         g = _logcosh_gradient(theta, mu, weight, x)
@@ -250,20 +267,23 @@ def _logcosh_point(theta, mu, weight, budget, certificate):
     return point.reshape(shape), nu.reshape(shape[1:])
 
 
-def _solver_targets(tol, n, alpha, beta, radius):
+def _solver_targets(tol, budget, n, alpha, beta, radius):
     """Where both iterative solvers stop: ``|sum(x) - budget| <= sum_tol``,
     every gradient within ``grad_tol`` of the multiplier and, for the dual
     bisection, a multiplier bracket within ``width_tol`` (for coordinatewise
     agreement, not just a feasible sum).
 
-    ``n`` residuals of ``grad_tol`` cannot spend the feasibility budget
-    ``tol``.  No target is finer than ``beta`` times a few ulps of the
-    largest coordinate the minimizer ball of ``radius`` allows, which
-    rounding alone can miss.
+    Only ``sum_tol``, half of ``tol`` scaled as :func:`_feasibility_tol`
+    scales it, grows with ``|budget|``; the other two come from the
+    absolute ``tol``, and ``n`` residuals of ``grad_tol`` cannot spend it.
+    No target is finer than ``beta`` times a few ulps of the largest
+    coordinate the minimizer ball of ``radius`` allows, which rounding
+    alone can miss, and that floor is what a large budget's stationarity
+    targets rest on.
     """
     floor = 4.0 * beta * math.ulp(radius)
     width = 0.1 * tol * alpha
-    return 0.5 * tol, max(width / n, floor), max(width, floor)
+    return 0.5 * _feasibility_tol(budget, tol), max(width / n, floor), max(width, floor)
 
 
 def _inverse_gradient(f, nu, tol):
@@ -317,7 +337,9 @@ def dual_bisection_minimizer(fs, budget, tol=FEASIBILITY_TOL, max_iterations=200
     fs : sequence of CostFunction
     budget : float
     tol : float
-        Feasibility target ``|sum(x) - budget| <= tol``.
+        Feasibility target: ``|sum(x) - budget| <= tol * max(1, |budget|)``,
+        and the absolute base of the stationarity targets
+        (:func:`_solver_targets`).
     max_iterations : int
         Bisection budget before :class:`NonConvergenceError`.
 
@@ -336,7 +358,7 @@ def dual_bisection_minimizer(fs, budget, tol=FEASIBILITY_TOL, max_iterations=200
     radius = minimizer_ball_radius(n, kappa, budget)
     lo = min(f.gradient(-radius) for f in fs)
     hi = max(f.gradient(radius) for f in fs)
-    sum_tol, inner_tol, width_target = _solver_targets(tol, n, alpha_min, beta_max, radius)
+    sum_tol, inner_tol, width_target = _solver_targets(tol, budget, n, alpha_min, beta_max, radius)
 
     def primal_sum(nu):
         return math.fsum(_inverse_gradient(f, nu, inner_tol) for f in fs)

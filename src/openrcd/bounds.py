@@ -53,7 +53,6 @@ __all__ = [
     "quadratic_replacement_offset",
     "open_recursion",
     "stability_thresholds",
-    "max_agent_probability",
     "replacement_ratio",
     "steady_state_level",
     "steady_state_from_recursion",
@@ -144,14 +143,6 @@ def stability_thresholds(n, kappa):
     _check(n, kappa)
     edge = kappa * (n - 1)
     return edge / (edge + 1.0), 1.0 / ((n - 1) * kappa)
-
-
-def max_agent_probability(edge_probability, kappa):
-    """Largest per-agent replacement probability a per-edge update
-    probability can stabilize: ``edge_probability / (2 kappa)``."""
-    _check_probability("edge_probability", edge_probability)
-    _check_kappa("kappa", kappa)
-    return edge_probability / (2.0 * kappa)
 
 
 def replacement_ratio(p_update):

@@ -11,7 +11,8 @@ Exit status: 0 on success, 2 on configuration or argument validation
 failure (numbers by the library's own rules in :mod:`openrcd.rules`,
 before ``--out`` is created), an unreadable ``--config`` or an unusable
 ``--out`` (the message names the offending key or flag), 3 on solver
-failure (no convergence, or a scalar run drifting off its budget).
+failure (no convergence, or a run on either engine whose estimates or
+minimizers miss its budget by more than ``FEASIBILITY_TOL * max(1, |b|)``).
 
 File formats (stable schemas, UTF-8, LF line endings, floats printed
 with 17 significant digits so they round-trip):

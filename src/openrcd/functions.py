@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import _check_count, _need
-
 __all__ = [
     "ParameterRangeError",
     "ConvexityCertificate",
@@ -35,8 +33,6 @@ __all__ = [
     "logcosh_quantiles",
     "sample_replacement",
     "sample_logcosh_replacement",
-    "CertificationResult",
-    "certify",
 ]
 
 
@@ -204,8 +200,8 @@ class GeneralSmoothFunction(CostFunction):
 
     The minimizer identities (zero value and zero gradient at the
     declared minimizer, minimizer inside ``[-1, 1]``) are checked at
-    construction to 1e-12; the curvature claim itself is only sampled,
-    via :func:`certify`.
+    construction to 1e-12; the curvature certificate is the caller's
+    claim and is not checked.
     """
 
     __slots__ = ("_value", "_gradient", "certificate", "_minimizer")
@@ -316,55 +312,3 @@ def sample_logcosh_replacement(rng, certificate):
     """Draw a fresh log-cosh cost; same two-uniform budget as the quadratic."""
     u = rng.random(2)
     return _cost_from_uniforms("logcosh_quadratic", certificate, u[0], u[1])
-
-
-@dataclass(frozen=True)
-class CertificationResult:
-    """Outcome of a sampled curvature check; truthy iff it passed."""
-
-    passed: bool
-    witness: tuple | None = None  # (x, y, slope) for the first failing pair
-
-    def __bool__(self):
-        return self.passed
-
-
-def certify(f, sample_count, rng, certificate=None, radius=None):
-    """Check a curvature certificate on sampled secant slopes.
-
-    Draws ``sample_count`` point pairs ``(x, y)`` and verifies
-    ``alpha <= (gradient(x) - gradient(y)) / (x - y) <= beta`` for each,
-    up to a relative slack of 1e-9.  Sampling covers ``[-radius, radius]``;
-    the default radius is the single-agent zero-budget localization ball
-    ``1 + sqrt(kappa)``.
-
-    Parameters
-    ----------
-    f : CostFunction
-    sample_count : int
-    rng : numpy.random.Generator
-    certificate : ConvexityCertificate, optional
-        Claim to check; defaults to ``f.certificate``.
-    radius : float, optional
-        Finite and positive.
-
-    Returns
-    -------
-    CertificationResult
-        Truthy on success; carries the first failing ``(x, y, slope)``
-        triple otherwise.
-    """
-    sample_count = _check_count("sample_count", sample_count, 0)
-    cert = f.certificate if certificate is None else certificate
-    if radius is None:
-        radius = 1.0 + math.sqrt(cert.kappa)
-    _need(0.0 < radius < math.inf, "radius", "a finite radius > 0", radius)
-    slack = 1e-9 * max(1.0, cert.beta)
-    pairs = rng.uniform(-radius, radius, size=(sample_count, 2))
-    for x, y in pairs:
-        if abs(x - y) < 1e-9:
-            continue
-        slope = (f.gradient(x) - f.gradient(y)) / (x - y)
-        if slope < cert.alpha - slack or slope > cert.beta + slack:
-            return CertificationResult(False, (float(x), float(y), float(slope)))
-    return CertificationResult(True, None)

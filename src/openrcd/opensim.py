@@ -20,7 +20,10 @@ because both call one copy of each formula: ``rcd._pair_update``,
 ``quadratic_quantiles``, ``functions._logcosh_weight``,
 ``allocation._quadratic_point``, ``allocation._logcosh_point`` (which
 stops on ``allocation._solver_targets``), :func:`_initial_point` and
-``allocation._squared_distance``.  Runs with a custom
+``allocation._squared_distance``; both end a run whose estimates or
+minimizers are off the budget with ``allocation._check_feasible``, the
+scalar path at every step and the batch engine at its start and once per
+tape chunk.  Runs with a custom
 ``replacement_sampler`` (which may return any certified cost, e.g. a
 ``GeneralSmoothFunction``) exist only on the scalar path and track the
 minimizer with the dual bisection, in either family.
@@ -50,6 +53,8 @@ import numpy as np
 
 from .allocation import (
     Allocation,
+    _agent_sum,
+    _check_feasible,
     _logcosh_newton_minimizer,
     _logcosh_point,
     _quadratic_point,
@@ -620,6 +625,7 @@ class _Batch:
         del init_u
         self.xstar = self.minimizer(self.theta, self.mu)
         self.x = _initial_point(config, (rows,), lambda: self.xstar)
+        self.check_feasible(self.xstar, self.x)
         self.scratch = np.empty_like(self.x)
         self.replacement_count = 0
         self.max_replacement_shift = 0.0
@@ -638,6 +644,14 @@ class _Batch:
             weight = _logcosh_weight(self.certificate, theta)
             return _logcosh_point(theta, mu, weight, self.budget, self.certificate)[0]
         return _quadratic_point(mu, 1.0 / theta, self.budget)[0]
+
+    def check_feasible(self, *arrays):
+        """Raise the ``FeasibilityError`` the scalar path's ``Allocation``
+        raises (``allocation._check_feasible``) if a column of these
+        ``(n, k)`` estimates or minimizers is off the budget, its agents
+        added in order as ``Allocation`` adds them."""
+        gaps = [np.abs(_agent_sum(a) - self.budget).max() for a in arrays if a.shape[1]]
+        _check_feasible(float(np.max(gaps, initial=0.0)), self.budget)
 
     def error(self):
         """Every row's ``||x - x*||^2`` at the current step."""
@@ -683,7 +697,10 @@ class _Batch:
         updates, one flat gather and scatter on ``x`` indexed from the
         shared edge table (``rcd._edge_table``); installs its swaps' costs
         and precomputed minimizers; and writes its error column to ``out[:,
-        c]``.  Returns the ``(steps, rows)`` mask of pair updates.
+        c]``.  Last, :meth:`check_feasible` measures every row's estimates
+        and every minimizer solved in the chunk, so a run the scalar path
+        stops on its budget stops here too, by the chunk's end.  Returns
+        the ``(steps, rows)`` mask of pair updates.
         """
         config, rows, steps = self.config, self.rows, out.shape[1]
         coin, picks, drawn = self.draw(steps)
@@ -715,6 +732,7 @@ class _Batch:
                 xstar[:, agents % rows] = moved[:, lo:hi]
 
             out[:, c] = _squared_distance(x, xstar, scratch)
+        self.check_feasible(x, moved)
         return coin
 
 

@@ -2,11 +2,10 @@
 
 One iteration picks a pair of agents and moves their two estimates in
 opposite directions along the gradient difference, which preserves the
-estimate sum by construction.  The uniform-weight update is the
-workhorse; a general-weight variant handles constraints
-``a_i x_i + a_j x_j = const`` by projecting the scaled negative
-gradients onto the pair's feasible direction, and reduces to the
-uniform case when the two weights are equal.
+estimate sum by construction.  The module holds that update, the
+complete graph's edge table the pair is drawn from, and the exact
+expectation of one update's squared distance to the minimizer over the
+uniform pair choice.
 """
 
 import math
@@ -17,24 +16,16 @@ import numpy as np
 
 from .allocation import Allocation, _squared_distance
 from .functions import ParameterRangeError
-from .rules import _check_agents, _check_count, _need
+from .rules import _check_agents
 
 __all__ = [
-    "DegenerateWeightsError",
     "PairSelection",
     "StepConfig",
     "uniform_pair_probability",
     "complete_graph_edges",
     "rcd_pair_step",
-    "general_weight_pair_step",
-    "selection_matrix",
-    "laplacian_identity_check",
     "exact_onestep_expectation",
 ]
-
-
-class DegenerateWeightsError(ValueError):
-    """Both constraint weights of a pair vanish; no update direction exists."""
 
 
 def uniform_pair_probability(n):
@@ -127,81 +118,6 @@ def _pair_update(v, i, j, gi, gj, h):
     d = 0.5 * h * (gi - gj)
     v[i] -= d
     v[j] += d
-
-
-def general_weight_pair_step(x, fs, a_i, a_j, sel, step):
-    """Pair update under a weighted coupling ``a_i x_i + a_j x_j = const``.
-
-    The displacement is the orthogonal projection of the scaled negative
-    gradient pair onto the line ``a_i d_i + a_j d_j = 0``:
-    ``d = -h (I - a a^T / ||a||^2) grad``.  With ``a_i == a_j`` this is
-    exactly the uniform-weight update.
-
-    Parameters
-    ----------
-    x : array_like, shape (n,)
-        Raw estimates (the weighted constraint need not be the budget
-        hyperplane, so no Allocation wrapper here).
-    fs : sequence of CostFunction
-    a_i, a_j : float
-        Constraint weights of the selected pair; must not both vanish.
-    sel : PairSelection
-    step : StepConfig
-
-    Returns
-    -------
-    numpy.ndarray
-    """
-    norm2 = a_i * a_i + a_j * a_j
-    if norm2 == 0.0:
-        raise DegenerateWeightsError("a_i = a_j = 0 admits no feasible direction")
-    v = np.asarray(x, dtype=np.float64).copy()
-    i, j = sel.i, sel.j
-    gi = fs[i].gradient(v[i])
-    gj = fs[j].gradient(v[j])
-    # projector onto the feasible direction, applied to (gi, gj)
-    dot = (a_i * gi + a_j * gj) / norm2
-    v[i] -= step.h * (gi - a_i * dot)
-    v[j] -= step.h * (gj - a_j * dot)
-    return v
-
-
-def selection_matrix(i, j, n):
-    """Matrix form of the uniform pair update direction.
-
-    Returns the ``n x n`` matrix with ``1/2`` at ``(i, i)`` and
-    ``(j, j)`` and ``-1/2`` at ``(i, j)`` and ``(j, i)``; the pair
-    update is ``x -> x - h Q grad``.
-    """
-    n = _check_agents("n", n)
-    for key, agent in (("i", i), ("j", j)):
-        _need(_check_count(key, agent, 0) < n, key, f"an agent index < n = {n}", agent)
-    _need(i != j, "j", f"an agent other than i = {i}", j)
-    q = np.zeros((n, n))
-    q[i, i] = q[j, j] = 0.5
-    q[i, j] = q[j, i] = -0.5
-    return q
-
-
-def laplacian_identity_check(n, tol=1e-14):
-    """Verify the selection matrices aggregate to the complete-graph Laplacian.
-
-    Checks entrywise, to ``tol``: each pair matrix is symmetric and
-    idempotent, and the probability-weighted sum over all pairs equals
-    ``p/2 * (n I - ones ones^T)`` with ``p = 2/(n(n-1))``.
-    """
-    n = _check_agents("n", n)
-    p = uniform_pair_probability(n)
-    acc = np.zeros((n, n))
-    for i, j in zip(*complete_graph_edges(n)):
-        q = selection_matrix(i, j, n)
-        if not np.array_equal(q, q.T):
-            return False
-        if np.max(np.abs(q @ q - q)) > tol:
-            return False
-        acc += p * q
-    laplacian = n * np.eye(n) - np.ones((n, n))
-    return bool(np.max(np.abs(acc - 0.5 * p * laplacian)) <= tol)
 
 
 def exact_onestep_expectation(x, fs, xstar, step):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,3 +297,37 @@ def test_both_solvers_converge_at_a_large_budget(budget):
         reference = dual_bisection_minimizer(fs, budget).point.values
         x = _logcosh_newton_minimizer(fs, budget).point.values
         assert np.max(np.abs(x - reference)) <= 1e-8 * np.max(np.abs(reference))
+
+
+def far_logcosh_minimizer(fs, budget):
+    """The exact minimizer of a log-cosh roster whose coordinates all lie
+    a thousand or more from their costs' minimizers, rounded once.
+
+    There ``tanh(x_i - mu_i)`` is ``sign(budget)`` to within ``2 e**-2000``,
+    so stationarity ``2 theta_i (x_i - mu_i) + w_i s = nu`` with
+    ``sum(x) = budget`` is linear, and solved in rationals.
+    """
+    s = Fraction(int(math.copysign(1, budget)))
+    inv = [1 / (2 * Fraction(f.theta)) for f in fs]
+    nu = (Fraction(budget) - sum(Fraction(f.mu) for f in fs)
+          + sum(Fraction(f.weight) * s * i for f, i in zip(fs, inv))) / sum(inv)
+    return np.array([float(Fraction(f.mu) + (nu - Fraction(f.weight) * s) * i)
+                     for f, i in zip(fs, inv)])
+
+
+@pytest.mark.parametrize("budget", [1e6, -1e6, 1e9, -1e9])
+def test_both_solvers_stay_stationary_at_a_large_budget(budget):
+    # only the sum target scales with |b|; the bracket and gradient targets
+    # stay absolute, floored at 4 beta ulp(radius), so every coordinate is
+    # within (width + gradient floor) / alpha of the exact minimizer
+    cert = ConvexityCertificate(0.5, 6.0)
+    n = 5
+    bound = 8.0 * cert.kappa * math.ulp(minimizer_ball_radius(n, cert.kappa, budget))
+    theta, mu, weight = logcosh_rosters(cert, np.random.default_rng(11), 5, n)
+    for r in range(5):
+        fs = [LogCoshQuadratic(float(t), float(m), float(w), cert)
+              for t, m, w in zip(theta[r], mu[r], weight[r])]
+        exact = far_logcosh_minimizer(fs, budget)
+        assert np.min(np.abs(exact - mu[r])) > 1e3
+        for solve in (dual_bisection_minimizer, _logcosh_newton_minimizer):
+            assert np.max(np.abs(solve(fs, budget).point.values - exact)) <= bound

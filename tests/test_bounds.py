@@ -18,7 +18,6 @@ from openrcd.bounds import (
     displacement_bound_general,
     displacement_bound_quadratic,
     evaluate_bounds,
-    max_agent_probability,
     open_contraction_rate,
     open_recursion,
     quadratic_replacement_offset,
@@ -31,8 +30,10 @@ from openrcd.bounds import (
     steady_state_from_recursion,
     steady_state_level,
 )
+from openrcd.opensim import EventSchedule
 from openrcd.rcd import uniform_pair_probability
 from openrcd.worstcase import maximize_displacement
+from paper_identities import max_agent_probability
 
 
 def test_closed_rate_examples():
@@ -84,6 +85,19 @@ def test_replacement_ratio():
 
 def test_max_agent_probability():
     assert max_agent_probability(0.2, 2.0) == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 100, 1024])
+@pytest.mark.parametrize("kappa", [1.0, 1.2, 2.0, 10.0, 1e3, 1e6])
+def test_max_agent_probability_is_the_agent_probability_at_the_threshold(n, kappa):
+    # at the stability threshold p_U* = kappa (n-1) / (kappa (n-1) + 1) the
+    # largest stable replacement probability of an agent is its actual one,
+    # (1 - p_U*) / n; the half-ulp rounding of p_U* is amplified by the
+    # cancellation in 1 - p_U*, hence the tolerance
+    p = stability_thresholds(n, kappa)[0]
+    schedule = EventSchedule(p)
+    stable = max_agent_probability(schedule.edge_probability(n), kappa)
+    assert stable == pytest.approx(schedule.agent_probability(n), rel=4 * math.ulp(1.0) / (1.0 - p))
 
 
 def test_steady_state_sentinels():
@@ -245,7 +259,7 @@ _OWN_BAD = {(minimizer_ball_radius, "n"): (0, 5.5, math.inf, math.nan, MAX_AGENT
 _BESIDE = {("c1", 1e300): {"kappa": 1e100}}
 _CALCULATORS = [
     f for _, f in inspect.getmembers(bounds, inspect.isfunction) if f.__name__ in bounds.__all__
-] + [uniform_pair_probability, maximize_displacement, minimizer_ball_radius]
+] + [uniform_pair_probability, maximize_displacement, minimizer_ball_radius, max_agent_probability]
 
 
 def _bad_argument_cases():

@@ -403,13 +403,26 @@ def test_simulate_huge_budget_keeps_the_confidence_band_finite(tmp_path):
         assert lo < mean < hi
 
 
-def test_feasibility_drift_exits_3(tmp_path, capsys):
-    # at b = 1e9 rounding in the pair updates alone pushes sum(x) more
-    # than FEASIBILITY_TOL away from the budget within a few steps
+@pytest.mark.parametrize("replications", [1, 4])
+def test_feasibility_drift_exits_3(replications, tmp_path, capsys, monkeypatch):
+    # a pair update biased by +2 on agent i moves sum(x) past the tolerance,
+    # 1e-9 * |b| = 1 at b = 1e9, at its first step; the scalar path (one
+    # replication) and the batch engine (four) both stop with exit 3
+    from openrcd import opensim, rcd
+
+    real = rcd._pair_update
+
+    def biased(v, i, j, gi, gj, h):
+        real(v, i, j, gi, gj, h)
+        v[i] += 2.0
+
+    # the one pair update, under the name each engine calls it by
+    monkeypatch.setattr(rcd, "_pair_update", biased)
+    monkeypatch.setattr(opensim, "_pair_update", biased)
     path = tmp_path / "drift.cfg"
     path.write_text(
         "n = 50\nalpha = 1.0\nbeta = 1.2\nb = 1e9\np_U = 0.999\n"
-        "horizon = 20000\nreplications = 1\n",
+        f"horizon = 20000\nreplications = {replications}\n",
         encoding="utf-8",
     )
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3

@@ -11,7 +11,6 @@ from openrcd.functions import (
     LogCoshQuadratic,
     ParameterRangeError,
     QuadraticFunction,
-    certify,
     logcosh_quantiles,
     make_logcosh_quadratic,
     make_quadratic,
@@ -19,6 +18,7 @@ from openrcd.functions import (
     sample_logcosh_replacement,
     sample_replacement,
 )
+from paper_identities import certify
 
 
 def test_certificate_basic():

@@ -5,12 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from batch_reference import _simulate_batch
-from openrcd import allocation
-from openrcd.allocation import NonConvergenceError, dual_bisection_minimizer
+from openrcd import allocation, rcd
+from openrcd.allocation import FeasibilityError, NonConvergenceError, dual_bisection_minimizer
 from openrcd.cli import main
 from openrcd.config import ConfigError, ExperimentConfig
 from openrcd.functions import (
@@ -183,37 +183,70 @@ def test_row_generators_refuse_a_negative_seed_as_default_rng_does():
         _row_generators([3, -1])
 
 
+def _off_budget(mp, formula, budget):
+    """Patch one shared formula, under the name each engine calls it by, to
+    put its output four feasibility tolerances off the budget: the pair
+    update (the estimates) or the quadratic closed form (the minimizers)."""
+    off = 4.0 * allocation._feasibility_tol(budget)
+    if formula == "pair_update":
+        real, modules = rcd._pair_update, (rcd, opensim)
+
+        def patched(v, i, j, gi, gj, h):
+            real(v, i, j, gi, gj, h)
+            v[i] += off
+    else:
+        real, modules = allocation._quadratic_point, (allocation, opensim)
+
+        def patched(mu, inv_theta, budget):
+            x, t = real(mu, inv_theta, budget)
+            return x + off, t
+    for module in modules:
+        mp.setattr(module, "_" + formula, patched)
+
+
 @settings(max_examples=60, deadline=None)
+@example(family="logcosh_quadratic", n=5, alpha=1.0, kappa=2.0, budget=1e9, p_update=0.5,
+         initial_state="uniform_budget", tape_steps=7, seed=3, off_budget="pair_update")
+@example(family="quadratic", n=5, alpha=1.0, kappa=2.0, budget=-3.0, p_update=0.5,
+         initial_state="uniform_budget", tape_steps=7, seed=3, off_budget="quadratic_point")
 @given(
     family=st.sampled_from(["quadratic", "logcosh_quadratic"]),
     n=st.integers(2, 12),
     alpha=st.floats(1e-2, 1e2),
     kappa=st.floats(1.0, 1e3),
-    budget=st.floats(-1e6, 1e6),
+    budget=st.floats(-1e9, 1e9),
     p_update=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     initial_state=st.sampled_from(["uniform_budget", "minimizer"]),
     tape_steps=st.sampled_from([1, 7, 37]),
     seed=st.integers(0, 2**32 - 1),
+    off_budget=st.none(),
 )
 def test_batch_rows_match_trajectories_at_extreme_parameters(
-    family, n, alpha, kappa, budget, p_update, initial_state, tape_steps, seed
+    family, n, alpha, kappa, budget, p_update, initial_state, tape_steps, seed, off_budget
 ):
+    # no drawn example has failed so far; the explicit ones, with estimates
+    # or minimizers pushed off the budget, make both engines fail
     cfg = ExperimentConfig(
         n=n, alpha=alpha, beta=alpha * kappa, budget=budget, p_update=p_update,
         horizon=60, initial_state=initial_state, function_family=family,
     )
     seeds = [seed, seed + 1, seed + 2]
-    records = []
-    for s in seeds:
-        try:
-            records.append(run_trajectory(cfg, seed=s))
-        except NonConvergenceError:
-            records.append(None)
+    records, failures = [], set()
     with pytest.MonkeyPatch.context() as mp:
+        if off_budget:
+            _off_budget(mp, off_budget, budget)
+        for s in seeds:
+            try:
+                records.append(run_trajectory(cfg, seed=s))
+            except (NonConvergenceError, FeasibilityError) as exc:
+                failures.add(type(exc))
+        if off_budget:
+            assert failures == {FeasibilityError}
         mp.setattr(opensim, "_TAPE_STEPS", tape_steps)
-        if None in records:
-            # a roster the scalar path cannot solve stops the batch too
-            with pytest.raises(NonConvergenceError):
+        if failures:
+            # a roster the scalar path cannot solve, or a run it finds off
+            # its budget, stops the batch too
+            with pytest.raises(tuple(failures)):
                 _simulate_batch(cfg, seeds)
             return
         out = _simulate_batch(cfg, seeds)
@@ -589,11 +622,11 @@ def test_custom_sampler_in_quadratic_runs_takes_any_certified_cost():
     assert np.all(np.isfinite(rec.error))
 
 
-@pytest.mark.parametrize("budget", [1e6, -1e6])
+@pytest.mark.parametrize("budget", [1e6, -1e6, 1e7, -1e7, 1e9, -1e9])
 def test_logcosh_runs_at_a_large_budget_converge(budget):
     # the solvers' gradient targets used to sit below one ulp of the
-    # coordinates (about 2e5) here; from |b| = 1e7 on the sum's own
-    # rounding exceeds the absolute FEASIBILITY_TOL
+    # coordinates (about 2e5 at |b| = 1e6); from |b| = 1e7 on the sum's own
+    # rounding exceeded an absolute FEASIBILITY_TOL, which now scales with |b|
     cfg = fig1_config(function_family="logcosh_quadratic", budget=budget)
     for seed in range(10):
         rec = run_trajectory(cfg, seed=seed)

@@ -4,25 +4,23 @@ import numpy as np
 import pytest
 
 from openrcd.allocation import Allocation, closed_form_quadratic_minimizer
-from openrcd.functions import (
-    ConvexityCertificate,
-    ParameterRangeError,
-    certify,
-    make_quadratic,
-)
+from openrcd.functions import ConvexityCertificate, ParameterRangeError, make_quadratic
 from openrcd.rcd import (
-    DegenerateWeightsError,
     PairSelection,
     StepConfig,
     complete_graph_edges,
     exact_onestep_expectation,
-    general_weight_pair_step,
-    laplacian_identity_check,
     rcd_pair_step,
-    selection_matrix,
     uniform_pair_probability,
 )
 from openrcd.rules import ConfigError
+from paper_identities import (
+    DegenerateWeightsError,
+    certify,
+    general_weight_pair_step,
+    laplacian_identity_check,
+    selection_matrix,
+)
 
 _F = make_quadratic(1.0, 0.3, ConvexityCertificate(2.0, 2.0))
 
