@@ -31,9 +31,10 @@ MAX_ABS_BUDGET = 1e150
 #: finite floats; ``opensim._footprint`` states what a simulate run holds
 MAX_AGENTS = 1024
 
-#: most ascent starts a worst-case search takes per cell; a start's cost
-#: grows with n: about 150 us at ``fig2-analogue``'s n of 2 to 12 (two to
-#: three minutes a full cell) and about 42 ms at n = 1024 (about 12 hours)
+#: most ascent starts a worst-case search takes per cell; a full cell is
+#: almost all seeded random starts, whose CPU cost grows with n: about
+#: 0.1 ms at n = 2, 0.5 ms at n = 12 (about 9 minutes a full cell) and
+#: 43-50 ms at n = 1024 (12 to 15 hours) on a 2-core Xeon
 MAX_SEARCH_BUDGET = 2**20
 
 

@@ -18,17 +18,21 @@ Coordinate ascent exploits the objective's structure: it is convex in
 every location parameter (so ``_objective``, the reference closed form,
 scores those lines at the box endpoints) and rational in every
 curvature weight (grid plus golden-section refinement, 47 points a
-line).  The curvature line builders (each kept curvature, ``t1``,
-``t2``) compute once what stays fixed (``b - s - m1``, ``m1 - m2``,
-``1/t1``, ``z0 + 1/t``, ``t * z``, ...) and keep ``_objective``'s
-operands in its order, so each value carries its exact bits.
+line).  The ``t1`` and ``t2`` line builders compute once what stays
+fixed along the line (``b - s - m1``, ``m1 - m2``, ``1/t1``, ...);
+``_kept_theta_max``, the most called line, writes its value out in one
+function over the grid's precomputed ``1/t`` and ``1/t^2``.  All keep
+``_objective``'s operands in its order, so each value carries its exact
+bits.
 
 The ascents of one search converge to a few states, so one
 ``maximize_displacement`` call shares its curvature line maxima across
 its starts in a ``functools.lru_cache`` of recently used lines, keyed
-by every input the line reads.  A line maximum is a pure function of
-that key, so each start ends as it would alone, bit for bit, and the
-result is still nondecreasing in the budget.
+by every input the line reads, and shares the ends of its ascents in a
+table of converged tails, keyed by the state and best value at a sweep
+start.  A line maximum is a pure function of its key and a tail of its
+key and the sweeps left, so each start ends as it would alone, bit for
+bit, and the result is still nondecreasing in the budget.
 """
 
 import functools
@@ -120,26 +124,6 @@ def _objective(s, z0, q0, b, t1, m1, t2, m2):
     return a * a * q0 + c * c
 
 
-def _kept_theta_line(s, z0_rest, q0_rest, b, t1, m1, t2, m2):
-    """``t -> _objective(s, z0_rest + 1/t, q0_rest + 1/t^2, b, t1, m1, t2, m2)``."""
-    bs = b - s
-    big_t1 = bs - m1
-    big_t2 = bs - m2
-    dm = m1 - m2
-    r1 = 1.0 / t1
-    r2 = 1.0 / t2
-
-    def value(t):
-        z0 = z0_rest + 1.0 / t
-        z1 = z0 + r1
-        z2 = z0 + r2
-        a = big_t1 / z1 - big_t2 / z2
-        c = dm + big_t1 / (t1 * z1) - big_t2 / (t2 * z2)
-        return a * a * (q0_rest + 1.0 / (t * t)) + c * c
-
-    return value
-
-
 def _t1_line(s, z0, q0, b, m1, t2, m2):
     """``t -> _objective(s, z0, q0, b, t, m1, t2, m2)``."""
     bs = b - s
@@ -204,6 +188,68 @@ def _line_max(func, xs):
     return x
 
 
+def _theta_grid(lo, hi):
+    """The line scan's grid on ``[lo, hi]``, with its ``1/t`` and ``1/t^2``."""
+    xs = tuple(lo + (hi - lo) * g / (_THETA_GRID - 1) for g in range(_THETA_GRID))
+    return xs, tuple(1.0 / t for t in xs), tuple(1.0 / (t * t) for t in xs)
+
+
+def _kept_theta_max(grid, s, z0_rest, q0_rest, b, t1, m1, t2, m2):
+    """What ``_line_max`` returns for the kept curvature line ``t ->
+    _objective(s, z0_rest + 1/t, q0_rest + 1/t^2, b, t1, m1, t2, m2)``.
+
+    The line's value is written out in place of a closure, over the
+    grid's ``1/t`` and ``1/t^2``, with ``_objective``'s operands in its
+    order, so every value, and hence the argmax, carries the same bits.
+    """
+    xs, inv, inv_sq = grid
+    bs = b - s
+    big_t1 = bs - m1
+    big_t2 = bs - m2
+    dm = m1 - m2
+    r1 = 1.0 / t1
+    r2 = 1.0 / t2
+    vals = []
+    for r, r_sq in zip(inv, inv_sq):
+        z0 = z0_rest + r
+        z1 = z0 + r1
+        z2 = z0 + r2
+        a = big_t1 / z1 - big_t2 / z2
+        c = dm + big_t1 / (t1 * z1) - big_t2 / (t2 * z2)
+        vals.append(a * a * (q0_rest + r_sq) + c * c)
+    best = vals.index(max(vals))   # the first maximum
+    lo = xs[max(best - 1, 0)]
+    hi = xs[min(best + 1, _THETA_GRID - 1)]
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    # _line_max's golden section, one new point a step; steps 0 and 1
+    # score its two starting points
+    for step in range(_GOLDEN_ITERS + 2):
+        if step < 2:
+            left = step == 0
+            x = x1 if left else x2
+        else:
+            left = f1 >= f2
+            if left:
+                hi, x2, f2 = x2, x1, f1
+                x = x1 = hi - _INVPHI * (hi - lo)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x = x2 = lo + _INVPHI * (hi - lo)
+        z0 = z0_rest + 1.0 / x
+        z1 = z0 + r1
+        z2 = z0 + r2
+        a = big_t1 / z1 - big_t2 / z2
+        c = dm + big_t1 / (t1 * z1) - big_t2 / (t2 * z2)
+        f = a * a * (q0_rest + 1.0 / (x * x)) + c * c
+        if left:
+            f1 = f
+        else:
+            f2 = f
+    _, x = max((vals[best], xs[best]), (f1, x1), (f2, x2))
+    return x
+
+
 #: most line maxima one search keeps; the fig2-analogue cells hold at
 #: most a few hundred, the random tail adds about n + 1 per start
 _LINE_CACHE_CAP = 1 << 14
@@ -212,22 +258,31 @@ _LINE_CACHE_CAP = 1 << 14
 def _line_maxima(lo, hi, cap):
     """``argmax(line, *args)``: curvature line maxima on ``[lo, hi]``.
 
-    A line is a builder (``_kept_theta_line``, ``_t1_line`` or
-    ``_t2_line``) and its arguments; together they key an LRU cache of
-    ``cap`` entries, and ``cap = 0`` recomputes every line.  The grid is
-    built once, from ``lo`` and ``hi`` alone.  Python float keys alias
-    ``0.0`` with ``-0.0``; that is harmless because every input reaches
-    the objective's value only through sums, products and quotients that
-    end in a square, and ``x + 0.0 == x - 0.0 == x`` for ``x != 0``, so a
-    zero's sign can flip only the sign of an intermediate zero, which the
-    square drops.
+    A line is ``_kept_theta_max``, ``_t1_line`` or ``_t2_line`` and its
+    arguments; together they key an LRU cache of ``cap`` entries, and
+    ``cap = 0`` recomputes every line.  The grid is built once, from
+    ``lo`` and ``hi`` alone.  ``argmax.tails`` is the search's table of
+    converged ascent tails (see ``_ascend``); ``cap = 0`` turns it off too.
+
+    Python float keys alias ``0.0`` with ``-0.0``; that is harmless
+    because every input reaches the objective's value only through sums,
+    products and quotients that end in a square, and
+    ``x + 0.0 == x - 0.0 == x`` for ``x != 0``, so a zero's sign can flip
+    only the sign of an intermediate zero, which the square drops.  In a
+    tail key only ``b`` can be zero, and the same argument covers it:
+    from sweep 1 on every location is ``+-1``, every curvature is
+    positive, and ``best`` (``a*a*q0 + c*c`` with ``q0 > 0``) is never
+    ``-0.0``.
     """
-    grid = [lo + (hi - lo) * g / (_THETA_GRID - 1) for g in range(_THETA_GRID)]
+    grid = _theta_grid(lo, hi)
 
     @functools.lru_cache(maxsize=cap)
     def argmax(line, *args):
-        return _line_max(line(*args), grid)
+        if line is _kept_theta_max:
+            return _kept_theta_max(grid, *args)
+        return _line_max(line(*args), grid[0])
 
+    argmax.tails = {}
     return argmax
 
 
@@ -239,13 +294,34 @@ def _ascend(start, b, lines):
     """Coordinate-wise ascent from one start; returns (value, state).
 
     A state is ``(kt, t1, t2, km, m1, m2)``, the kept curvatures and
-    locations as lists; ``lines`` supplies the curvature line maxima.
+    locations as sequences (tuples in the result); ``lines`` supplies the
+    curvature line maxima and the table of converged tails.
+
+    Each sweep re-sums its aggregates from the state and the line maxima
+    are pure, so from a sweep start on, the rest of an ascent is a
+    function of ``b``, ``best``, the state and the sweeps left.  Every
+    sweep start after the first looks the first three up in
+    ``lines.tails``; an ascent that converges stores its outcome under
+    every key it passed, with the sweeps it still took from there, and an
+    entry is used only with at least that many sweeps left.
     """
     kt, t1, t2, km, m1, m2 = start
     kt, km = list(kt), list(km)
+    tails = lines.tails
+    # a key holds 2n + 4 floats: the table keeps about as many floats as
+    # the line cache keeps entries
+    limit = lines.cache_parameters()["maxsize"] // (2 * len(kt) + 6)
+    passed = []
 
     best = -math.inf
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(_MAX_SWEEPS):
+        if sweep and limit:
+            key = (b, best, t1, t2, m1, m2, *kt, *km)
+            tail = tails.get(key)
+            if tail is not None and tail[0] <= _MAX_SWEEPS - sweep:
+                return _keep_tail(tails, limit, passed, sweep + tail[0], tail[1])
+            passed.append((key, sweep))
+
         # resync aggregates each sweep so incremental updates cannot drift
         s = sum(km)
         z0 = sum(1.0 / t for t in kt)
@@ -255,7 +331,7 @@ def _ascend(start, b, lines):
         for idx, t in enumerate(kt):
             z0_rest = z0 - 1.0 / t
             q0_rest = q0 - 1.0 / (t * t)
-            t = kt[idx] = lines(_kept_theta_line, s, z0_rest, q0_rest, b, t1, m1, t2, m2)
+            t = kt[idx] = lines(_kept_theta_max, s, z0_rest, q0_rest, b, t1, m1, t2, m2)
             z0 = z0_rest + 1.0 / t
             q0 = q0_rest + 1.0 / (t * t)
 
@@ -279,10 +355,20 @@ def _ascend(start, b, lines):
 
         value = _objective(s, z0, q0, b, t1, m1, t2, m2)
         if value <= best + 1e-12 * max(1.0, abs(best)):
-            best = max(best, value)
-            break
+            outcome = max(best, value), (tuple(kt), t1, t2, tuple(km), m1, m2)
+            return _keep_tail(tails, limit, passed, sweep + 1, outcome)
         best = value
-    return best, (kt, t1, t2, km, m1, m2)
+    return best, (tuple(kt), t1, t2, tuple(km), m1, m2)
+
+
+def _keep_tail(tails, limit, passed, end, outcome):
+    """Store ``outcome`` under each ``(key, sweep)`` passed by an ascent
+    that ends before sweep ``end``, dropping the oldest entries past ``limit``."""
+    for key, sweep in passed:
+        if len(tails) >= limit:
+            del tails[next(iter(tails))]
+        tails[key] = end - sweep, outcome
+    return outcome
 
 
 def _start_sequence(n, theta_box, seed):

@@ -19,12 +19,14 @@ from openrcd.rules import MAX_SEARCH_BUDGET, _check_search_budget
 from openrcd.worstcase import (
     ReplacementInstance,
     _ascend,
-    _kept_theta_line,
+    _kept_theta_max,
+    _line_max,
     _line_maxima,
     _objective,
     _start_sequence,
     _t1_line,
     _t2_line,
+    _theta_grid,
     displacement,
     maximize_displacement,
     sweep,
@@ -154,15 +156,31 @@ def _bits(value, state):
     return np.float64(value).tobytes(), np.asarray([*kt, t1, t2, *km, m1, m2]).tobytes()
 
 
-@pytest.mark.parametrize("n, kappa, b", [(2, 3.0, 0.0), (4, 3.0, 1.0), (7, 5.0, -2.0)])
+@pytest.mark.parametrize(
+    "n, kappa, b", [(2, 3.0, 0.0), (4, 3.0, 1.0), (7, 5.0, -2.0), (12, 5.0, 1.0)])
 def test_shared_line_maxima_are_exact(n, kappa, b):
     # 760 starts reach the seeded random tail; cap 0 recomputes every line
+    # and reuses no tail
     box = (0.5, 0.5 * kappa)
     shared = _line_maxima(*box, worstcase._LINE_CACHE_CAP)
     alone = _line_maxima(*box, 0)
     for _, start in zip(range(760), _start_sequence(n, box, 1)):
         assert _bits(*_ascend(start, b, shared)) == _bits(*_ascend(start, b, alone))
     assert shared.cache_info().currsize and not alone.cache_info().currsize
+    assert shared.tails and not alone.tails
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+@pytest.mark.parametrize("n", [4, 7])
+def test_tails_are_reused_only_with_the_sweeps_they_took(monkeypatch, n, sweeps):
+    # with the sweeps capped, many ascents stop at the cap; a tail stored by
+    # an ascent that converged later than the sweeps left must not be reused
+    monkeypatch.setattr(worstcase, "_MAX_SWEEPS", sweeps)
+    box = (0.5, 2.5)
+    shared = _line_maxima(*box, worstcase._LINE_CACHE_CAP)
+    alone = _line_maxima(*box, 0)
+    for _, start in zip(range(760), _start_sequence(n, box, 1)):
+        assert _bits(*_ascend(start, 1.0, shared)) == _bits(*_ascend(start, 1.0, alone))
 
 
 def test_line_maxima_stay_within_the_cap(monkeypatch):
@@ -171,14 +189,16 @@ def test_line_maxima_stay_within_the_cap(monkeypatch):
 
     def ascend_and_measure(start, b, lines):
         found = _ascend(start, b, lines)
-        sizes.append(lines.cache_info().currsize)
+        sizes.append((lines.cache_info().currsize, len(lines.tails)))
         return found
 
     unbounded = maximize_displacement(3, 4.0, 1.0, search_budget=760, seed=3)
     monkeypatch.setattr(worstcase, "_LINE_CACHE_CAP", cap)
     monkeypatch.setattr(worstcase, "_ascend", ascend_and_measure)
     bounded = maximize_displacement(3, 4.0, 1.0, search_budget=760, seed=3)
-    assert len(sizes) == 760 and max(sizes) == cap
+    assert len(sizes) == 760 and max(lines for lines, _ in sizes) == cap
+    # a tail key holds 2n + 4 floats
+    assert max(tails for _, tails in sizes) == cap // (2 * 3 + 4)
     assert bounded == unbounded
 
 
@@ -279,9 +299,14 @@ def test_line_objectives_return_the_reference_bits(kappa, b, data):
     z0_rest = z0 - 1.0 / kt[0]
     q0_rest = q0 - 1.0 / (kt[0] * kt[0])
 
+    grid = _theta_grid(0.5, 0.5 * kappa)
+
+    def kept_line(x):
+        return _objective(s, z0_rest + 1.0 / x, q0_rest + 1.0 / (x * x), b, t1, m1, t2, m2)
+
     pairs = [
-        (_kept_theta_line(s, z0_rest, q0_rest, b, t1, m1, t2, m2)(t),
-         _objective(s, z0_rest + 1.0 / t, q0_rest + 1.0 / (t * t), b, t1, m1, t2, m2)),
+        (_kept_theta_max(grid, s, z0_rest, q0_rest, b, t1, m1, t2, m2),
+         _line_max(kept_line, grid[0])),
         (_t1_line(s, z0, q0, b, m1, t2, m2)(t), _objective(s, z0, q0, b, t, m1, t2, m2)),
         (_t2_line(s, z0, q0, b, t1, m1, m2)(t), _objective(s, z0, q0, b, t1, m1, t, m2)),
     ]
