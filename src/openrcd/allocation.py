@@ -48,6 +48,9 @@ FEASIBILITY_TOL = 1e-9
 #: kappa up to 1e4 and |budget| up to 50
 _NEWTON_ITERATIONS = 50
 
+#: dual bisection steps before :class:`NonConvergenceError`
+_BISECTIONS = 200
+
 
 class FeasibilityError(ValueError):
     """An allocation does not satisfy its budget constraint."""
@@ -92,12 +95,12 @@ class Allocation:
         return cls(np.full(n, budget / n), float(budget))
 
 
-def _feasibility_tol(budget, tol=FEASIBILITY_TOL):
-    """``tol * max(1, |budget|)``, by default the slack between an
+def _feasibility_tol(budget):
+    """``FEASIBILITY_TOL * max(1, |budget|)``, the slack between an
     allocation's sum and its budget: absolute up to ``|budget| = 1`` and
     relative past it, so that the rounding of a large budget's sum, an
     ulp of the budget or a few, stays well inside it."""
-    return tol * max(1.0, abs(budget))
+    return FEASIBILITY_TOL * max(1.0, abs(budget))
 
 
 def _check_feasible(gap, budget):
@@ -207,7 +210,7 @@ def _quadratic_point(mu, inv_theta, budget):
 
 def _logcosh_newton_minimizer(fs, budget):
     """Constrained minimizer of a log-cosh roster sharing one certificate,
-    to the targets :func:`_solver_targets` gives for ``FEASIBILITY_TOL``."""
+    to the targets :func:`_solver_targets` gives."""
     budget = float(budget)
     if len(fs) == 1:
         return _pinned(fs, budget, "newton")
@@ -237,7 +240,7 @@ def _logcosh_point(theta, mu, weight, budget, certificate):
     point, nu = np.empty_like(x), np.empty(x.shape[1])
     radius = minimizer_ball_radius(n, certificate.kappa, budget)
     sum_tol, grad_tol, _ = _solver_targets(
-        FEASIBILITY_TOL, budget, n, certificate.alpha, certificate.beta, radius)
+        budget, n, certificate.alpha, certificate.beta, radius)
     rows = np.arange(x.shape[1])  # where the unconverged rosters go in the output
     for _ in range(_NEWTON_ITERATIONS):
         g = _logcosh_gradient(theta, mu, weight, x)
@@ -267,23 +270,23 @@ def _logcosh_point(theta, mu, weight, budget, certificate):
     return point.reshape(shape), nu.reshape(shape[1:])
 
 
-def _solver_targets(tol, budget, n, alpha, beta, radius):
+def _solver_targets(budget, n, alpha, beta, radius):
     """Where both iterative solvers stop: ``|sum(x) - budget| <= sum_tol``,
     every gradient within ``grad_tol`` of the multiplier and, for the dual
     bisection, a multiplier bracket within ``width_tol`` (for coordinatewise
     agreement, not just a feasible sum).
 
-    Only ``sum_tol``, half of ``tol`` scaled as :func:`_feasibility_tol`
-    scales it, grows with ``|budget|``; the other two come from the
-    absolute ``tol``, and ``n`` residuals of ``grad_tol`` cannot spend it.
+    Only ``sum_tol``, half of :func:`_feasibility_tol`, grows with
+    ``|budget|``; the other two come from the absolute
+    ``FEASIBILITY_TOL``, and ``n`` residuals of ``grad_tol`` cannot spend it.
     No target is finer than ``beta`` times a few ulps of the largest
     coordinate the minimizer ball of ``radius`` allows, which rounding
     alone can miss, and that floor is what a large budget's stationarity
     targets rest on.
     """
     floor = 4.0 * beta * math.ulp(radius)
-    width = 0.1 * tol * alpha
-    return 0.5 * _feasibility_tol(budget, tol), max(width / n, floor), max(width, floor)
+    width = 0.1 * FEASIBILITY_TOL * alpha
+    return 0.5 * _feasibility_tol(budget), max(width / n, floor), max(width, floor)
 
 
 def _inverse_gradient(f, nu, tol):
@@ -325,23 +328,19 @@ def _inverse_gradient(f, nu, tol):
     )
 
 
-def dual_bisection_minimizer(fs, budget, tol=FEASIBILITY_TOL, max_iterations=200):
+def dual_bisection_minimizer(fs, budget):
     """Constrained minimizer via bisection on the stationary gradient value.
 
     Works for any certified roster.  Searches the scalar ``nu`` with
     ``sum_i (f_i')^{-1}(nu) == budget``; the sum is nondecreasing in
-    ``nu``, and the localization ball bounds the initial bracket.
+    ``nu``, and the localization ball bounds the initial bracket.  It
+    stops on the targets of :func:`_solver_targets` and raises
+    :class:`NonConvergenceError` after ``_BISECTIONS`` bisections.
 
     Parameters
     ----------
     fs : sequence of CostFunction
     budget : float
-    tol : float
-        Feasibility target: ``|sum(x) - budget| <= tol * max(1, |budget|)``,
-        and the absolute base of the stationarity targets
-        (:func:`_solver_targets`).
-    max_iterations : int
-        Bisection budget before :class:`NonConvergenceError`.
 
     Returns
     -------
@@ -358,13 +357,13 @@ def dual_bisection_minimizer(fs, budget, tol=FEASIBILITY_TOL, max_iterations=200
     radius = minimizer_ball_radius(n, kappa, budget)
     lo = min(f.gradient(-radius) for f in fs)
     hi = max(f.gradient(radius) for f in fs)
-    sum_tol, inner_tol, width_target = _solver_targets(tol, budget, n, alpha_min, beta_max, radius)
+    sum_tol, inner_tol, width_target = _solver_targets(budget, n, alpha_min, beta_max, radius)
 
     def primal_sum(nu):
         return math.fsum(_inverse_gradient(f, nu, inner_tol) for f in fs)
 
     nu = 0.5 * (lo + hi)
-    for _ in range(max_iterations):
+    for _ in range(_BISECTIONS):
         nu = 0.5 * (lo + hi)
         total = primal_sum(nu)
         if abs(total - budget) <= sum_tol and hi - lo <= width_target:
@@ -375,7 +374,7 @@ def dual_bisection_minimizer(fs, budget, tol=FEASIBILITY_TOL, max_iterations=200
             lo = nu
     else:
         raise NonConvergenceError(
-            f"dual bracket still [{lo}, {hi}] after {max_iterations} bisections"
+            f"dual bracket still [{lo}, {hi}] after {_BISECTIONS} bisections"
         )
 
     x = np.array([_inverse_gradient(f, nu, inner_tol) for f in fs])

@@ -43,7 +43,6 @@ from .rules import (
     _check_nonnegative,
     _check_probability,
     _check_step,
-    _need,
 )
 
 __all__ = [
@@ -200,16 +199,13 @@ def replacement_error_map(c, n, kappa, b):
     return 2.0 * c + 2.0 * displacement_bound_general(n, kappa, b)
 
 
-def conjectured_displacement_cap(n, kappa, c1=1.0, c2=1.0):
-    """Two-parameter curve conjectured to cap the true worst displacement.
+def conjectured_displacement_cap(n, kappa):
+    """Curve conjectured to cap the true worst displacement.
 
-    The curve is ``(kappa + 1)^2 - c1 kappa^3 / (n + kappa + c2)``.  It is
-    evaluated over one denominator, with ``m = n + c2``, as
-    ``((1 - c1) kappa^3 + (m + 2) kappa^2 + (2m + 1) kappa + m) / (m + kappa)``:
-    the two terms of the printed form cancel at large ``kappa``.  Both
-    constants must be finite, the denominator ``n + c2 + kappa``
-    positive, the two terms that ``c2`` enters finite, and then ``c1``
-    must keep the whole numerator finite, so the cap is never infinite.
+    The curve is ``(kappa + 1)^2 - kappa^3 / (n + kappa + 1)``.  It is
+    evaluated over one denominator, with ``m = n + 1``, as
+    ``((m + 2) kappa^2 + (2m + 1) kappa + m) / (m + kappa)``: the two
+    terms of the printed form cancel at large ``kappa``.
 
     The curve has no budget argument: it is conjectured for ``b = 1`` and
     is no cap for ``|b| > 1``, where displacements grow with ``b``.  At
@@ -217,16 +213,8 @@ def conjectured_displacement_cap(n, kappa, c1=1.0, c2=1.0):
     and about 59682 at ``b = 1000``, while the curve reads 7.4 for both.
     """
     _check(n, kappa)
-    _need(math.isfinite(c1), "c1", "a finite c1", c1)
-    _need(math.isfinite(c2) and n + c2 + kappa > 0.0, "c2",
-          f"a finite c2 > -(n + kappa) = {-(n + kappa)}", c2)
-    m = n + c2
-    square, linear = (m + 2.0) * kappa ** 2, (2.0 * m + 1.0) * kappa
-    _need(math.isfinite(square) and math.isfinite(linear), "c2",
-          f"a c2 whose terms stay finite at kappa = {kappa}", c2)
-    numerator = (1.0 - c1) * kappa ** 3 + square + linear + m
-    _need(math.isfinite(numerator), "c1", f"a c1 that keeps the cap finite at kappa = {kappa}", c1)
-    return numerator / (m + kappa)
+    m = n + 1.0
+    return ((m + 2.0) * kappa ** 2 + (2.0 * m + 1.0) * kappa + m) / (m + kappa)
 
 
 def recursion_envelope(initial, rate, offset, horizon):

@@ -172,7 +172,7 @@ class LogCoshQuadratic(CostFunction):
         c = self.certificate
         if self.weight < 0.0:
             raise ParameterRangeError(f"weight={self.weight} must be >= 0")
-        # a couple of ulps of slack: the default weight beta - 2*theta
+        # a couple of ulps of slack: the tied weight beta - 2*theta
         # must never round itself out of the certificate
         ulps = 8.0 * sys.float_info.epsilon * max(1.0, c.beta)
         if 2.0 * self.theta < c.alpha - ulps or 2.0 * self.theta + self.weight > c.beta + ulps:
@@ -234,16 +234,14 @@ def make_quadratic(theta, mu, certificate):
     return QuadraticFunction(float(theta), float(mu), certificate)
 
 
-def make_logcosh_quadratic(theta, mu, certificate, weight=None):
-    """Build a :class:`LogCoshQuadratic`.
-
-    When ``weight`` is omitted it defaults to ``beta - 2*theta``, the
-    largest perturbation the certificate admits.
+def make_logcosh_quadratic(theta, mu, certificate):
+    """Build a :class:`LogCoshQuadratic` whose weight is tied to ``theta``
+    by :func:`_logcosh_weight`: ``beta - 2*theta``, the largest
+    perturbation the certificate admits.
     """
     theta = float(theta)
-    if weight is None:
-        weight = certificate.beta - 2.0 * theta
-    return LogCoshQuadratic(theta, float(mu), float(weight), certificate)
+    weight = float(_logcosh_weight(certificate, theta))
+    return LogCoshQuadratic(theta, float(mu), weight, certificate)
 
 
 def quadratic_quantiles(certificate, u_theta, u_mu):

@@ -9,15 +9,17 @@ the *current* roster.
 
 Randomness is consumed in a canonical order so that runs are exactly
 reproducible and batch execution matches sequential execution bit for
-bit: a trajectory with seed ``s`` first draws two uniforms per agent
-for the initial roster, then five uniforms per iteration (event coin,
-edge pick, agent pick, theta quantile, mu quantile); draws not needed
-by the realized event are discarded.  ``run_ensemble`` exploits this by
-simulating all replications of an experiment in either built-in family
-(quadratic or log-cosh) in lockstep (:class:`_Batch`) with vectorized
-arithmetic that is operation-for-operation identical to the scalar path,
-because both call one copy of each formula: ``rcd._pair_update``,
-``quadratic_quantiles``, ``functions._logcosh_weight``,
+bit.  A run's seed and replication count are set in its config alone
+(variants are built with ``dataclasses.replace``).  A trajectory seeded
+``config.seed`` first draws two uniforms per agent for the initial
+roster, then five uniforms per iteration (event coin, edge pick, agent
+pick, theta quantile, mu quantile); draws not needed by the realized
+event are discarded.  ``run_ensemble`` exploits this by simulating all
+``config.replications`` replications of an experiment in either
+built-in family (quadratic or log-cosh) in lockstep (:class:`_Batch`)
+with vectorized arithmetic that is operation-for-operation identical to
+the scalar path, because both call one copy of each formula:
+``rcd._pair_update``, ``quadratic_quantiles``, ``functions._logcosh_weight``,
 ``allocation._quadratic_point``, ``allocation._logcosh_point`` (which
 stops on ``allocation._solver_targets``), :func:`_initial_point` and
 ``allocation._squared_distance``; both end a run whose estimates or
@@ -77,7 +79,7 @@ from .rcd import (
     complete_graph_edges,
     rcd_pair_step,
 )
-from .rules import ConfigError, _check_agents, _check_count, _check_probability
+from .rules import ConfigError, _check_agents, _check_probability
 
 __all__ = [
     "EventSchedule",
@@ -375,14 +377,12 @@ def _roster_value(roster, values):
     return math.fsum(f.value(v) for f, v in zip(roster, values))
 
 
-def run_trajectory(config, seed=None, replacement_sampler=None):
-    """Simulate one run and log it per iteration.
+def run_trajectory(config, replacement_sampler=None):
+    """Simulate one run, seeded ``config.seed``, and log it per iteration.
 
     Parameters
     ----------
     config : ExperimentConfig
-    seed : int, optional
-        Defaults to ``config.seed``.
     replacement_sampler : callable, optional
         Passed through to :func:`step`.
 
@@ -395,7 +395,7 @@ def run_trajectory(config, seed=None, replacement_sampler=None):
         minimizer, and ``minimizer_shift`` the squared minimizer jump
         (zero except on replacement rows).
     """
-    rng = np.random.default_rng(_check_count("seed", config.seed if seed is None else seed, 0))
+    rng = np.random.default_rng(config.seed)
     _check_footprint(config, 1)
     schedule = EventSchedule(config.p_update)
     step_config = StepConfig(config.h, config.beta)
@@ -600,7 +600,7 @@ class _Batch:
     """Lockstep simulation of many replications of a built-in family,
     resumable between tape chunks: the one holder of their state.
 
-    Row ``r`` reproduces ``run_trajectory(config, seed=seeds[r])``
+    Row ``r`` reproduces ``run_trajectory(replace(config, seed=seeds[r]))``
     exactly: the same uniforms, from generators seeded in one pass
     (:func:`_row_generators`), feed the same arithmetic in the same order.
     The rosters (only the drawn ``theta`` and ``mu``), the estimates ``x``
@@ -758,17 +758,18 @@ def _column_stats(error):
     return np.ldexp(mean, shift), np.ldexp(std, shift)
 
 
-def run_ensemble(config, replications=None, base_seed=None):
-    """Run independent replications and aggregate the error curves.
+def run_ensemble(config):
+    """Run ``config.replications`` independent replications and aggregate
+    the error curves.
 
-    Replication ``r`` is seeded ``base_seed + r`` and reproduces the
-    corresponding :func:`run_trajectory` exactly.  Both built-in families
-    (quadratic and log-cosh) run through the vectorized batch engine
-    (:class:`_Batch`) in the even batches of at most ``_BATCH_ROWS`` rows
-    that :func:`_batches` gives.  The horizon runs one tape chunk at a
-    time, its length set once per run by :func:`_chunk_length` for the
-    widest batch: every batch advances by the chunk and writes
-    its rows of one shared ``(replications, chunk + 1)`` block, whose
+    Replication ``r`` is seeded ``config.seed + r``: it reproduces
+    ``run_trajectory(replace(config, seed=config.seed + r))`` exactly.
+    Both built-in families (quadratic and log-cosh) run through the
+    vectorized batch engine (:class:`_Batch`) in the even batches of at
+    most ``_BATCH_ROWS`` rows that :func:`_batches` gives.  The horizon
+    runs one tape chunk at a time, its length set once per run by
+    :func:`_chunk_length` for the widest batch: every batch advances by
+    the chunk and writes its rows of one shared ``(replications, chunk + 1)`` block, whose
     column 0 carries the previous chunk's last column, and the block's
     columns are then reduced into the mean and standard deviation
     (:func:`_column_stats`).  numpy adds axis 0 of a row-major block of
@@ -786,10 +787,6 @@ def run_ensemble(config, replications=None, base_seed=None):
     Parameters
     ----------
     config : ExperimentConfig
-    replications : int, optional
-        Defaults to ``config.replications``.
-    base_seed : int, optional
-        Defaults to ``config.seed``.
 
     Returns
     -------
@@ -798,11 +795,8 @@ def run_ensemble(config, replications=None, base_seed=None):
         95% normal-approximation half-widths (zero when only one
         replication ran).
     """
-    replications = _check_count(
-        "replications", config.replications if replications is None else replications, 1
-    )
-    base_seed = _check_count("base_seed", config.seed if base_seed is None else base_seed, 0)
-    _check_footprint(config, replications)
+    replications, seed = config.replications, config.seed
+    _check_footprint(config)
 
     horizon = config.horizon
     count, rows, workers = _batches(config, replications)
@@ -813,7 +807,7 @@ def run_ensemble(config, replications=None, base_seed=None):
     starts = bounds[:-1]
 
     def begin(lo, hi):
-        batch = _Batch(config, range(base_seed + lo, base_seed + hi))
+        batch = _Batch(config, range(seed + lo, seed + hi))
         block[lo:hi, 0] = batch.error()
         return batch
 

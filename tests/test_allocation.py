@@ -142,10 +142,11 @@ def test_bisection_multiplier_matches_common_gradient():
         assert f.gradient(v) == pytest.approx(res.multiplier, abs=1e-7)
 
 
-def test_bisection_iteration_cap():
+def test_bisection_iteration_cap(monkeypatch):
+    monkeypatch.setattr(allocation, "_BISECTIONS", 3)
     fs = quad_roster([0.6, 0.9, 0.5], [0.1, -0.3, 0.8])
     with pytest.raises(NonConvergenceError):
-        dual_bisection_minimizer(fs, 2.0, tol=1e-12, max_iterations=3)
+        dual_bisection_minimizer(fs, 2.0)
 
 
 def test_minimizers_stay_in_ball():

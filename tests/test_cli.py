@@ -311,7 +311,7 @@ def test_solver_failure_exits_3(cfg_file, tmp_path, monkeypatch, capsys):
     from openrcd.allocation import NonConvergenceError
     import openrcd.cli as cli_mod
 
-    def explode(config, replications=None, base_seed=None):
+    def explode(config):
         raise NonConvergenceError("stuck bracket")
 
     monkeypatch.setattr(cli_mod, "run_ensemble", explode)

@@ -100,6 +100,8 @@ def test_validation_errors_name_their_key():
         (dict(seed=False), "seed"),
         (dict(n=np.int64(1)), "n"),
         (dict(replications=2.0), "replications"),
+        (dict(replications=2.5), "replications"),
+        (dict(seed=1.5), "seed"),
         (dict(budget=-1e300), "b"),
         (dict(alpha=1e-200, beta=1.0), "beta"),
         # cost values beta/2 (x - mu)^2 overflow on the minimizer ball or at the start

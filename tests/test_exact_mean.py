@@ -10,6 +10,7 @@ columns whose exact value is 0 (about 1e-30 here), far below any
 standard error of an O(0.1) error level.
 """
 
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -52,7 +53,7 @@ def _config(n, p_update, h, family, start, horizon=HORIZON, budget=2.0):
 @pytest.mark.parametrize("n, p_update, h, family, start", RUNS)
 def test_ensemble_mean_matches_the_exact_curve(n, p_update, h, family, start):
     cfg = _config(n, p_update, h, family, start)
-    stats = run_ensemble(cfg, replications=REPLICATIONS, base_seed=SEED)
+    stats = run_ensemble(replace(cfg, replications=REPLICATIONS, seed=SEED))
     exact = exact_mean_error(cfg)
     se = stats.ci_halfwidth / Z95
     miss = np.abs(stats.mean_error - exact)
@@ -66,7 +67,7 @@ def test_ensemble_mean_matches_the_exact_curve(n, p_update, h, family, start):
 @pytest.mark.parametrize("family", ["quadratic", "logcosh_quadratic"])
 def test_updates_alone_keep_the_minimizer_start_at_rounding_level(n, family):
     cfg = _config(n, 1.0, 1.0, family, "minimizer")
-    rec = run_trajectory(cfg, seed=SEED)
+    rec = run_trajectory(replace(cfg, seed=SEED))
     assert rec.error[0] == 0.0
     assert rec.error.max() <= 1e-26
     assert np.all(exact_mean_error(cfg) == 0.0)
@@ -75,7 +76,7 @@ def test_updates_alone_keep_the_minimizer_start_at_rounding_level(n, family):
 @pytest.mark.parametrize("family", ["quadratic", "logcosh_quadratic"])
 def test_one_update_of_two_agents_at_h_one_over_alpha_reaches_the_minimizer(family):
     cfg = _config(2, 1.0, 1.0, family, "uniform_budget", horizon=5, budget=-0.7)
-    stats = run_ensemble(cfg, replications=200, base_seed=SEED)
+    stats = run_ensemble(replace(cfg, replications=200, seed=SEED))
     assert stats.mean_error[0] > 0.1   # E[C_0] = (n - 1) / 3
     assert stats.mean_error[1:].max() <= 1e-26
     exact = exact_mean_error(cfg)

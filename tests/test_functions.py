@@ -113,7 +113,7 @@ def test_certify_rejects_with_witness():
 
 def test_certify_logcosh_example():
     cert = ConvexityCertificate(2.0, 3.0)
-    g = make_logcosh_quadratic(1.0, 0.0, cert, weight=1.0)
+    g = make_logcosh_quadratic(1.0, 0.0, cert)
     assert certify(g, 5000, np.random.default_rng(2))
 
 

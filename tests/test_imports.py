@@ -1,5 +1,6 @@
 """Each command loads only what it runs, checked in fresh interpreters."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -75,3 +76,32 @@ def test_the_package_exports_every_module_name_once():
     namespace = {}
     exec("from openrcd import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(openrcd.__all__)
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; names in its ``__all__`` and
+    imports marked ``# noqa: F401`` are exempt."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ) and isinstance(node.value, ast.List):
+            exported |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "openrcd").glob("*.py")), ids=lambda p: p.name)
+def test_modules_import_no_name_they_never_use(path):
+    assert _unused_imports(path) == []

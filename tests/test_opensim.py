@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ def test_trajectory_matches_batch_engine_bitwise():
         (fig1_config(n=2, horizon=_TAPE_STEPS + 45, p_update=0.3), 17),
         (logcosh_config(n=2, horizon=_TAPE_STEPS + 45, p_update=0.3), 17),
     ]:
-        rec = run_trajectory(cfg, seed=seed)
+        rec = run_trajectory(replace(cfg, seed=seed))
         out = _simulate_batch(cfg, np.array([seed]))
         assert np.array_equal(rec.error, out.error[0])
         assert np.array_equal(rec.final_state.allocation.values, out.final_values[0])
@@ -237,7 +238,7 @@ def test_batch_rows_match_trajectories_at_extreme_parameters(
             _off_budget(mp, off_budget, budget)
         for s in seeds:
             try:
-                records.append(run_trajectory(cfg, seed=s))
+                records.append(run_trajectory(replace(cfg, seed=s)))
             except (NonConvergenceError, FeasibilityError) as exc:
                 failures.add(type(exc))
         if off_budget:
@@ -260,8 +261,8 @@ def test_batch_rows_match_trajectories_at_extreme_parameters(
 
 def test_single_replication_ensemble_equals_trajectory():
     for cfg in (fig1_config(), logcosh_config(), logcosh_config(initial_state="minimizer")):
-        rec = run_trajectory(cfg, seed=42)
-        stats = run_ensemble(cfg, replications=1, base_seed=42)
+        rec = run_trajectory(replace(cfg, seed=42))
+        stats = run_ensemble(replace(cfg, replications=1, seed=42))
         assert np.array_equal(stats.mean_error, rec.error)
         assert np.all(stats.ci_halfwidth == 0.0)
         assert stats.replacement_count == rec.event.count("replace")
@@ -269,7 +270,7 @@ def test_single_replication_ensemble_equals_trajectory():
 
 def test_trajectory_row_semantics():
     cfg = fig1_config(horizon=300)
-    rec = run_trajectory(cfg, seed=5)
+    rec = run_trajectory(replace(cfg, seed=5))
     assert rec.event[0] == "init"
     assert rec.k[0] == 0 and rec.k[-1] == 300
     for k, ev in enumerate(rec.event):
@@ -295,7 +296,7 @@ def test_largest_accepted_cost_scale_keeps_suboptimality_finite(budget):
 
 def test_horizon_zero_trajectory():
     cfg = fig1_config(horizon=0)
-    rec = run_trajectory(cfg, seed=0)
+    rec = run_trajectory(replace(cfg, seed=0))
     assert rec.k.size == 1
     assert rec.event == ("init",)
 
@@ -311,7 +312,7 @@ def test_closed_system_contracts_at_published_rate():
     # p_update=1: no replacements, mean error decays at least as fast as
     # the closed-system factor predicts (statistical check, 3000 chains)
     cfg = fig1_config(p_update=1.0, horizon=60)
-    stats = run_ensemble(cfg, replications=3000, base_seed=11)
+    stats = run_ensemble(replace(cfg, replications=3000, seed=11))
     rate = 1.0 - (1.0 / 1.2) * 1.0 / (cfg.n - 1)
     bound = stats.mean_error[0] * rate ** np.arange(61)
     assert np.all(stats.mean_error <= bound * 1.05 + 1e-12)
@@ -348,7 +349,7 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
     monkeypatch.setattr(opensim, "_BATCH_ROWS", 20)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     cfg = fig1_config(n=_POOL_MIN_AGENTS, horizon=60, p_update=0.9)
-    stats = run_ensemble(cfg, replications=100, base_seed=3)
+    stats = run_ensemble(replace(cfg, replications=100, seed=3))
     assert pools == [4]
 
     out = _simulate_batch(cfg, np.arange(3, 103))
@@ -360,7 +361,7 @@ def test_pooled_batches_match_one_unthreaded_pass(monkeypatch):
     assert stats.max_replacement_shift == out.max_replacement_shift
 
     # below the agent-count threshold the batches stay on one thread
-    run_ensemble(fig1_config(n=_POOL_MIN_AGENTS - 1, horizon=5), replications=100)
+    run_ensemble(fig1_config(n=_POOL_MIN_AGENTS - 1, horizon=5, replications=100))
     assert pools == [4]
 
 
@@ -374,7 +375,7 @@ def test_pooled_chunks_keep_their_tapes_under_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        stats = run_ensemble(cfg, replications=80, base_seed=7)
+        stats = run_ensemble(replace(cfg, replications=80, seed=7))
     finally:
         sys.setswitchinterval(interval)
     out = _simulate_batch(cfg, np.arange(7, 87))
@@ -444,7 +445,7 @@ def test_ensemble_statistics_match_the_full_matrix(cfg, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(opensim, "_CHUNK_BYTES", _budget_for(cfg, rows, chunk))
         assert opensim._chunk_length(cfg, rows)[0] == chunk
-    stats = run_ensemble(cfg, replications=60, base_seed=3)
+    stats = run_ensemble(replace(cfg, replications=60, seed=3))
 
     full = np.vstack([_simulate_batch(cfg, [seed]).error for seed in range(3, 63)])
     assert np.array_equal(stats.mean_error, full.mean(axis=0))
@@ -462,7 +463,7 @@ def test_ensemble_results_do_not_depend_on_the_batch_width(make, monkeypatch):
     for cap in (2048, 1024, 500):
         monkeypatch.setattr(opensim, "_BATCH_ROWS", cap)
         built, _ = _recording_batches(monkeypatch)
-        runs[cap] = run_ensemble(cfg, replications=2101, base_seed=5)
+        runs[cap] = run_ensemble(replace(cfg, replications=2101, seed=5))
         assert len(built) == -(-2101 // cap)
         assert max(built) - min(built) == 1
     first = runs[2048]
@@ -491,7 +492,7 @@ def test_pooled_runs_give_every_worker_a_batch(cpus, replications, batches, monk
     monkeypatch.setattr(opensim.os, "cpu_count", lambda: cpus)
     built, widths = _recording_batches(monkeypatch)
     cfg = fig1_config(n=_POOL_MIN_AGENTS, horizon=3, p_update=0.9)
-    run_ensemble(cfg, replications=replications)
+    run_ensemble(replace(cfg, replications=replications))
     assert len(built) == batches
     assert sum(built) == replications
     assert max(built) - min(built) <= 1 and max(built) <= opensim._BATCH_ROWS
@@ -540,13 +541,13 @@ def test_ensemble_memory_does_not_grow_with_the_horizon(monkeypatch):
     # the statistics' horizon + 1 entries grow with the horizon
     monkeypatch.setattr(opensim, "_BATCH_ROWS", 128)
     monkeypatch.setattr(opensim, "_TAPE_STEPS", 16)
-    run_ensemble(fig1_config(horizon=5), replications=3)  # warm lazy imports and caches
+    run_ensemble(fig1_config(horizon=5, replications=3))  # warm lazy imports and caches
     peaks = {}
     for chunks in (2, 16):
         cfg = fig1_config(horizon=chunks * opensim._TAPE_STEPS, p_update=0.95)
         tracemalloc.start()
         try:
-            run_ensemble(cfg, replications=512)
+            run_ensemble(replace(cfg, replications=512))
             peaks[chunks] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -557,7 +558,7 @@ def test_logcosh_family_trajectory_runs():
     cfg = fig1_config(
         alpha=2.0, beta=3.0, horizon=120, function_family="logcosh_quadratic",
     )
-    rec = run_trajectory(cfg, seed=2)
+    rec = run_trajectory(replace(cfg, seed=2))
     assert np.all(np.isfinite(rec.error))
     assert np.all(np.isfinite(rec.suboptimality))
     assert rec.final_state.allocation.values.sum() == pytest.approx(1.0, abs=1e-9)
@@ -572,7 +573,7 @@ def test_custom_replacement_sampler_is_used():
         return make_quadratic(0.5, 0.0, certificate)
 
     cfg = fig1_config(p_update=0.0, horizon=5)
-    rec = run_trajectory(cfg, seed=1, replacement_sampler=sampler)
+    rec = run_trajectory(replace(cfg, seed=1), replacement_sampler=sampler)
     assert len(cert_seen) == 5
     assert all(c == ConvexityCertificate(1.0, 1.2) for c in cert_seen)
     assert all(ev == "replace" for ev in rec.event[1:])
@@ -592,7 +593,7 @@ def test_custom_sampler_in_logcosh_runs_tracks_with_dual_bisection(monkeypatch):
 
     monkeypatch.setattr(opensim, "dual_bisection_minimizer", counting)
     cfg = logcosh_config(p_update=0.6, horizon=30, initial_state="minimizer")
-    rec = run_trajectory(cfg, seed=4, replacement_sampler=sampler)
+    rec = run_trajectory(replace(cfg, seed=4), replacement_sampler=sampler)
     # the minimizer start and the tracked minimizer come from one solver
     assert len(solves) == 2 + rec.event.count("replace")
     assert rec.error[0] == 0.0
@@ -604,7 +605,7 @@ def test_custom_sampler_in_quadratic_runs_tracks_with_dual_bisection():
     # log-cosh arrivals in a quadratic roster: the closed form would read
     # only their theta and mu
     cfg = fig1_config(n=4, beta=3.0, p_update=0.5, horizon=40)
-    rec = run_trajectory(cfg, seed=3, replacement_sampler=sample_logcosh_replacement)
+    rec = run_trajectory(replace(cfg, seed=3), replacement_sampler=sample_logcosh_replacement)
     assert "replace" in rec.event
     xstar = dual_bisection_minimizer(rec.final_state.roster, cfg.budget).point.values
     d = rec.final_state.allocation.values - xstar
@@ -617,7 +618,7 @@ def test_custom_sampler_in_quadratic_runs_takes_any_certified_cost():
         return GeneralSmoothFunction(lambda x: x * x, lambda x: 2.0 * x, certificate, 0.0)
 
     cfg = fig1_config(beta=3.0, p_update=0.6, horizon=30, initial_state="minimizer")
-    rec = run_trajectory(cfg, seed=4, replacement_sampler=sampler)
+    rec = run_trajectory(replace(cfg, seed=4), replacement_sampler=sampler)
     assert rec.error[0] == 0.0
     assert np.all(np.isfinite(rec.error))
 
@@ -629,7 +630,7 @@ def test_logcosh_runs_at_a_large_budget_converge(budget):
     # rounding exceeded an absolute FEASIBILITY_TOL, which now scales with |b|
     cfg = fig1_config(function_family="logcosh_quadratic", budget=budget)
     for seed in range(10):
-        rec = run_trajectory(cfg, seed=seed)
+        rec = run_trajectory(replace(cfg, seed=seed))
         assert np.all(np.isfinite(rec.error))
     out = _simulate_batch(cfg, [seed])
     assert np.array_equal(out.error[0], rec.error)
@@ -657,7 +658,7 @@ def test_logcosh_ensemble_solves_each_chunk_in_rounds(monkeypatch):
 
     monkeypatch.setattr(opensim, "_logcosh_point", counting)
     cfg = logcosh_config(horizon=150, p_update=0.9)
-    stats = run_ensemble(cfg, replications=64, base_seed=5)
+    stats = run_ensemble(replace(cfg, replications=64, seed=5))
     swaps = _swap_steps(cfg, range(5, 69))
     assert stats.replacement_count == swaps.sum()
     # one solve for the starting rosters, then one per round: a chunk has
@@ -680,7 +681,7 @@ def test_logcosh_ensemble_solves_each_chunk_in_one_call(monkeypatch):
 
     monkeypatch.setattr(opensim, "_logcosh_point", counting)
     cfg = logcosh_config(horizon=150, p_update=0.9)
-    run_ensemble(cfg, replications=64, base_seed=5)
+    run_ensemble(replace(cfg, replications=64, seed=5))
     swaps = _swap_steps(cfg, range(5, 69))
     per_chunk = [int(swaps[:, lo:lo + 37].sum()) for lo in range(0, 150, 37)]
     assert max(per_chunk) <= opensim._FILL_BYTES // (8 * cfg.n)
@@ -709,7 +710,7 @@ def test_partial_fill_blocks_match_trajectories(cfg, monkeypatch):
     assert np.array_equal(blocks.final_values, whole.final_values)
     assert np.array_equal(blocks.update_mask, whole.update_mask)
     for r, seed in enumerate(seeds):
-        rec = run_trajectory(cfg, seed=seed)
+        rec = run_trajectory(replace(cfg, seed=seed))
         assert np.array_equal(blocks.error[r], rec.error)
         assert np.array_equal(blocks.final_values[r], rec.final_state.allocation.values)
         assert np.array_equal(blocks.update_mask[r], np.array(rec.event[1:]) == "update")
@@ -738,7 +739,7 @@ def test_swap_blocks_cut_at_the_cap_match_trajectories(make, p_update, monkeypat
     cfg = make(n=2, horizon=40, p_update=p_update)
     seeds = range(11, 17)
     out = _simulate_batch(cfg, seeds)
-    records = [run_trajectory(cfg, seed=s) for s in seeds]
+    records = [run_trajectory(replace(cfg, seed=s)) for s in seeds]
     for r, rec in enumerate(records):
         assert np.array_equal(out.error[r], rec.error)
         assert np.array_equal(out.final_values[r], rec.final_state.allocation.values)
@@ -775,7 +776,7 @@ def test_solver_failure_in_a_round_surfaces(monkeypatch, tmp_path, capsys):
     cfg = logcosh_config(horizon=40, p_update=0.8)
     monkeypatch.setattr(allocation, "dual_bisection_minimizer", _fail_after(30))
     with pytest.raises(NonConvergenceError, match="in a round"):
-        run_ensemble(cfg, replications=30)
+        run_ensemble(replace(cfg, replications=30))
 
     monkeypatch.setattr(allocation, "dual_bisection_minimizer", _fail_after(30))
     path = tmp_path / "logcosh.cfg"
@@ -789,34 +790,18 @@ def test_solver_failure_in_a_round_surfaces(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "ensemble.csv").exists()
 
 
-@pytest.mark.parametrize("run, kwargs, key", [
-    (run_ensemble, {"replications": 2.5}, "replications"),
-    (run_ensemble, {"replications": 0}, "replications"),
-    (run_ensemble, {"base_seed": -1}, "base_seed"),
-    (run_trajectory, {"seed": 1.5}, "seed"),
-    (run_trajectory, {"seed": -1}, "seed"),
+@pytest.mark.parametrize("run, overrides, key", [
+    (run_ensemble, {"horizon": 600, "replications": 10**15}, "replications"),
+    (run_ensemble, {"horizon": 10**14, "replications": 2}, "horizon"),
+    (run_trajectory, {"horizon": 10**14}, "horizon"),
 ])
-def test_run_counts_and_seeds_are_refused_not_truncated(run, kwargs, key):
-    # replications = 2.5 used to run 2 replications
-    with pytest.raises(ConfigError) as err:
-        run(fig1_config(horizon=5), **kwargs)
-    assert err.value.key == key
-
-
-@pytest.mark.parametrize("run, overrides, kwargs, key", [
-    (run_ensemble, {"horizon": 600}, {"replications": 10**15}, "replications"),
-    (run_ensemble, {"horizon": 10**14}, {"replications": 2}, "horizon"),
-    (run_trajectory, {"horizon": 10**14}, {}, "horizon"),
-])
-def test_runs_past_physical_memory_are_refused_before_any_batch(
-    run, overrides, kwargs, key, monkeypatch
-):
+def test_runs_past_physical_memory_are_refused_before_any_batch(run, overrides, key, monkeypatch):
     def no_batch(*args, **kwargs):
         raise AssertionError("a batch was built")
 
     monkeypatch.setattr(opensim, "_Batch", no_batch)
     with pytest.raises(ConfigError, match="physical memory") as err:
-        run(fig1_config(**overrides), **kwargs)
+        run(fig1_config(**overrides))
     assert err.value.key == key
 
 
@@ -854,10 +839,10 @@ def test_chunk_length_follows_the_byte_budget(cfg, rows, steps):
     assert steps <= 1 or steps * step_bytes <= opensim._CHUNK_BYTES
 
 
-def _traced_peak(run, *args, **kwargs):
+def _traced_peak(run, *args):
     tracemalloc.start()
     try:
-        result = run(*args, **kwargs)
+        result = run(*args)
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -867,13 +852,13 @@ def test_swap_heavy_chunks_stay_within_the_budget(monkeypatch):
     # at p_U = 0 every row swaps every step: 256-step chunks held a
     # (64, 262144) array of minimizers, about 159 MiB traced
     cfg = fig1_config(n=64, p_update=0.0, horizon=256)
-    run_ensemble(cfg, replications=3)  # warm lazy imports and caches
-    stats, peak = _traced_peak(run_ensemble, cfg, replications=1024)
+    run_ensemble(replace(cfg, replications=3))  # warm lazy imports and caches
+    stats, peak = _traced_peak(run_ensemble, replace(cfg, replications=1024))
     assert peak < 24 * 2**20
 
     monkeypatch.setattr(opensim, "_CHUNK_BYTES", 2**62)
     assert opensim._chunk_length(cfg, 1024)[0] == _TAPE_STEPS
-    lifted = run_ensemble(cfg, replications=1024)
+    lifted = run_ensemble(replace(cfg, replications=1024))
     assert np.array_equal(stats.mean_error, lifted.mean_error)
     assert np.array_equal(stats.ci_halfwidth, lifted.ci_halfwidth)
     assert stats.replacement_count == lifted.replacement_count
@@ -896,8 +881,8 @@ def test_swap_heavy_chunks_stay_within_the_budget(monkeypatch):
     (fig1_config(n=1024, p_update=0.0, horizon=8), 256),
 ])
 def test_stated_footprint_covers_the_traced_peak(cfg, replications):
-    run_ensemble(cfg, replications=3)  # warm lazy imports and caches
-    _, peak = _traced_peak(run_ensemble, cfg, replications=replications)
+    run_ensemble(replace(cfg, replications=3))  # warm lazy imports and caches
+    _, peak = _traced_peak(run_ensemble, replace(cfg, replications=replications))
     assert peak <= sum(opensim._footprint(cfg, replications))
 
 
@@ -907,6 +892,6 @@ def test_swap_blocks_do_not_grow_with_the_roster(make):
     # swap count: blocks of 1024 swaps traced 18.3 MiB here (quadratic) and
     # 37.1 MiB (log-cosh)
     cfg = make(n=256, p_update=0.0, horizon=64)
-    run_ensemble(cfg, replications=3)  # warm lazy imports and caches
-    _, peak = _traced_peak(run_ensemble, cfg, replications=64)
+    run_ensemble(replace(cfg, replications=3))  # warm lazy imports and caches
+    _, peak = _traced_peak(run_ensemble, replace(cfg, replications=64))
     assert peak < 10 * 2**20
