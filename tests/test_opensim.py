@@ -790,6 +790,26 @@ def test_solver_failure_in_a_round_surfaces(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "ensemble.csv").exists()
 
 
+@pytest.mark.parametrize("run, kwargs, key", [
+    (run_ensemble, {"replications": 2.5}, "replications"),
+    (run_ensemble, {"replications": 0}, "replications"),
+    (run_ensemble, {"seed": -1}, "seed"),
+    (run_trajectory, {"seed": 1.5}, "seed"),
+    (run_trajectory, {"seed": -1}, "seed"),
+])
+def test_run_counts_and_seeds_are_refused_not_truncated(run, kwargs, key, monkeypatch):
+    # a run's seed and replications are set in its config, so a variant made
+    # with dataclasses.replace is checked again: 2.5 replications are refused
+    # by name, not run as 2, and no batch is built
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch was built")
+
+    monkeypatch.setattr(opensim, "_Batch", no_batch)
+    with pytest.raises(ConfigError) as err:
+        run(replace(fig1_config(horizon=5), **kwargs))
+    assert err.value.key == key
+
+
 @pytest.mark.parametrize("run, overrides, key", [
     (run_ensemble, {"horizon": 600, "replications": 10**15}, "replications"),
     (run_ensemble, {"horizon": 10**14, "replications": 2}, "horizon"),
