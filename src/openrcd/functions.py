@@ -8,10 +8,10 @@ quadratics (the workhorse for every statistic) and a quadratic plus a
 log-cosh perturbation whose curvature interval is known analytically,
 used to exercise the general-function code paths.
 
-Replacement sampling draws new costs with uniform parameters; the
-quantile helpers are shared with the vectorized simulator so that
-scalar and batched draws produce bit-identical parameters from the
-same uniform variates.
+Replacement costs are drawn with uniform parameters; the quantile
+helpers are shared with the vectorized simulator so that scalar and
+batched draws produce bit-identical parameters from the same uniform
+variates.
 """
 
 import math
@@ -31,8 +31,6 @@ __all__ = [
     "make_logcosh_quadratic",
     "quadratic_quantiles",
     "logcosh_quantiles",
-    "sample_replacement",
-    "sample_logcosh_replacement",
 ]
 
 
@@ -286,27 +284,3 @@ def _cost_from_uniforms(family, certificate, u_theta, u_mu):
     theta, mu, weight = logcosh_quantiles(certificate, u_theta, u_mu)
     return LogCoshQuadratic(float(theta), float(mu), float(weight), certificate)
 
-
-def sample_replacement(rng, certificate):
-    """Draw a fresh quadratic cost from the replacement distribution.
-
-    Consumes exactly two uniforms from ``rng`` (theta quantile, then mu
-    quantile).
-
-    Parameters
-    ----------
-    rng : numpy.random.Generator
-    certificate : ConvexityCertificate
-
-    Returns
-    -------
-    QuadraticFunction
-    """
-    u = rng.random(2)
-    return _cost_from_uniforms("quadratic", certificate, u[0], u[1])
-
-
-def sample_logcosh_replacement(rng, certificate):
-    """Draw a fresh log-cosh cost; same two-uniform budget as the quadratic."""
-    u = rng.random(2)
-    return _cost_from_uniforms("logcosh_quadratic", certificate, u[0], u[1])

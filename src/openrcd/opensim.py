@@ -25,10 +25,9 @@ stops on ``allocation._solver_targets``), :func:`_initial_point` and
 ``allocation._squared_distance``; both end a run whose estimates or
 minimizers are off the budget with ``allocation._check_feasible``, the
 scalar path at every step and the batch engine at its start and once per
-tape chunk.  Runs with a custom
-``replacement_sampler`` (which may return any certified cost, e.g. a
-``GeneralSmoothFunction``) exist only on the scalar path and track the
-minimizer with the dual bisection, in either family.
+tape chunk.  Both paths simulate exactly the two built-in families: an
+arrival is drawn from the family of the cost it replaces, and the
+minimizer is tracked with that family's own solver.
 
 The batch engine solves the roster process first.  Swaps are exogenous:
 which agent leaves, what cost arrives and so where the minimizer moves
@@ -62,9 +61,12 @@ from .allocation import (
     _quadratic_point,
     _squared_distance,
     closed_form_quadratic_minimizer,
-    dual_bisection_minimizer,
 )
+# unused here, but bench/tracer.py wraps it as an attribute of this module
+from .allocation import dual_bisection_minimizer  # noqa: F401
 from .functions import (
+    LogCoshQuadratic,
+    QuadraticFunction,
     _cost_from_uniforms,
     _logcosh_gradient,
     _logcosh_weight,
@@ -197,10 +199,7 @@ class ReplicationStats:
     max_replacement_shift: float
 
 
-def _solver_for(family, custom_replacements=False):
-    if custom_replacements:
-        # a custom sampler may return any certified cost
-        return dual_bisection_minimizer
+def _solver_for(family):
     if family == "quadratic":
         return closed_form_quadratic_minimizer
     return _logcosh_newton_minimizer
@@ -222,14 +221,13 @@ def _initial_point(config, rows, minimizer):
     return np.full((config.n, *rows), fill, dtype=np.float64)
 
 
-def initial_system_state(config, rng, solver=None):
+def initial_system_state(config, rng):
     """Draw the starting roster and build the configured initial point.
 
     Consumes exactly ``2 n`` uniforms from ``rng`` (theta and mu
-    quantiles per agent, in agent order).  ``solver(roster, budget)``
-    gives the ``"minimizer"`` start; it defaults to the family's own
-    solver, and :func:`run_trajectory` passes the one it tracks the
-    minimizer with, so that start is exact.
+    quantiles per agent, in agent order).  The family's own solver, the
+    one :func:`run_trajectory` tracks the minimizer with, gives the
+    ``"minimizer"`` start, so that start is exact.
     """
     cert = config.certificate
     family = config.function_family
@@ -237,18 +235,21 @@ def initial_system_state(config, rng, solver=None):
         _cost_from_uniforms(family, cert, u_theta, u_mu)
         for u_theta, u_mu in rng.random((config.n, 2))
     )
-    solve = _solver_for(family) if solver is None else solver
+    solve = _solver_for(family)
     x0 = _initial_point(config, (), lambda: solve(roster, config.budget).point.values)
     return SystemState(Allocation(x0, config.budget), roster)
 
 
-def step(state, schedule, rng, step_config=None, family="quadratic",
-         replacement_sampler=None):
+#: the built-in family of each cost class :func:`step` can replace
+_FAMILY_OF = {QuadraticFunction: "quadratic", LogCoshQuadratic: "logcosh_quadratic"}
+
+
+def step(state, schedule, rng, step_config=None):
     """Advance the open system by one iteration.
 
     Consumes exactly five uniforms from ``rng`` regardless of the
-    realized event (unused draws are discarded), unless a custom
-    ``replacement_sampler`` takes extra draws of its own.
+    realized event (unused draws are discarded).  An arrival is drawn
+    from the built-in family of the cost it replaces.
 
     Parameters
     ----------
@@ -257,17 +258,17 @@ def step(state, schedule, rng, step_config=None, family="quadratic",
     rng : numpy.random.Generator
     step_config : StepConfig, optional
         Defaults to ``h = 1/beta`` for the roster's certificate.
-    family : str
-        Which built-in family replacements are drawn from.
-    replacement_sampler : callable, optional
-        ``sampler(rng, certificate) -> CostFunction`` overriding the
-        built-in draw.
 
     Returns
     -------
     (SystemState, tuple)
         The new state and the realized event, either
         ``("update", i, j)`` or ``("replace", agent)``.
+
+    Raises
+    ------
+    ValueError
+        If the replaced cost belongs to neither built-in family.
     """
     if step_config is None:
         step_config = StepConfig.default(state.certificate.beta)
@@ -280,10 +281,14 @@ def step(state, schedule, rng, step_config=None, family="quadratic",
         after = rcd_pair_step(state.allocation, state.roster, sel, step_config)
         return SystemState(after, state.roster), ("update", sel.i, sel.j)
     agent = int(u[2] * n)
-    if replacement_sampler is not None:
-        fresh = replacement_sampler(rng, state.certificate)
-    else:
-        fresh = _cost_from_uniforms(family, state.certificate, u[3], u[4])
+    leaving = state.roster[agent]
+    family = _FAMILY_OF.get(type(leaving))
+    if family is None:
+        raise ValueError(
+            f"agent {agent} holds a {type(leaving).__name__}; only a "
+            "QuadraticFunction or a LogCoshQuadratic can be replaced"
+        )
+    fresh = _cost_from_uniforms(family, state.certificate, u[3], u[4])
     roster = state.roster[:agent] + (fresh,) + state.roster[agent + 1:]
     return SystemState(state.allocation, roster), ("replace", agent)
 
@@ -377,14 +382,15 @@ def _roster_value(roster, values):
     return math.fsum(f.value(v) for f, v in zip(roster, values))
 
 
-def run_trajectory(config, replacement_sampler=None):
+def run_trajectory(config):
     """Simulate one run, seeded ``config.seed``, and log it per iteration.
+
+    The minimizer is tracked with the family's own solver: the closed
+    form for quadratic rosters, the log-cosh Newton solve otherwise.
 
     Parameters
     ----------
     config : ExperimentConfig
-    replacement_sampler : callable, optional
-        Passed through to :func:`step`.
 
     Returns
     -------
@@ -399,8 +405,8 @@ def run_trajectory(config, replacement_sampler=None):
     _check_footprint(config, 1)
     schedule = EventSchedule(config.p_update)
     step_config = StepConfig(config.h, config.beta)
-    solver = _solver_for(config.function_family, replacement_sampler is not None)
-    state = initial_system_state(config, rng, solver)
+    solver = _solver_for(config.function_family)
+    state = initial_system_state(config, rng)
 
     horizon = config.horizon
     events = ["init"]
@@ -411,14 +417,7 @@ def run_trajectory(config, replacement_sampler=None):
 
     for k in range(horizon + 1):
         if k:
-            state, event = step(
-                state,
-                schedule,
-                rng,
-                step_config,
-                family=config.function_family,
-                replacement_sampler=replacement_sampler,
-            )
+            state, event = step(state, schedule, rng, step_config)
             events.append(event[0])
             if event[0] == "replace":
                 moved = solver(state.roster, config.budget).point.values

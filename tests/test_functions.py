@@ -11,12 +11,11 @@ from openrcd.functions import (
     LogCoshQuadratic,
     ParameterRangeError,
     QuadraticFunction,
+    _cost_from_uniforms,
     logcosh_quantiles,
     make_logcosh_quadratic,
     make_quadratic,
     quadratic_quantiles,
-    sample_logcosh_replacement,
-    sample_replacement,
 )
 from paper_identities import certify
 
@@ -140,8 +139,8 @@ def test_quantile_maps_vectorize():
 @settings(max_examples=60, deadline=None)
 def test_sampled_replacement_always_certifies(seed, kappa):
     cert = ConvexityCertificate(1.0, kappa)
-    rng = np.random.default_rng(seed)
-    f = sample_replacement(rng, cert)
+    u = np.random.default_rng(seed).random(2)
+    f = _cost_from_uniforms("quadratic", cert, u[0], u[1])
     assert cert.alpha / 2.0 <= f.theta <= cert.beta / 2.0
     assert -1.0 <= f.mu <= 1.0
     assert certify(f, 300, np.random.default_rng(seed + 1))
@@ -151,8 +150,8 @@ def test_sampled_replacement_always_certifies(seed, kappa):
 @settings(max_examples=40, deadline=None)
 def test_sampled_logcosh_replacement_certifies(seed):
     cert = ConvexityCertificate(1.0, 3.0)
-    rng = np.random.default_rng(seed)
-    f = sample_logcosh_replacement(rng, cert)
+    u = np.random.default_rng(seed).random(2)
+    f = _cost_from_uniforms("logcosh_quadratic", cert, u[0], u[1])
     assert certify(f, 300, np.random.default_rng(seed + 1))
 
 
@@ -160,7 +159,7 @@ def test_replacement_location_mean_is_centered():
     # locations are uniform on [-1, 1]; the mean over 1e5 draws sits near 0
     cert = ConvexityCertificate(1.0, 1.2)
     rng = np.random.default_rng(7)
-    mus = [sample_replacement(rng, cert).mu for _ in range(100_000)]
+    mus = [_cost_from_uniforms("quadratic", cert, *rng.random(2)).mu for _ in range(100_000)]
     assert abs(float(np.mean(mus))) < 0.01
 
 
@@ -168,6 +167,6 @@ def test_replacement_consumes_two_uniforms():
     cert = ConvexityCertificate(1.0, 1.2)
     r1 = np.random.default_rng(5)
     r2 = np.random.default_rng(5)
-    sample_replacement(r1, cert)
+    _cost_from_uniforms("quadratic", cert, *r1.random(2))
     r2.random(2)
     assert r1.random() == r2.random()

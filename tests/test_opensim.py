@@ -11,14 +11,19 @@ from hypothesis import strategies as st
 
 from batch_reference import _simulate_batch
 from openrcd import allocation, rcd
-from openrcd.allocation import FeasibilityError, NonConvergenceError, dual_bisection_minimizer
+from openrcd.allocation import (
+    Allocation,
+    FeasibilityError,
+    NonConvergenceError,
+    _logcosh_newton_minimizer,
+    dual_bisection_minimizer,
+)
 from openrcd.cli import main
 from openrcd.config import ConfigError, ExperimentConfig
 from openrcd.functions import (
     ConvexityCertificate,
     GeneralSmoothFunction,
-    make_quadratic,
-    sample_logcosh_replacement,
+    LogCoshQuadratic,
 )
 
 import openrcd.opensim as opensim
@@ -27,6 +32,7 @@ from openrcd.opensim import (
     _POOL_MIN_AGENTS,
     _TAPE_STEPS,
     EventSchedule,
+    SystemState,
     _column_stats,
     _row_generators,
     initial_system_state,
@@ -564,63 +570,34 @@ def test_logcosh_family_trajectory_runs():
     assert rec.final_state.allocation.values.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_custom_replacement_sampler_is_used():
-    cert_seen = []
-
-    def sampler(rng, certificate):
-        cert_seen.append(certificate)
-        rng.random(2)
-        return make_quadratic(0.5, 0.0, certificate)
-
-    cfg = fig1_config(p_update=0.0, horizon=5)
-    rec = run_trajectory(replace(cfg, seed=1), replacement_sampler=sampler)
-    assert len(cert_seen) == 5
-    assert all(c == ConvexityCertificate(1.0, 1.2) for c in cert_seen)
-    assert all(ev == "replace" for ev in rec.event[1:])
-
-
-def test_custom_sampler_in_logcosh_runs_tracks_with_dual_bisection(monkeypatch):
-    solves = []
-    real = opensim.dual_bisection_minimizer
-
-    def counting(fs, budget):
-        solves.append(len(fs))
-        return real(fs, budget)
-
-    def sampler(rng, certificate):
-        rng.random(2)
-        return GeneralSmoothFunction(lambda x: x * x, lambda x: 2.0 * x, certificate, 0.0)
-
-    monkeypatch.setattr(opensim, "dual_bisection_minimizer", counting)
-    cfg = logcosh_config(p_update=0.6, horizon=30, initial_state="minimizer")
-    rec = run_trajectory(replace(cfg, seed=4), replacement_sampler=sampler)
-    # the minimizer start and the tracked minimizer come from one solver
-    assert len(solves) == 2 + rec.event.count("replace")
-    assert rec.error[0] == 0.0
-    assert rec.suboptimality[0] == 0.0
-    assert np.all(np.isfinite(rec.error))
+def test_replacements_keep_the_log_cosh_family():
+    # arrivals come from the family of the cost they replace, so the
+    # log-cosh Newton solve can still read the roster afterwards
+    cfg = logcosh_config(p_update=0.0)
+    rng = np.random.default_rng(3)
+    state = initial_system_state(cfg, rng)
+    for _ in range(40):
+        state, event = step(state, EventSchedule(0.0), rng)
+        assert event[0] == "replace"
+    assert all(type(f) is LogCoshQuadratic for f in state.roster)
+    newton = _logcosh_newton_minimizer(state.roster, cfg.budget).point.values
+    reference = dual_bisection_minimizer(state.roster, cfg.budget).point.values
+    assert np.allclose(newton, reference, atol=1e-9)
 
 
-def test_custom_sampler_in_quadratic_runs_tracks_with_dual_bisection():
-    # log-cosh arrivals in a quadratic roster: the closed form would read
-    # only their theta and mu
-    cfg = fig1_config(n=4, beta=3.0, p_update=0.5, horizon=40)
-    rec = run_trajectory(replace(cfg, seed=3), replacement_sampler=sample_logcosh_replacement)
-    assert "replace" in rec.event
-    xstar = dual_bisection_minimizer(rec.final_state.roster, cfg.budget).point.values
-    d = rec.final_state.allocation.values - xstar
-    assert rec.error[-1] == (d * d).sum()
-
-
-def test_custom_sampler_in_quadratic_runs_takes_any_certified_cost():
-    def sampler(rng, certificate):
-        rng.random(2)
-        return GeneralSmoothFunction(lambda x: x * x, lambda x: 2.0 * x, certificate, 0.0)
-
-    cfg = fig1_config(beta=3.0, p_update=0.6, horizon=30, initial_state="minimizer")
-    rec = run_trajectory(replace(cfg, seed=4), replacement_sampler=sampler)
-    assert rec.error[0] == 0.0
-    assert np.all(np.isfinite(rec.error))
+def test_replacing_a_general_cost_is_refused_by_name():
+    cert = ConvexityCertificate(1.0, 3.0)
+    f = GeneralSmoothFunction(lambda x: x * x, lambda x: 2.0 * x, cert, 0.0)
+    state = SystemState(Allocation(np.array([0.5, 0.5, 0.0]), 1.0), (f, f, f))
+    with pytest.raises(ValueError, match="GeneralSmoothFunction"):
+        step(state, EventSchedule(0.0), np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        state, event = step(state, EventSchedule(1.0), rng)
+        assert event[0] == "update"
+    assert state.roster == (f, f, f)
+    # the pair updates descend toward the equal split x_i = 1/3
+    assert np.allclose(state.allocation.values, 1.0 / 3.0, atol=1e-4)
 
 
 @pytest.mark.parametrize("budget", [1e6, -1e6, 1e7, -1e7, 1e9, -1e9])
