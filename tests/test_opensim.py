@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import math
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from openrcd.allocation import (
     FeasibilityError,
     NonConvergenceError,
     _logcosh_newton_minimizer,
+    closed_form_quadratic_minimizer,
     dual_bisection_minimizer,
 )
 from openrcd.cli import main
@@ -24,6 +26,10 @@ from openrcd.functions import (
     ConvexityCertificate,
     GeneralSmoothFunction,
     LogCoshQuadratic,
+    QuadraticFunction,
+    _cost_from_uniforms,
+    make_logcosh_quadratic,
+    make_quadratic,
 )
 
 import openrcd.opensim as opensim
@@ -598,6 +604,60 @@ def test_replacing_a_general_cost_is_refused_by_name():
     assert state.roster == (f, f, f)
     # the pair updates descend toward the equal split x_i = 1/3
     assert np.allclose(state.allocation.values, 1.0 / 3.0, atol=1e-4)
+
+
+def test_replacements_keep_the_quadratic_family():
+    cfg = fig1_config(p_update=0.0)
+    rng = np.random.default_rng(3)
+    state = initial_system_state(cfg, rng)
+    for _ in range(40):
+        state, event = step(state, EventSchedule(0.0), rng)
+        assert event[0] == "replace"
+    assert all(type(f) is QuadraticFunction for f in state.roster)
+    closed = closed_form_quadratic_minimizer(state.roster, cfg.budget).point.values
+    reference = dual_bisection_minimizer(state.roster, cfg.budget).point.values
+    assert np.allclose(closed, reference, atol=1e-9)
+
+
+def test_replacement_draws_from_the_replaced_costs_family():
+    # a roster mixing both families: each arrival takes the family of the
+    # cost it replaces, built from the step's fourth and fifth uniforms
+    cert = ConvexityCertificate(1.0, 3.0)
+    roster = (
+        make_quadratic(1.0, 0.2, cert),
+        make_logcosh_quadratic(1.0, -0.3, cert),
+        make_quadratic(1.2, 0.0, cert),
+        make_logcosh_quadratic(0.8, 0.4, cert),
+    )
+    state = SystemState(Allocation(np.full(4, 0.25), 1.0), roster)
+    families = {QuadraticFunction: "quadratic", LogCoshQuadratic: "logcosh_quadratic"}
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        u = copy.deepcopy(rng).random(5)
+        mirror = copy.deepcopy(rng)
+        mirror.random(5)
+        before = state.roster
+        state, event = step(state, EventSchedule(0.0), rng)
+        agent = event[1]
+        assert agent == int(u[2] * 4)
+        family = families[type(before[agent])]
+        assert state.roster[agent] == _cost_from_uniforms(family, cert, u[3], u[4])
+        # the step consumed exactly five uniforms
+        assert rng.random() == mirror.random()
+
+
+@pytest.mark.parametrize(
+    "config, solver",
+    [
+        (fig1_config(initial_state="minimizer"), closed_form_quadratic_minimizer),
+        (logcosh_config(initial_state="minimizer"), _logcosh_newton_minimizer),
+    ],
+    ids=["quadratic", "logcosh"],
+)
+def test_minimizer_start_comes_from_the_familys_solver(config, solver):
+    state = initial_system_state(config, np.random.default_rng(5))
+    expected = solver(state.roster, config.budget).point.values
+    assert np.array_equal(state.allocation.values, expected)
 
 
 @pytest.mark.parametrize("budget", [1e6, -1e6, 1e7, -1e7, 1e9, -1e9])
