@@ -80,8 +80,12 @@ class Allocation:
         v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise FeasibilityError("values must be a 1-D array with n >= 1")
-        # agent order, as _agent_sum adds
-        _check_feasible(abs(sum(v.tolist()) - self.budget), self.budget)
+        # agent order, as _agent_sum adds (the builtin sum compensates from
+        # Python 3.12 on)
+        total = 0.0
+        for value in v.tolist():
+            total += value
+        _check_feasible(abs(total - self.budget), self.budget)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

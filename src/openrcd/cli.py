@@ -36,6 +36,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .allocation import FeasibilityError, NonConvergenceError
 from .bounds import evaluate_bounds, recursion_envelope
@@ -51,29 +52,31 @@ from .rules import (
     _check_probability,
     _check_search_budget,
 )
-from .worstcase import sweep
+from .worstcase import SweepRow, sweep
 
 __all__ = ["main", "cmd_simulate", "cmd_bounds", "cmd_worstcase"]
 
 
-def _fmt(value):
-    """A bound block's cell: ``yes``/``no`` for a flag, else a float."""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    return f"{float(value):.17g}"
-
-
-#: the ``%`` conversion of each CSV column kind; ``g`` prints as :func:`_fmt`
+#: the ``%`` conversion of each CSV column kind
 _CONVERSIONS = {"d": "%d", "s": "%s", "g": "%.17g"}
 
 
-def _write_csv(path, header, kinds, rows):
-    """Write ``rows``, tuples whose columns are of ``kinds``, one letter
-    each: ``d`` an int, ``s`` a string, ``g`` a float."""
+def _fmt(value):
+    """A printed cell: ``yes``/``no`` for a flag, else a CSV float."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return _CONVERSIONS["g"] % value
+
+
+def _write_csv(path, columns):
+    """Write one ``(name, kind, values)`` triple per column; ``kind`` is a
+    letter: ``d`` an int, ``s`` a string, ``g`` a float.  Each row is
+    printed with one ``%``."""
+    names, kinds, values = zip(*columns)
     line = ",".join(_CONVERSIONS[kind] for kind in kinds) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
+        fh.write(",".join(names) + "\n")
+        fh.writelines(line % row for row in zip(*values))
 
 
 def _make_out_dir(path):
@@ -83,21 +86,44 @@ def _make_out_dir(path):
         raise ConfigError("out", f"cannot create directory {path!r}: {exc.strerror}") from None
 
 
-def _bound_block(bs):
+def _preset(name, presets):
+    """The raw table of preset ``name`` in ``presets``; empty for no name."""
+    if not name:
+        return {}
+    if name not in presets:
+        raise ConfigError("preset", f"unknown preset {name!r}")
+    return presets[name]
+
+
+#: the value lines of a bound block: ``(label, BoundSet field)``
+_BLOCK = (
+    ("closed-system rate", "closed_rate"),
+    ("open-system rate", "open_rate"),
+    ("offset (general)", "offset_general"),
+    ("offset (quadratic)", "offset_quadratic"),
+    ("steady state (printed)", "steady_state_printed"),
+    ("steady state (recursion)", "steady_state_fixed_point"),
+    ("minimizer ball radius", "ball_radius"),
+)
+
+
+def _bound_block(bs, beta):
+    """The printed lines of ``bs``, whose default step is ``1/beta``."""
     lines = [
         f"n={bs.n}  kappa={_fmt(bs.kappa)}  b={_fmt(bs.budget)}  "
         f"p_U={_fmt(bs.p_update)}  h={_fmt(bs.h)}",
-        f"closed-system rate        {_fmt(bs.closed_rate)}",
-        f"open-system rate          {_fmt(bs.open_rate)}",
-        f"offset (general)          {_fmt(bs.offset_general)}",
-        f"offset (quadratic)        {_fmt(bs.offset_quadratic)}",
-        f"steady state (printed)    {_fmt(bs.steady_state_printed)}",
-        f"steady state (recursion)  {_fmt(bs.steady_state_fixed_point)}",
-        f"minimizer ball radius     {_fmt(bs.ball_radius)}",
+        *(f"{label:<26}{_fmt(getattr(bs, field))}" for label, field in _BLOCK),
         f"stability: p_U > {_fmt(bs.min_update_probability)} "
         f"(replacement ratio < {_fmt(bs.max_replacement_ratio)}) -> "
         + ("stable" if bs.stable else "UNSTABLE"),
     ]
+    if bs.h < 1.0 / beta:
+        # only the closed-system rate follows h; the open-system calculators
+        # take the paper's step
+        lines.append(
+            f"note: h < 1/beta = {_fmt(1.0 / beta)}; the open-system rate, offsets, "
+            "steady states and stability are for h = 1/beta"
+        )
     both = (bs.steady_state_printed, bs.steady_state_fixed_point)
     if all(math.isfinite(v) for v in both) and abs(both[0] - both[1]) > 1e-12 * max(
         1.0, abs(both[0]), abs(both[1])
@@ -146,6 +172,19 @@ def _ticks(lo, hi):
     return ticks
 
 
+def _text(x, y, size, body, anchor="middle", rest=""):
+    """A sans-serif ``<text>``; ``x`` and ``y`` as they are to print."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{rest}>{body}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke="#dddddd", width=1, dash=""):
+    """A ``<line>``; grid grey and 1 wide by default."""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"{dash}/>')
+
+
 def _svg_line_plot(series, title, xlabel, ylabel):
     """Render polyline series to an SVG document string.
 
@@ -170,45 +209,26 @@ def _svg_line_plot(series, title, xlabel, ylabel):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        _text(f"{width / 2:.1f}", 22, 15, title),
     ]
     # axes and grid
     for t in _ticks(x_lo, x_hi):
         if t < x_lo - 1e-12 or t > x_hi + 1e-12:
             continue
-        x = px(t)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{margin_t}" x2="{x:.2f}" '
-            f'y2="{margin_t + plot_h}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{margin_t + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{t:g}</text>'
-        )
+        x = f"{px(t):.2f}"
+        parts.append(_line(x, margin_t, x, margin_t + plot_h))
+        parts.append(_text(x, margin_t + plot_h + 18, 11, f"{t:g}"))
     for t in _ticks(y_lo, y_hi):
         y = py(t)
-        parts.append(
-            f'<line x1="{margin_l}" y1="{y:.2f}" x2="{margin_l + plot_w}" '
-            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{margin_l - 6}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{t:g}</text>'
-        )
+        parts.append(_line(margin_l, f"{y:.2f}", margin_l + plot_w, f"{y:.2f}"))
+        parts.append(_text(margin_l - 6, f"{y + 4:.2f}", 11, f"{t:g}", "end"))
     parts.append(
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    parts.append(
-        f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {margin_t + plot_h / 2:.1f})">{ylabel}</text>'
-    )
+    parts.append(_text(f"{margin_l + plot_w / 2:.1f}", height - 12, 12, xlabel))
+    mid = f"{margin_t + plot_h / 2:.1f}"
+    parts.append(_text(18, mid, 12, ylabel, rest=f' transform="rotate(-90 18 {mid})"'))
     # series
     for idx, (label, xs, ys, dashed) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -222,14 +242,8 @@ def _svg_line_plot(series, title, xlabel, ylabel):
         )
         ly = margin_t + 16 + 16 * idx
         lx = margin_l + plot_w - 160
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.8"{dash}/>'
-        )
-        parts.append(
-            f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
-        )
+        parts.append(_line(lx, ly - 4, lx + 24, ly - 4, color, 1.8, dash))
+        parts.append(_text(lx + 30, ly, 11, label, None))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -238,11 +252,7 @@ def _svg_line_plot(series, title, xlabel, ylabel):
 # subcommands
 
 def cmd_simulate(args):
-    table = {}
-    if args.preset:
-        if args.preset not in SIMULATE_PRESETS:
-            raise ConfigError("preset", f"unknown preset {args.preset!r}")
-        table.update(SIMULATE_PRESETS[args.preset])
+    table = _preset(args.preset, SIMULATE_PRESETS)
     if args.config:
         try:
             config = load_config(args.config, defaults=table)
@@ -258,47 +268,34 @@ def cmd_simulate(args):
     bs = evaluate_bounds(
         config.n, config.alpha, config.beta, config.budget, config.p_update, config.h
     )
-    for line in _bound_block(bs):
+    for line in _bound_block(bs, config.beta):
         print(line)
 
     if config.replications == 1:
         record = run_trajectory(config)
         path = os.path.join(args.out, "trajectory.csv")
-        _write_csv(
-            path,
-            ("k", "event", "C_k", "subopt", "min_shift"),
-            "dsggg",
-            zip(
-                record.k.tolist(),
-                record.event,
-                record.error,
-                record.suboptimality,
-                record.minimizer_shift,
-            ),
-        )
+        _write_csv(path, [
+            ("k", "d", record.k.tolist()),
+            ("event", "s", record.event),
+            ("C_k", "g", record.error),
+            ("subopt", "g", record.suboptimality),
+            ("min_shift", "g", record.minimizer_shift),
+        ])
         print(f"wrote {path} ({record.k.size} rows)")
     else:
         stats = run_ensemble(config)
-        envelope_general = recursion_envelope(
-            stats.mean_error[0], bs.open_rate, bs.offset_general, config.horizon
-        )
-        envelope_quadratic = recursion_envelope(
-            stats.mean_error[0], bs.open_rate, bs.offset_quadratic, config.horizon
-        )
+        mean, half = stats.mean_error, stats.ci_halfwidth
         path = os.path.join(args.out, "ensemble.csv")
-        _write_csv(
-            path,
-            ("k", "mean_C", "ci_lo", "ci_hi", "bound_general", "bound_quadratic"),
-            "dggggg",
-            zip(
-                range(config.horizon + 1),
-                stats.mean_error,
-                stats.mean_error - stats.ci_halfwidth,
-                stats.mean_error + stats.ci_halfwidth,
-                envelope_general,
-                envelope_quadratic,
-            ),
-        )
+        _write_csv(path, [
+            ("k", "d", range(config.horizon + 1)),
+            ("mean_C", "g", mean),
+            ("ci_lo", "g", mean - half),
+            ("ci_hi", "g", mean + half),
+            ("bound_general", "g",
+             recursion_envelope(mean[0], bs.open_rate, bs.offset_general, config.horizon)),
+            ("bound_quadratic", "g",
+             recursion_envelope(mean[0], bs.open_rate, bs.offset_quadratic, config.horizon)),
+        ])
         print(
             f"wrote {path} ({config.horizon + 1} rows, "
             f"{stats.replications} replications, "
@@ -315,39 +312,30 @@ def _float_list(raw, key):
         raise ConfigError(key, f"cannot parse {raw!r} as a comma-separated float list")
 
 
+#: the columns of the ``bounds`` table: ``(header, BoundSet field)``
+_TABLE = (
+    ("p_U", "p_update"),
+    ("stable", "stable"),
+    ("closed_rate", "closed_rate"),
+    ("open_rate", "open_rate"),
+    ("offset_general", "offset_general"),
+    ("offset_quadratic", "offset_quadratic"),
+    ("steady_printed", "steady_state_printed"),
+    ("steady_recursion", "steady_state_fixed_point"),
+)
+
+
 def cmd_bounds(args):
     _check_agents("n", args.n)
     pu_values = [_check_probability("pu", pu) for pu in _float_list(args.pu, "pu")]
     _check_kappa("kappa", args.kappa)
     _check_budget("b", args.b)
-    header = (
-        "p_U",
-        "stable",
-        "closed_rate",
-        "open_rate",
-        "offset_general",
-        "offset_quadratic",
-        "steady_printed",
-        "steady_recursion",
-    )
-    print("  ".join(f"{h:>18}" for h in header))
-    last = None
+    print("  ".join(f"{header:>18}" for header, _ in _TABLE))
     for pu in pu_values:
         bs = evaluate_bounds(args.n, 1.0, args.kappa, args.b, pu)
-        row = (
-            bs.p_update,
-            bs.stable,
-            bs.closed_rate,
-            bs.open_rate,
-            bs.offset_general,
-            bs.offset_quadratic,
-            bs.steady_state_printed,
-            bs.steady_state_fixed_point,
-        )
-        print("  ".join(f"{_fmt(cell):>18}" for cell in row))
-        last = bs
+        print("  ".join(f"{_fmt(getattr(bs, field)):>18}" for _, field in _TABLE))
     print()
-    for line in _bound_block(last):
+    for line in _bound_block(bs, args.kappa):
         print(line)
     return 0
 
@@ -363,11 +351,7 @@ def _parse_range(raw):
 
 def cmd_worstcase(args):
     # defaults < preset < given flags; float() and int() read either form
-    flags = {"budget": "64", "seed": "0"}
-    if args.preset:
-        if args.preset not in WORSTCASE_PRESETS:
-            raise ConfigError("preset", f"unknown preset {args.preset!r}")
-        flags.update(WORSTCASE_PRESETS[args.preset])
+    flags = {"budget": "64", "seed": "0", **_preset(args.preset, WORSTCASE_PRESETS)}
     for key in ("n", "kappa", "b", "budget", "seed"):
         if getattr(args, key) is not None:
             flags[key] = getattr(args, key)
@@ -382,37 +366,23 @@ def cmd_worstcase(args):
     _make_out_dir(args.out)
     rows = sweep(n_values, kappas, b, search_budget=budget, seed=seed)
     path = os.path.join(args.out, "worstcase.csv")
-    _write_csv(
-        path,
-        ("n", "kappa", "empirical_max", "bound_general", "bound_quadratic", "conjecture"),
-        "dggggg",
-        (
-            (r.n, r.kappa, r.empirical_max, r.bound_general, r.bound_quadratic, r.conjecture)
-            for r in rows
-        ),
-    )
+    # the header is SweepRow's field names
+    _write_csv(path, [
+        (field.name, kind, [getattr(r, field.name) for r in rows])
+        for field, kind in zip(fields(SweepRow), "dggggg")
+    ])
     print(f"wrote {path} ({len(rows)} rows)")
 
     series = []
     ns = list(n_values)
     for kappa in kappas:
         cells = [r for r in rows if r.kappa == float(kappa)]
-        series.append(
-            (f"kappa={kappa:g} search", ns, [r.empirical_max for r in cells], False)
-        )
-        series.append(
-            (f"kappa={kappa:g} conjecture", ns, [r.conjecture for r in cells], True)
-        )
+        series.append((f"kappa={kappa:g} search", ns, [r.empirical_max for r in cells], False))
+        series.append((f"kappa={kappa:g} conjecture", ns, [r.conjecture for r in cells], True))
     svg_path = os.path.join(args.out, "worstcase.svg")
     with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            _svg_line_plot(
-                series,
-                "Worst single-replacement minimizer displacement",
-                "agents n",
-                "squared displacement",
-            )
-        )
+        fh.write(_svg_line_plot(series, "Worst single-replacement minimizer displacement",
+                                "agents n", "squared displacement"))
     print(f"wrote {svg_path}")
     return 0
 

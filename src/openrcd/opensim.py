@@ -332,9 +332,10 @@ def _footprint(config, replications):
     """The bytes :func:`run_ensemble` states it holds, ``(by_rows, by_steps)``;
     the simulator's one account of its memory.
 
-    - per row: ``(chunk + 1) * 8`` for its row of the shared error block,
-      ``_GENERATOR_BYTES`` for its generator, and ``5 * n * 8`` for its
-      :class:`_Batch` columns (``theta``, ``mu``, ``x``, ``xstar``, scratch);
+    - per row: ``(chunk + 1) * 8`` for its step-0 error and its row of the
+      shared error block, ``_GENERATOR_BYTES`` for its generator, and
+      ``5 * n * 8`` for its :class:`_Batch` columns (``theta``, ``mu``,
+      ``x``, ``xstar``, scratch);
     - per worker: ``2 * _FILL_BYTES`` for the block of uniforms it draws
       into and that block's masks and picks, ``chunk * step_bytes``
       (:func:`_chunk_length` at the widest batch :func:`_batches` builds)
@@ -736,12 +737,15 @@ class _Batch:
 
 
 def _column_stats(error):
-    """Column means and ``ddof=1`` standard deviations of ``error``,
-    reduced in place: the matrix is consumed.
+    """Column means and ``ddof=1`` standard deviations of ``error``, a
+    C-contiguous ``(replications, columns)`` block, reduced in place: the
+    block is consumed.
 
     The steps are ``np.mean`` and ``np.std(ddof=1)``'s own, in their
-    order, so the bits are numpy's; one row gives its own values and a
-    zero spread.  Errors are never negative, so ``rows * max**2`` bounds
+    order, but every sum adds the replications in order
+    (``allocation._agent_sum``), so a column's bits never depend on the
+    columns reduced beside it; one row gives its own values and a zero
+    spread.  Errors are never negative, so ``rows * max**2`` bounds
     every sum; columns where that could overflow are first scaled by an
     exact power of two, and their statistics scaled back.
     """
@@ -750,10 +754,10 @@ def _column_stats(error):
     shift = np.where(top > math.sqrt(np.finfo(float).max / (2 * rows)), np.frexp(top)[1], 0)
     if shift.any():
         np.ldexp(error, -shift, out=error)
-    mean = error.sum(axis=0) / rows
+    mean = _agent_sum(error) / rows
     error -= mean
     error *= error
-    std = np.sqrt(error.sum(axis=0) / max(rows - 1, 1))
+    std = np.sqrt(_agent_sum(error) / max(rows - 1, 1))
     return np.ldexp(mean, shift), np.ldexp(std, shift)
 
 
@@ -768,20 +772,18 @@ def run_ensemble(config):
     most ``_BATCH_ROWS`` rows that :func:`_batches` gives.  The horizon
     runs one tape chunk at a time, its length set once per run by
     :func:`_chunk_length` for the widest batch: every batch advances by
-    the chunk and writes its rows of one shared ``(replications, chunk + 1)`` block, whose
-    column 0 carries the previous chunk's last column, and the block's
-    columns are then reduced into the mean and standard deviation
-    (:func:`_column_stats`).  numpy adds axis 0 of a row-major block of
-    two or more columns row after row, so every statistic has the bits it
-    would have from the full ``(replications, horizon + 1)`` matrix; the
-    carried column keeps a one-step last chunk at two columns.  The
-    batches run on the threads :func:`_batches` gives, one pool task per
-    batch and chunk, so a thread holds one batch's chunk buffers at a
-    time; the rows a batch writes are fixed by its seeds, so the
-    statistics never depend on scheduling; only a pooled run imports
-    ``concurrent.futures``.  A run whose stated footprint
-    (:func:`_footprint`) exceeds physical memory is refused before any
-    batch is built.
+    the chunk and writes its rows of one shared block, viewed as a
+    C-contiguous ``(replications, steps)`` array, whose columns are then
+    reduced into the mean and standard deviation (:func:`_column_stats`);
+    step 0 is reduced once, from its own column.  Those sums add the
+    replications in order, so every statistic has the same bits at any
+    chunk length and horizon.  The batches run on the threads
+    :func:`_batches` gives, one pool task per batch and chunk, so a thread
+    holds one batch's chunk buffers at a time; the rows a batch writes are
+    fixed by its seeds, so the statistics never depend on scheduling; only
+    a pooled run imports ``concurrent.futures``.  A run whose stated
+    footprint (:func:`_footprint`) exceeds physical memory is refused
+    before any batch is built.
 
     Parameters
     ----------
@@ -800,18 +802,18 @@ def run_ensemble(config):
     horizon = config.horizon
     count, rows, workers = _batches(config, replications)
     chunk = _chunk_length(config, rows)[0]
-    block = np.empty((replications, chunk + 1))
+    first, block = np.empty((replications, 1)), np.empty(replications * chunk)
     mean, std = np.empty(horizon + 1), np.empty(horizon + 1)
     bounds = [b * replications // count for b in range(count + 1)]
     starts = bounds[:-1]
 
     def begin(lo, hi):
         batch = _Batch(config, range(seed + lo, seed + hi))
-        block[lo:hi, 0] = batch.error()
+        first[lo:hi, 0] = batch.error()
         return batch
 
-    def advance(lo, batch, steps):
-        batch.advance(block[lo:lo + batch.rows, 1:steps + 1])
+    def advance(lo, batch, out):
+        batch.advance(out[lo:lo + batch.rows])
 
     with ExitStack() as stack:
         run = map
@@ -819,15 +821,13 @@ def run_ensemble(config):
             from concurrent.futures import ThreadPoolExecutor   # only pooled runs load it
             run = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         batches = list(run(begin, starts, bounds[1:]))
-        if not horizon:
-            mean, std = _column_stats(block)
+        mean[:1], std[:1] = _column_stats(first)
         for start in range(0, horizon, max(chunk, 1)):
             steps = min(chunk, horizon - start)
-            list(run(advance, starts, batches, repeat(steps)))
-            carry = block[:, steps].copy()   # _column_stats consumes the block
-            columns = slice(start, start + steps + 1)
-            mean[columns], std[columns] = _column_stats(block[:, :steps + 1])
-            block[:, 0] = carry
+            out = block[:replications * steps].reshape(replications, steps)
+            list(run(advance, starts, batches, repeat(out)))
+            columns = slice(start + 1, start + steps + 1)
+            mean[columns], std[columns] = _column_stats(out)
     replacement_count = sum(b.replacement_count for b in batches)
     max_shift = max(b.max_replacement_shift for b in batches)
 

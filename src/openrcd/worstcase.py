@@ -322,10 +322,14 @@ def _ascend(start, b, lines):
                 return _keep_tail(tails, limit, passed, sweep + tail[0], tail[1])
             passed.append((key, sweep))
 
-        # resync aggregates each sweep so incremental updates cannot drift
-        s = sum(km)
-        z0 = sum(1.0 / t for t in kt)
-        q0 = sum(1.0 / (t * t) for t in kt)
+        # resync aggregates each sweep so incremental updates cannot drift;
+        # added in order, the same on every Python (the builtin sum
+        # compensates from 3.12 on)
+        s = z0 = q0 = 0.0
+        for t, m in zip(kt, km):
+            s += m
+            z0 += 1.0 / t
+            q0 += 1.0 / (t * t)
 
         # curvature weights of the kept agents
         for idx, t in enumerate(kt):

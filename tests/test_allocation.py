@@ -46,6 +46,17 @@ def test_allocation_validates_budget():
         Allocation(np.array([]), 0.0)
 
 
+def test_allocation_adds_its_agents_in_order(monkeypatch):
+    # in agent order 1e16 + 1 rounds to 1e16, so the sum is 0 and misses b = 1
+    # by 1, as the batch engine's _agent_sum measures it; a compensated sum,
+    # as the builtin sum is from Python 3.12 on, would read 1 and accept
+    values = [1e16, 1.0, -1e16]
+    assert _agent_sum(np.array(values)) == 0.0
+    monkeypatch.setattr(allocation, "sum", math.fsum, raising=False)
+    with pytest.raises(FeasibilityError):
+        Allocation(values, 1.0)
+
+
 def test_allocation_keeps_a_private_copy():
     a = np.array([0.25, 0.75, 5.0])
     x = Allocation(a[:2], 1.0)

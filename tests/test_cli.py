@@ -270,6 +270,43 @@ def test_simulate_fig1_outputs_are_pinned(keys, name, digest, tmp_path):
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def test_bounds_stdout_is_pinned(capsys):
+    assert main(["bounds", "--n", "5", "--kappa", "1.2", "--b", "1", "--pu", "0.9,0.95,0.8"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "0eaad77b7ffceb40d9a7ba5ee72cadcd198ddc1be845b567eebdd3d9094abd50")
+
+
+def test_simulate_fig1_stdout_is_pinned(tmp_path, capsys):
+    path = tmp_path / "fig1.cfg"
+    path.write_text("replications = 2000\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "fig1", "--config", str(path), "--out", str(out)]) == 0
+    # the bound block, then "wrote OUT/ensemble.csv (...)"
+    printed = capsys.readouterr().out.replace(str(out), "OUT").encode()
+    assert hashlib.sha256(printed).hexdigest() == (
+        "b08a3aafe69380b93d1b09a049d2b11b506d55d0891372e7eac132c122659cca")
+
+
+@pytest.mark.parametrize("h, notes", [
+    ("", 0),
+    ("h = 0.8333333333333334\n", 0),      # 1/beta, written out
+    ("h = 0.05\n", 1),
+])
+def test_bound_block_notes_a_step_below_one_over_beta(h, notes, tmp_path, capsys):
+    # the open-system calculators take h = 1/beta; at h = 0.05 the recursion's
+    # rate is 2 - p_U (1 + h alpha / (n - 1)) = 1.038, not the printed 0.852
+    path = tmp_path / "fig1.cfg"
+    path.write_text(h + "replications = 50\nhorizon = 5\n", encoding="utf-8")
+    argv = ["simulate", "--preset", "fig1", "--config", str(path), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "h = 1/beta" in line] == [
+        "note: h < 1/beta = 0.83333333333333337; the open-system rate, offsets, "
+        "steady states and stability are for h = 1/beta"] * notes
+    assert "open-system rate          0.85208333333333353" in lines
+
+
 # every bit pattern, every nan payload included
 _ANY_DOUBLE = st.integers(0, 2**64 - 1).map(
     lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
@@ -288,8 +325,10 @@ _ANY_DOUBLE = st.integers(0, 2**64 - 1).map(
 @example(-sys.float_info.max)
 def test_csv_float_columns_print_as_fmt(x):
     # _write_csv prints a row with one % format; _fmt prints the stdout blocks
+    # through the same conversion; both round-trip every float
     assert _CONVERSIONS["g"] % x == _fmt(x)
     assert _CONVERSIONS["g"] % np.float64(x) == _fmt(np.float64(x))
+    assert math.isnan(x) or float(_fmt(x)) == x
 
 
 def test_worstcase_rerun_is_byte_identical(tmp_path):

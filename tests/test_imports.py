@@ -105,3 +105,24 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", sorted(Path(SRC, "openrcd").glob("*.py")), ids=lambda p: p.name)
 def test_modules_import_no_name_they_never_use(path):
     assert _unused_imports(path) == []
+
+
+#: the builtin ``sum`` calls allowed, by module and line: integer counts,
+#: whose total is the same in any order
+_INTEGER_SUMS = {("opensim.py", "replacement_count = sum(b.replacement_count for b in batches)")}
+
+
+def _builtin_sums(path):
+    """The stripped lines of ``path`` that call the builtin ``sum``."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    return sorted(lines[node.lineno - 1].strip() for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "sum")
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "openrcd").glob("*.py")), ids=lambda p: p.name)
+def test_modules_add_floats_without_the_builtin_sum(path):
+    # the builtin sum compensates float sums from Python 3.12 on, so its
+    # bits would depend on the interpreter; floats are added in order
+    assert [line for line in _builtin_sums(path) if (path.name, line) not in _INTEGER_SUMS] == []

@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -428,9 +429,9 @@ _FULL_MATRIX_CASES = [
     (logcosh_config(horizon=60, p_update=0.8), None),
     # from _POOL_MIN_AGENTS up the four batches run on the thread pool
     (fig1_config(n=_POOL_MIN_AGENTS, horizon=50, p_update=0.9), None),
-    # one column: numpy sums a one-column matrix's axis 0 pairwise
+    # step 0 alone: one column, which numpy itself would sum pairwise
     (fig1_config(horizon=0), None),
-    # a one-step last chunk still reduces two columns, the carried one too
+    # a one-step last chunk reduces one column
     (fig1_config(horizon=_TAPE_STEPS + 1, p_update=0.9), None),
     (fig1_config(n=_POOL_MIN_AGENTS, horizon=_TAPE_STEPS + 1, p_update=0.9), None),
     # two full chunks
@@ -460,10 +461,21 @@ def test_ensemble_statistics_match_the_full_matrix(cfg, chunk, monkeypatch):
     stats = run_ensemble(replace(cfg, replications=60, seed=3))
 
     full = np.vstack([_simulate_batch(cfg, [seed]).error for seed in range(3, 63)])
-    assert np.array_equal(stats.mean_error, full.mean(axis=0))
-    assert np.array_equal(
-        stats.ci_halfwidth, Z95 * full.std(axis=0, ddof=1) / math.sqrt(60)
-    )
+    # np.mean and np.std(ddof=1) with their sums taken row after row, as
+    # numpy takes them itself on two or more columns
+    mean = reduce(np.add, full) / 60
+    spread = full - mean
+    std = np.sqrt(reduce(np.add, spread * spread) / 59)
+    assert np.array_equal(stats.mean_error, mean)
+    assert np.array_equal(stats.ci_halfwidth, Z95 * std / math.sqrt(60))
+
+
+def test_step_zero_statistics_do_not_depend_on_the_horizon():
+    # step 0 is summed in replication order, reduced alone (horizon 0) or not
+    runs = [run_ensemble(fig1_config(horizon=h, replications=2000)) for h in (0, 1, 600)]
+    for stats in runs[1:]:
+        assert stats.mean_error[0] == runs[0].mean_error[0]
+        assert stats.ci_halfwidth[0] == runs[0].ci_halfwidth[0]
 
 
 @pytest.mark.parametrize("make", [fig1_config, logcosh_config])

@@ -292,10 +292,12 @@ def test_line_objectives_return_the_reference_bits(kappa, b, data):
     km = data.draw(st.lists(_MU, min_size=len(kt), max_size=len(kt)), label="kept mu")
     t, t1, t2 = (data.draw(theta, label=name) for name in ("t", "t1", "t2"))
     m1, m2 = data.draw(_MU, label="m1"), data.draw(_MU, label="m2")
-    # the aggregates as _ascend forms them
-    s = sum(km)
-    z0 = sum(1.0 / x for x in kt)
-    q0 = sum(1.0 / (x * x) for x in kt)
+    # the aggregates as _ascend forms them, added in order
+    s = z0 = q0 = 0.0
+    for x, m in zip(kt, km):
+        s += m
+        z0 += 1.0 / x
+        q0 += 1.0 / (x * x)
     z0_rest = z0 - 1.0 / kt[0]
     q0_rest = q0 - 1.0 / (kt[0] * kt[0])
 
