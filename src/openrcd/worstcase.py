@@ -14,19 +14,20 @@ reported maximum is nondecreasing in the budget.  Minimizers are
 invariant under a common scaling of all curvature weights, so the box
 ``[alpha/2, beta/2]`` is normalized to ``alpha = 1``, ``beta = kappa``.
 
-Coordinate ascent exploits the objective's structure: it is convex in
-every location parameter (so ``_objective``, the reference closed form,
-scores those lines at the box endpoints) and rational in every
-curvature weight (grid plus golden-section refinement, 47 points a
-line).  The ``t1`` and ``t2`` line builders compute once what stays
-fixed along the line (``b - s - m1``, ``m1 - m2``, ``1/t1``, ...);
-``_kept_theta_max``, the most called line, writes its value out in one
-function over the grid's precomputed ``1/t`` and ``1/t^2``.  All keep
-``_objective``'s operands in its order, so each value carries its exact
-bits.
+Coordinate ascent exploits the objective's structure.  The budget holds
+before and after the swap, so the replaced agent moves by minus the kept
+agents' total move, and ``_objective``, the reference closed form, reads
+``a^2 (q0 + z0^2)``.  It is convex in every location parameter, and along
+either of the replaced agent's curvatures ``q0 + z0^2`` stays fixed while
+``a`` is monotone in ``1/t``; ``_objective`` scores all these lines at the
+box ends.  The kept curvatures have interior optima, so their lines take a
+grid scan plus golden-section refinement (47 points a line), which
+``_kept_theta_max`` writes out in one function over the grid's
+precomputed ``1/t`` and ``1/t^2``, with ``_objective``'s operands in its
+order, so each value carries its exact bits.
 
 The ascents of one search converge to a few states, so one
-``maximize_displacement`` call shares its curvature line maxima across
+``maximize_displacement`` call shares its kept-curvature line maxima across
 its starts in a ``functools.lru_cache`` of recently used lines, keyed
 by every input the line reads, and shares the ends of its ascents in a
 table of converged tails, keyed by the state and best value at a sweep
@@ -114,78 +115,19 @@ def displacement(instance):
 
 def _objective(s, z0, q0, b, t1, m1, t2, m2):
     # closed-form displacement given the kept-agent aggregates:
-    # s = sum of kept mu, z0 = sum of 1/theta, q0 = sum of 1/theta^2
-    big_t1 = b - s - m1
-    big_t2 = b - s - m2
+    # s = sum of kept mu, z0 = sum of 1/theta, q0 = sum of 1/theta^2.
+    # Kept agent i moves by a/theta_i, where a is the change in
+    # (b - s - m)/(z0 + 1/t), and the replaced agent by -a*z0; written
+    # with t1 - t2, no two |b|-sized terms of a cancel
     z1 = z0 + 1.0 / t1
     z2 = z0 + 1.0 / t2
-    a = big_t1 / z1 - big_t2 / z2
-    c = (m1 - m2) + big_t1 / (t1 * z1) - big_t2 / (t2 * z2)
-    return a * a * q0 + c * c
-
-
-def _t1_line(s, z0, q0, b, m1, t2, m2):
-    """``t -> _objective(s, z0, q0, b, t, m1, t2, m2)``."""
-    bs = b - s
-    big_t1 = bs - m1
-    big_t2 = bs - m2
-    dm = m1 - m2
-    z2 = z0 + 1.0 / t2
-    a2 = big_t2 / z2
-    c2 = big_t2 / (t2 * z2)
-
-    def value(t):
-        z1 = z0 + 1.0 / t
-        a = big_t1 / z1 - a2
-        c = dm + big_t1 / (t * z1) - c2
-        return a * a * q0 + c * c
-
-    return value
-
-
-def _t2_line(s, z0, q0, b, t1, m1, m2):
-    """``t -> _objective(s, z0, q0, b, t1, m1, t, m2)``."""
-    bs = b - s
-    big_t1 = bs - m1
-    big_t2 = bs - m2
-    z1 = z0 + 1.0 / t1
-    a1 = big_t1 / z1
-    c1 = (m1 - m2) + big_t1 / (t1 * z1)
-
-    def value(t):
-        z2 = z0 + 1.0 / t
-        a = a1 - big_t2 / z2
-        c = c1 - big_t2 / (t * z2)
-        return a * a * q0 + c * c
-
-    return value
+    a = (b - s) * ((t1 - t2) / (t1 * t2)) / (z1 * z2) - m1 / z1 + m2 / z2
+    return a * a * (q0 + z0 * z0)
 
 
 _THETA_GRID = 17
 _GOLDEN_ITERS = 28
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _line_max(func, xs):
-    """Argmax of ``func`` by a scan of the grid ``xs`` plus golden refinement."""
-    vals = list(map(func, xs))
-    best = vals.index(max(vals))   # the first maximum
-    a = xs[max(best - 1, 0)]
-    c = xs[min(best + 1, _THETA_GRID - 1)]
-    x1 = c - _INVPHI * (c - a)
-    x2 = a + _INVPHI * (c - a)
-    f1, f2 = func(x1), func(x2)
-    for _ in range(_GOLDEN_ITERS):
-        if f1 >= f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - _INVPHI * (c - a)
-            f1 = func(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (c - a)
-            f2 = func(x2)
-    _, x = max((vals[best], xs[best]), (f1, x1), (f2, x2))
-    return x
 
 
 def _theta_grid(lo, hi):
@@ -195,18 +137,17 @@ def _theta_grid(lo, hi):
 
 
 def _kept_theta_max(grid, s, z0_rest, q0_rest, b, t1, m1, t2, m2):
-    """What ``_line_max`` returns for the kept curvature line ``t ->
-    _objective(s, z0_rest + 1/t, q0_rest + 1/t^2, b, t1, m1, t2, m2)``.
+    """Argmax of the kept curvature line ``t -> _objective(s, z0_rest + 1/t,
+    q0_rest + 1/t^2, b, t1, m1, t2, m2)`` on the grid ``(xs, 1/xs, 1/xs^2)``.
 
-    The line's value is written out in place of a closure, over the
-    grid's ``1/t`` and ``1/t^2``, with ``_objective``'s operands in its
-    order, so every value, and hence the argmax, carries the same bits.
+    A scan of the grid picks its first maximum, golden-section steps
+    refine between its neighbours, and the best of the three points seen
+    last wins.  The line's value is written out in place of a closure,
+    with ``_objective``'s operands in its order, so every value, and
+    hence the argmax, carries the same bits.
     """
     xs, inv, inv_sq = grid
-    bs = b - s
-    big_t1 = bs - m1
-    big_t2 = bs - m2
-    dm = m1 - m2
+    bk = (b - s) * ((t1 - t2) / (t1 * t2))
     r1 = 1.0 / t1
     r2 = 1.0 / t2
     vals = []
@@ -214,16 +155,14 @@ def _kept_theta_max(grid, s, z0_rest, q0_rest, b, t1, m1, t2, m2):
         z0 = z0_rest + r
         z1 = z0 + r1
         z2 = z0 + r2
-        a = big_t1 / z1 - big_t2 / z2
-        c = dm + big_t1 / (t1 * z1) - big_t2 / (t2 * z2)
-        vals.append(a * a * (q0_rest + r_sq) + c * c)
+        a = bk / (z1 * z2) - m1 / z1 + m2 / z2
+        vals.append(a * a * (q0_rest + r_sq + z0 * z0))
     best = vals.index(max(vals))   # the first maximum
     lo = xs[max(best - 1, 0)]
     hi = xs[min(best + 1, _THETA_GRID - 1)]
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
-    # _line_max's golden section, one new point a step; steps 0 and 1
-    # score its two starting points
+    # one new point a step; steps 0 and 1 score the two starting points
     for step in range(_GOLDEN_ITERS + 2):
         if step < 2:
             left = step == 0
@@ -239,9 +178,8 @@ def _kept_theta_max(grid, s, z0_rest, q0_rest, b, t1, m1, t2, m2):
         z0 = z0_rest + 1.0 / x
         z1 = z0 + r1
         z2 = z0 + r2
-        a = big_t1 / z1 - big_t2 / z2
-        c = dm + big_t1 / (t1 * z1) - big_t2 / (t2 * z2)
-        f = a * a * (q0_rest + 1.0 / (x * x)) + c * c
+        a = bk / (z1 * z2) - m1 / z1 + m2 / z2
+        f = a * a * (q0_rest + 1.0 / (x * x) + z0 * z0)
         if left:
             f1 = f
         else:
@@ -251,18 +189,18 @@ def _kept_theta_max(grid, s, z0_rest, q0_rest, b, t1, m1, t2, m2):
 
 
 #: most line maxima one search keeps; the fig2-analogue cells hold at
-#: most a few hundred, the random tail adds about n + 1 per start
+#: most a few hundred, the random tail adds about n - 1 per start
 _LINE_CACHE_CAP = 1 << 14
 
 
 def _line_maxima(lo, hi, cap):
-    """``argmax(line, *args)``: curvature line maxima on ``[lo, hi]``.
+    """``argmax(*args)``: ``_kept_theta_max`` on the grid of ``[lo, hi]``.
 
-    A line is ``_kept_theta_max``, ``_t1_line`` or ``_t2_line`` and its
-    arguments; together they key an LRU cache of ``cap`` entries, and
-    ``cap = 0`` recomputes every line.  The grid is built once, from
-    ``lo`` and ``hi`` alone.  ``argmax.tails`` is the search's table of
-    converged ascent tails (see ``_ascend``); ``cap = 0`` turns it off too.
+    The grid is built once, from ``lo`` and ``hi`` alone, and the
+    arguments key an LRU cache of ``cap`` entries; ``cap = 0`` recomputes
+    every line.  ``argmax.box`` is ``(lo, hi)``, and ``argmax.tails`` the
+    search's table of converged ascent tails (see ``_ascend``); ``cap = 0``
+    turns it off too.
 
     Python float keys alias ``0.0`` with ``-0.0``; that is harmless
     because every input reaches the objective's value only through sums,
@@ -271,17 +209,12 @@ def _line_maxima(lo, hi, cap):
     only the sign of an intermediate zero, which the square drops.  In a
     tail key only ``b`` can be zero, and the same argument covers it:
     from sweep 1 on every location is ``+-1``, every curvature is
-    positive, and ``best`` (``a*a*q0 + c*c`` with ``q0 > 0``) is never
+    positive, and ``best`` (``a*a*(q0 + z0*z0)`` with ``q0 > 0``) is never
     ``-0.0``.
     """
-    grid = _theta_grid(lo, hi)
-
-    @functools.lru_cache(maxsize=cap)
-    def argmax(line, *args):
-        if line is _kept_theta_max:
-            return _kept_theta_max(grid, *args)
-        return _line_max(line(*args), grid[0])
-
+    argmax = functools.lru_cache(maxsize=cap)(
+        functools.partial(_kept_theta_max, _theta_grid(lo, hi)))
+    argmax.box = lo, hi
     argmax.tails = {}
     return argmax
 
@@ -290,30 +223,45 @@ def _line_maxima(lo, hi, cap):
 _MAX_SWEEPS = 60
 
 
+def _aggregates(kt, km):
+    """``(s, z0, q0)`` of the kept agents, added in order, the same on
+    every Python (the builtin sum compensates from 3.12 on)."""
+    s = z0 = q0 = 0.0
+    for t, m in zip(kt, km):
+        s += m
+        z0 += 1.0 / t
+        q0 += 1.0 / (t * t)
+    return s, z0, q0
+
+
 def _ascend(start, b, lines):
     """Coordinate-wise ascent from one start; returns (value, state).
 
     A state is ``(kt, t1, t2, km, m1, m2)``, the kept curvatures and
     locations as sequences (tuples in the result); ``lines`` supplies the
-    curvature line maxima and the table of converged tails.
+    kept curvature line maxima, the box and the table of converged tails.
+    ``value`` is ``_objective`` at the state's ``_aggregates``: each sweep
+    re-sums them at its end, so the steps' updates cannot drift into the
+    score, and the ascent returns the best-scoring state it reached.
 
-    Each sweep re-sums its aggregates from the state and the line maxima
-    are pure, so from a sweep start on, the rest of an ascent is a
-    function of ``b``, ``best``, the state and the sweeps left.  Every
-    sweep start after the first looks the first three up in
+    The line maxima are pure, so from a sweep start on, the rest of an
+    ascent is a function of ``b``, ``best``, the state and the sweeps
+    left.  Every sweep start after the first looks the first three up in
     ``lines.tails``; an ascent that converges stores its outcome under
     every key it passed, with the sweeps it still took from there, and an
     entry is used only with at least that many sweeps left.
     """
     kt, t1, t2, km, m1, m2 = start
     kt, km = list(kt), list(km)
+    lo, hi = lines.box
     tails = lines.tails
     # a key holds 2n + 4 floats: the table keeps about as many floats as
     # the line cache keeps entries
     limit = lines.cache_parameters()["maxsize"] // (2 * len(kt) + 6)
     passed = []
 
-    best = -math.inf
+    best, state = -math.inf, None
+    s, z0, q0 = _aggregates(kt, km)
     for sweep in range(_MAX_SWEEPS):
         if sweep and limit:
             key = (b, best, t1, t2, m1, m2, *kt, *km)
@@ -322,26 +270,22 @@ def _ascend(start, b, lines):
                 return _keep_tail(tails, limit, passed, sweep + tail[0], tail[1])
             passed.append((key, sweep))
 
-        # resync aggregates each sweep so incremental updates cannot drift;
-        # added in order, the same on every Python (the builtin sum
-        # compensates from 3.12 on)
-        s = z0 = q0 = 0.0
-        for t, m in zip(kt, km):
-            s += m
-            z0 += 1.0 / t
-            q0 += 1.0 / (t * t)
-
         # curvature weights of the kept agents
         for idx, t in enumerate(kt):
             z0_rest = z0 - 1.0 / t
             q0_rest = q0 - 1.0 / (t * t)
-            t = kt[idx] = lines(_kept_theta_max, s, z0_rest, q0_rest, b, t1, m1, t2, m2)
+            t = kt[idx] = lines(s, z0_rest, q0_rest, b, t1, m1, t2, m2)
             z0 = z0_rest + 1.0 / t
             q0 = q0_rest + 1.0 / (t * t)
 
-        # curvature weights of the replaced agent, old and new
-        t1 = lines(_t1_line, s, z0, q0, b, m1, t2, m2)
-        t2 = lines(_t2_line, s, z0, q0, b, t1, m1, m2)
+        # curvature weights of the replaced agent, old and new: along
+        # either line a is monotone, so a box end is best
+        up = _objective(s, z0, q0, b, hi, m1, t2, m2)
+        down = _objective(s, z0, q0, b, lo, m1, t2, m2)
+        t1 = hi if up >= down else lo
+        up = _objective(s, z0, q0, b, t1, m1, hi, m2)
+        down = _objective(s, z0, q0, b, t1, m1, lo, m2)
+        t2 = hi if up >= down else lo
 
         # location parameters: convex coordinatewise, endpoints suffice
         for idx, m in enumerate(km):
@@ -357,12 +301,14 @@ def _ascend(start, b, lines):
         down = _objective(s, z0, q0, b, t1, m1, t2, -1.0)
         m2 = 1.0 if up >= down else -1.0
 
+        s, z0, q0 = _aggregates(kt, km)
         value = _objective(s, z0, q0, b, t1, m1, t2, m2)
-        if value <= best + 1e-12 * max(1.0, abs(best)):
-            outcome = max(best, value), (tuple(kt), t1, t2, tuple(km), m1, m2)
-            return _keep_tail(tails, limit, passed, sweep + 1, outcome)
-        best = value
-    return best, (tuple(kt), t1, t2, tuple(km), m1, m2)
+        converged = value <= best + 1e-12 * max(1.0, abs(best))
+        if value > best:
+            best, state = value, (tuple(kt), t1, t2, tuple(km), m1, m2)
+        if converged:
+            return _keep_tail(tails, limit, passed, sweep + 1, (best, state))
+    return best, state
 
 
 def _keep_tail(tails, limit, passed, end, outcome):
@@ -409,16 +355,8 @@ def _start_sequence(n, theta_box, seed):
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best instance found; ``value`` is ``_objective`` at ``witness``.
-
-    ``_objective`` cancels ``b - s - m1`` against ``b - s - m2``, so
-    ``value`` can exceed the true maximum at large ``|b|``.  At
-    ``kappa = 1`` (true maximum ``4 (1 - 1/n)`` at every ``b``), budget 48
-    finds it to 1.9e-9 relative up to ``|b| = 1e12``; the error then grows
-    about as ``(|b| 2**-52)**2`` (2e-3 at 1e15), ``b = 1e16`` reads 4,
-    4.75 and 4 at n = 2, 3, 4 (true: 2, 2.67, 3), and from about 1e17
-    most cells read 0.
-    """
+    """Best instance found; ``value`` is ``_objective`` at ``witness``'s
+    kept-agent sums, added in order."""
 
     value: float
     witness: ReplacementInstance
@@ -437,8 +375,7 @@ def maximize_displacement(n, kappa, b, search_budget=64, seed=0):
         Condition ratio of the certificate (normalized alpha=1), in
         ``[1, MAX_KAPPA]``.
     b : float
-        Budget, ``|b| <= MAX_ABS_BUDGET``; past ``|b| = 1e12`` the value
-        can exceed the true maximum (see :class:`SearchResult`).
+        Budget, ``|b| <= MAX_ABS_BUDGET``.
     search_budget : int
         Number of ascent starts, an integer from 1 to ``MAX_SEARCH_BUDGET``
         (``openrcd.rules``), consumed from the deterministic start

@@ -217,6 +217,16 @@ def test_worstcase_svg_of_one_huge_point(n, tmp_path):
     assert len(points.split()) == 1 and "nan" not in points
 
 
+def test_worstcase_is_exact_at_the_largest_budget(tmp_path):
+    # at kappa = 1 the worst case 4(1 - 1/n) does not depend on b; this cell
+    # used to write 0, 0, 0
+    out = tmp_path / "w"
+    assert main(["worstcase", "--n", "2:4", "--kappa", "1", "--b", "1e150",
+                 "--budget", "3", "--out", str(out)]) == 0
+    rows = read_rows(out / "worstcase.csv")
+    assert [row["empirical_max"] for row in rows] == ["2", "2.6666666666666665", "3"]
+
+
 @pytest.mark.parametrize("lo, hi", [
     (5e100, 5e100),
     (-1.7e308, 1.7e308),
@@ -242,11 +252,12 @@ def test_worstcase_preset(tmp_path):
 
 
 def test_worstcase_fig2_preset_outputs_are_pinned(tmp_path):
-    # digests of the full fig2-analogue sweep as the uncached ascent wrote it
+    # digests of the full fig2-analogue sweep as the uncached ascent wrote it,
+    # each value scored as a^2 (q0 + z0^2) at its witness's own sums
     out = tmp_path / "w"
     assert main(["worstcase", "--preset", "fig2-analogue", "--out", str(out)]) == 0
     expected = {
-        "worstcase.csv": "7ce2ec8baa2515ea9937d9258b467dbab9e0411db29738bec03be75d84cf7c23",
+        "worstcase.csv": "2e631e10f31c3e5c8120f202fd33c3a583e2fbfa4581c2e868efb75251c1c8b4",
         "worstcase.svg": "8299254853fd49a6c4ddae5c4be86737d946f1a5019aba9a80f623f2a4f5bdcf",
     }
     for name, digest in expected.items():

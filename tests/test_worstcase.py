@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,15 +18,15 @@ from openrcd.bounds import (
 from openrcd.functions import ConvexityCertificate
 from openrcd.rules import MAX_SEARCH_BUDGET, _check_search_budget
 from openrcd.worstcase import (
+    _GOLDEN_ITERS,
+    _INVPHI,
     ReplacementInstance,
+    _aggregates,
     _ascend,
     _kept_theta_max,
-    _line_max,
     _line_maxima,
     _objective,
     _start_sequence,
-    _t1_line,
-    _t2_line,
     _theta_grid,
     displacement,
     maximize_displacement,
@@ -58,13 +59,31 @@ def test_search_recovers_unit_condition_closed_form():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("b", [0.0, 1.0, -1.0, 1e6, -1e6, 1e12, -1e12])
+@pytest.mark.parametrize("b", [
+    0.0, 1.0, -1.0, 1e6, -1e6, 1e12, -1e12, 1e16, -1e16, 1e17, 1e100, 1e150, -1e150])
 def test_unit_condition_value_holds_up_to_large_budgets(n, b):
-    # the kappa = 1 worst case 4(1 - 1/n) does not depend on b, but
-    # _objective's b - s - m terms cancel: past |b| = 1e12 the value drifts
-    # (2e-3 high at n = 3, b = 1e15), so this range is the one guaranteed
+    # the kappa = 1 worst case 4(1 - 1/n) does not depend on b; a form of
+    # _objective that cancelled b - s - m1 against b - s - m2 read 4.75 at
+    # n = 3, b = 1e16, and 0 from b = 1e17 on
     res = maximize_displacement(n, 1.0, b, search_budget=48, seed=0)
-    assert res.value == pytest.approx(4.0 * (1.0 - 1.0 / n), rel=1e-6)
+    assert res.value == pytest.approx(4.0 * (1.0 - 1.0 / n), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, kappa, b, budget, seed", [
+    (3, 1e16, 0.0, 48, 0),
+    (3, 1e100, 0.0, 48, 0),
+    (4, 20.0, 0.5, 760, 3),
+    (5, 2.0, 1.0, 128, 9),
+    (12, 50.0, -2.0, 100, 11),
+    (3, 1.0, 1e150, 3, 0),
+])
+def test_search_value_is_the_objective_at_its_witness(n, kappa, b, budget, seed):
+    # scored from sums updated step by step, the value at (3, 1e16) read
+    # 17.999997563 against 17.999996354 at the witness
+    res = maximize_displacement(n, kappa, b, budget, seed)
+    w = res.witness
+    sums = _aggregates(w.kept_theta, w.kept_mu)
+    assert res.value.hex() == _objective(*sums, b, *w.replaced_before, *w.replaced_after).hex()
 
 
 def test_search_result_witness_is_reproducible():
@@ -255,22 +274,103 @@ def test_the_search_budget_cap_itself_is_legal():
     assert _check_search_budget("search_budget", MAX_SEARCH_BUDGET) == MAX_SEARCH_BUDGET
 
 
+def _line_max(func, xs):
+    """Argmax of ``func`` by a scan of the grid ``xs`` plus golden refinement,
+    the reference ``_kept_theta_max`` is held to."""
+    vals = list(map(func, xs))
+    best = vals.index(max(vals))   # the first maximum
+    a = xs[max(best - 1, 0)]
+    c = xs[min(best + 1, len(xs) - 1)]
+    x1 = c - _INVPHI * (c - a)
+    x2 = a + _INVPHI * (c - a)
+    f1, f2 = func(x1), func(x2)
+    for _ in range(_GOLDEN_ITERS):
+        if f1 >= f2:
+            c, x2, f2 = x2, x1, f1
+            x1 = c - _INVPHI * (c - a)
+            f1 = func(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (c - a)
+            f2 = func(x2)
+    _, x = max((vals[best], xs[best]), (f1, x1), (f2, x2))
+    return x
+
+
+# _objective's rounding, in unit roundoffs u = 2**-53 of the scale
+# S^2 (q0 + z0^2), S = |(b-s)(t1-t2)/(t1 t2 z1 z2)| + 1/z1 + 1/z2, at float
+# inputs: the |b| term carries 11u (b - s, the quotient of t1 - t2 and
+# t1 t2, two z's of 2u each, their product and two more operations), each
+# m/z 3u and the two sums 2u, so |da| <= 13u S; a*a then adds 26u S^2 plus
+# its own rounding, and q0 + z0*z0 and the last product 3u: 30u, fixed at 32u
+_ROUNDING = 32 * 2.0**-53
+
+
+def _exact_objective(*args):
+    """``_objective``'s value in exact arithmetic at the same inputs, and
+    the scale its rounding is bounded by."""
+    s, z0, q0, b, t1, m1, t2, m2 = map(Fraction, args)
+    z1 = z0 + 1 / t1
+    z2 = z0 + 1 / t2
+    big = (b - s) * (t1 - t2) / (t1 * t2 * z1 * z2)
+    a = big - m1 / z1 + m2 / z2
+    return a * a * (q0 + z0 * z0), (abs(big) + 1 / z1 + 1 / z2) ** 2 * (q0 + z0 * z0)
+
+
+def _exact_displacement(kt, km, t1, m1, t2, m2, b):
+    # both closed-form minimizers x_i = mu_i + (b - sum mu)/(theta_i sum 1/theta)
+    def minimizer(theta, mu):
+        theta, mu = [Fraction(t) for t in theta], [Fraction(m) for m in mu]
+        lam = (Fraction(b) - sum(mu)) / sum(1 / t for t in theta)
+        return [m + lam / t for t, m in zip(theta, mu)]
+
+    before = minimizer([*kt, t1], [*km, m1])
+    after = minimizer([*kt, t2], [*km, m2])
+    return sum((x - y) ** 2 for x, y in zip(before, after))
+
+
+_KAPPA = st.floats(1.0, 1e4) | st.just(1.0 + 1e-9)
+_HUGE_B = st.floats(-1e150, 1e150) | st.sampled_from(
+    [0.0, 1.0, -1.0, 1e16, -1e16, 1e17, 1e100, 1e150, -1e150])
+_MU = st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(2, 12), kappa=_KAPPA, b=_HUGE_B, data=st.data())
+def test_objective_is_the_displacement_and_rounds_within_its_bound(n, kappa, b, data):
+    theta = st.floats(0.5, 0.5 * kappa)
+    kt = data.draw(st.lists(theta, min_size=n - 1, max_size=n - 1), label="kept theta")
+    km = data.draw(st.lists(_MU, min_size=n - 1, max_size=n - 1), label="kept mu")
+    t1, t2 = data.draw(theta, label="t1"), data.draw(theta, label="t2")
+    m1, m2 = data.draw(_MU, label="m1"), data.draw(_MU, label="m2")
+    # the identity: the replaced agent moves by -a z0, so the displacement
+    # is a^2 (q0 + z0^2), exactly
+    inv = [1 / Fraction(t) for t in kt]
+    sums = (sum(map(Fraction, km)), sum(inv), sum(r * r for r in inv))
+    exact, _ = _exact_objective(*sums, b, t1, m1, t2, m2)
+    assert _exact_displacement(kt, km, t1, m1, t2, m2, b) == exact
+    # the rounding, at the float sums the search forms
+    args = (*_aggregates(kt, km), b, t1, m1, t2, m2)
+    exact, scale = _exact_objective(*args)
+    assert abs(Fraction(_objective(*args)) - exact) <= Fraction(_ROUNDING) * scale
+
+
 def test_sweep_bits_are_pinned_past_the_corner_starts():
     # budget 100 passes the 64 corner starts into the mixed templates, at
     # b < 0 and kappa = 50; the fig2-analogue digests (budget 48) reach neither
     rows = sweep(range(2, 6), [3.0, 50.0], -2.0, 100, seed=11)
     assert [row.empirical_max.hex() for row in rows] == [
-        "0x1.0000000000000p+3", "0x1.0fac687d6343fp+3",
-        "0x1.2000000000001p+3", "0x1.2f684bda12f6ap+3",
-        "0x1.5dc635f36b274p+4", "0x1.e1623276449cep+4",
-        "0x1.37a670b913b51p+5", "0x1.82ed561928f1ap+5",
+        "0x1.0000000000000p+3", "0x1.0fac687d63440p+3",
+        "0x1.2000000000001p+3", "0x1.2f684bda12f68p+3",
+        "0x1.5dc635f36b274p+4", "0x1.e1623276449c8p+4",
+        "0x1.37a670b913b48p+5", "0x1.82ed561928f13p+5",
     ]
 
 
 def test_search_bits_are_pinned_in_the_seeded_tail():
     res = maximize_displacement(4, 20.0, 0.5, 760, seed=3)
     w = res.witness
-    assert res.value.hex() == "0x1.1ae4ba0c7cad3p+4"
+    assert res.value.hex() == "0x1.1ae4ba0c7cacep+4"
     assert [t.hex() for t in w.kept_theta] == [
         "0x1.4000000000000p+3", "0x1.4000000000000p+3", "0x1.0f71786912ddap+0"]
     assert w.kept_mu == (-1.0, -1.0, -1.0)
@@ -279,38 +379,38 @@ def test_search_bits_are_pinned_in_the_seeded_tail():
 
 # budgets at the sign changes and far out, locations at the box ends and inside
 _B = st.sampled_from([0.0, 1.0, -1.0, 1e6, -1e6]) | st.floats(-1e6, 1e6)
-_MU = st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(kappa=st.floats(1.0, 100.0), b=_B, data=st.data())
 def test_line_objectives_return_the_reference_bits(kappa, b, data):
-    # each line hoists what stays fixed along it; every value must still be
-    # _objective's, bit for bit, or the search's pinned outputs would move
+    # the kept line hoists what stays fixed along it; every value must still
+    # be _objective's, bit for bit, or the search's pinned outputs would move
     theta = st.floats(0.5, 0.5 * kappa)
     kt = data.draw(st.lists(theta, min_size=1, max_size=11), label="kept theta")
     km = data.draw(st.lists(_MU, min_size=len(kt), max_size=len(kt)), label="kept mu")
-    t, t1, t2 = (data.draw(theta, label=name) for name in ("t", "t1", "t2"))
+    t1, t2 = (data.draw(theta, label=name) for name in ("t1", "t2"))
     m1, m2 = data.draw(_MU, label="m1"), data.draw(_MU, label="m2")
     # the aggregates as _ascend forms them, added in order
-    s = z0 = q0 = 0.0
-    for x, m in zip(kt, km):
-        s += m
-        z0 += 1.0 / x
-        q0 += 1.0 / (x * x)
+    s, z0, q0 = _aggregates(kt, km)
     z0_rest = z0 - 1.0 / kt[0]
     q0_rest = q0 - 1.0 / (kt[0] * kt[0])
 
-    grid = _theta_grid(0.5, 0.5 * kappa)
+    lo, hi = 0.5, 0.5 * kappa
+    grid = _theta_grid(lo, hi)
 
     def kept_line(x):
         return _objective(s, z0_rest + 1.0 / x, q0_rest + 1.0 / (x * x), b, t1, m1, t2, m2)
 
-    pairs = [
-        (_kept_theta_max(grid, s, z0_rest, q0_rest, b, t1, m1, t2, m2),
-         _line_max(kept_line, grid[0])),
-        (_t1_line(s, z0, q0, b, m1, t2, m2)(t), _objective(s, z0, q0, b, t, m1, t2, m2)),
-        (_t2_line(s, z0, q0, b, t1, m1, m2)(t), _objective(s, z0, q0, b, t1, m1, t, m2)),
-    ]
-    for got, want in pairs:
-        assert got.hex() == want.hex()
+    got = _kept_theta_max(grid, s, z0_rest, q0_rest, b, t1, m1, t2, m2)
+    assert got.hex() == _line_max(kept_line, grid[0]).hex()
+
+    # along the t1 and t2 lines a is monotone in 1/t, so the better box end
+    # scores at least the reference line search's argmax, up to the
+    # rounding of the three values: _ROUNDING times their scales
+    for line in (lambda x: (s, z0, q0, b, x, m1, t2, m2),
+                 lambda x: (s, z0, q0, b, t1, m1, x, m2)):
+        peak = _line_max(lambda x: _objective(*line(x)), grid[0])
+        ends = max(_objective(*line(lo)), _objective(*line(hi)))
+        scale = sum(_exact_objective(*line(x))[1] for x in (lo, hi, peak))
+        assert ends >= Fraction(_objective(*line(peak))) - Fraction(_ROUNDING) * scale
