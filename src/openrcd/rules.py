@@ -33,8 +33,8 @@ MAX_AGENTS = 1024
 
 #: most ascent starts a worst-case search takes per cell; a full cell is
 #: almost all seeded random starts, whose CPU cost grows with n: about
-#: 0.05 ms at n = 2, 0.4 ms at n = 12 (about 7 minutes a full cell) and
-#: 40-44 ms at n = 1024 (11 to 13 hours) on a 2-core Xeon
+#: 0.1 ms at n = 2, 0.4 ms at n = 12 (about 7 minutes a full cell), 8 ms
+#: at n = 256 and 30-50 ms at n = 1024 (9 to 15 hours) on a 2-core Xeon
 MAX_SEARCH_BUDGET = 2**20
 
 

@@ -20,11 +20,9 @@ agents' total move, and ``_objective``, the reference closed form, reads
 ``a^2 (q0 + z0^2)``.  It is convex in every location parameter, and along
 either of the replaced agent's curvatures ``q0 + z0^2`` stays fixed while
 ``a`` is monotone in ``1/t``; ``_objective`` scores all these lines at the
-box ends.  The kept curvatures have interior optima, so their lines take a
-grid scan plus golden-section refinement (47 points a line), which
-``_kept_theta_max`` writes out in one function over the grid's
-precomputed ``1/t`` and ``1/t^2``, with ``_objective``'s operands in its
-order, so each value carries its exact bits.
+box ends.  A kept curvature's line has interior optima, but its slope
+vanishes only where ``a`` does and at the roots of a cubic, so
+``_kept_theta_max`` scores the box ends and those roots: the exact maximum.
 
 The ascents of one search converge to a few states, so one
 ``maximize_displacement`` call shares its kept-curvature line maxima across
@@ -122,70 +120,78 @@ def _objective(s, z0, q0, b, t1, m1, t2, m2):
     z1 = z0 + 1.0 / t1
     z2 = z0 + 1.0 / t2
     a = (b - s) * ((t1 - t2) / (t1 * t2)) / (z1 * z2) - m1 / z1 + m2 / z2
-    return a * a * (q0 + z0 * z0)
+    value = a * a * (q0 + z0 * z0)
+    # a*a can overflow where the value, at most 4n (1 + |b| + n)^2, fits
+    return value if value < math.inf else (a * math.sqrt(q0 + z0 * z0)) ** 2
 
 
-_THETA_GRID = 17
-_GOLDEN_ITERS = 28
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _cubic_roots(a, b, c):
+    """Real roots of ``y^3 + a y^2 + b y + c``: scaled by a power-of-two root
+    bound, solved in closed form, each polished by two Newton steps."""
+    bound = math.ldexp(0.5, math.frexp(max(abs(a), math.sqrt(abs(b)), abs(c) ** (1 / 3)))[1])
+    a, b, c = a / bound, b / bound / bound, c / bound / bound / bound
+    shift = a / 3.0
+    p = b - a * shift
+    q = (2.0 * shift * shift - b) * shift + c
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc > 0.0 or p >= 0.0:   # one real root, u + v with u v = -p/3
+        u = (0.5 * abs(q) + math.sqrt(max(disc, 0.0))) ** (1 / 3)
+        ys = ((-q / (u * u + p / 3.0 + (p / (3.0 * u)) ** 2) if u else 0.0) - shift,)
+    else:   # three real roots, in trigonometric form
+        m = 2.0 * math.sqrt(p / -3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
+        ys = [m * math.cos(phi - k * 2.0943951023931957) - shift for k in range(3)]
+    roots = []
+    for y in ys:
+        for _ in range(2):
+            slope = (3.0 * y + 2.0 * a) * y + b
+            y -= (((y + a) * y + b) * y + c) / slope if slope else 0.0
+        roots.append(y * bound)
+    return roots
 
 
-def _theta_grid(lo, hi):
-    """The line scan's grid on ``[lo, hi]``, with its ``1/t`` and ``1/t^2``."""
-    xs = tuple(lo + (hi - lo) * g / (_THETA_GRID - 1) for g in range(_THETA_GRID))
-    return xs, tuple(1.0 / t for t in xs), tuple(1.0 / (t * t) for t in xs)
+def _stationary_cubic(c0, c1, z, big_a, sig, pi):
+    """``B/2`` of ``_kept_theta_candidates``, ``r^3`` first; exact on fractions."""
+    zs = z * (sig + z)
+    h = pi + zs
+    return (c1 * (2 * sig + 3 * z) - 2 * c0,
+            c1 * (4 * pi + 5 * zs - big_a) - 3 * z * c0,
+            3 * c1 * z * h + c0 * (2 * pi + z * sig - 2 * z * z - 2 * big_a),
+            c1 * (big_a + z * z) * h - c0 * (big_a * (sig + 2 * z) + z * (z * z - pi)))
 
 
-def _kept_theta_max(grid, s, z0_rest, q0_rest, b, t1, m1, t2, m2):
-    """Argmax of the kept curvature line ``t -> _objective(s, z0_rest + 1/t,
-    q0_rest + 1/t^2, b, t1, m1, t2, m2)`` on the grid ``(xs, 1/xs, 1/xs^2)``.
+def _kept_theta_candidates(lo, hi, s, z0_rest, q0_rest, b, t1, m1, t2, m2):
+    """``[lo, hi]``, then the stationary points inside the box of the line
+    ``t -> _objective(s, z0_rest + 1/t, q0_rest + 1/t^2, b, t1, m1, t2, m2)``.
 
-    A scan of the grid picks its first maximum, golden-section steps
-    refine between its neighbours, and the best of the three points seen
-    last wins.  The line's value is written out in place of a closure,
-    with ``_objective``'s operands in its order, so every value, and
-    hence the argmax, carries the same bits.
+    In ``r = 1/t`` the line is ``L^2 P / Q^2``: ``L = c0 + c1 r``, ``P = A +
+    r^2 + (z + r)^2``, ``Q = (z + r + r1)(z + r + r2)`` at ``z = z0_rest``,
+    ``A = q0_rest``, ``ri = 1/ti``.  Its slope has the sign of ``L B``, ``B =
+    (2 c1 P + L P') Q - 2 L P Q'`` a cubic, and ``L = 0`` only at its minima.
+    ``B`` is formed at ``z``, ``ri``, ``sqrt(A)``, ``1/hi`` and ``c0`` scaled
+    by one power of two, ``A`` by its square, so it neither overflows nor
+    underflows at any legal ``kappa`` and ``b``.
     """
-    xs, inv, inv_sq = grid
-    bk = (b - s) * ((t1 - t2) / (t1 * t2))
-    r1 = 1.0 / t1
-    r2 = 1.0 / t2
-    vals = []
-    for r, r_sq in zip(inv, inv_sq):
-        z0 = z0_rest + r
-        z1 = z0 + r1
-        z2 = z0 + r2
-        a = bk / (z1 * z2) - m1 / z1 + m2 / z2
-        vals.append(a * a * (q0_rest + r_sq + z0 * z0))
-    best = vals.index(max(vals))   # the first maximum
-    lo = xs[max(best - 1, 0)]
-    hi = xs[min(best + 1, _THETA_GRID - 1)]
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    # one new point a step; steps 0 and 1 score the two starting points
-    for step in range(_GOLDEN_ITERS + 2):
-        if step < 2:
-            left = step == 0
-            x = x1 if left else x2
-        else:
-            left = f1 >= f2
-            if left:
-                hi, x2, f2 = x2, x1, f1
-                x = x1 = hi - _INVPHI * (hi - lo)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x = x2 = lo + _INVPHI * (hi - lo)
-        z0 = z0_rest + 1.0 / x
-        z1 = z0 + r1
-        z2 = z0 + r2
-        a = bk / (z1 * z2) - m1 / z1 + m2 / z2
-        f = a * a * (q0_rest + 1.0 / (x * x) + z0 * z0)
-        if left:
-            f1 = f
-        else:
-            f2 = f
-    _, x = max((vals[best], xs[best]), (f1, x1), (f2, x2))
-    return x
+    r1, r2, c1 = 1.0 / t1, 1.0 / t2, m2 - m1
+    c0 = (b - s) * ((t1 - t2) / (t1 * t2)) - m1 * r2 + m2 * r1 + c1 * z0_rest
+    r_max = max(z0_rest, r1, r2, math.sqrt(abs(q0_rest)), 1.0 / hi)
+    scale = math.ldexp(1.0, -math.frexp(r_max)[1])
+    b3, b2, b1, b0 = _stationary_cubic(c0 * scale, c1, z0_rest * scale, q0_rest * scale * scale,
+                                       (r1 + r2) * scale, r1 * scale * r2 * scale)
+    ts = [lo, hi]
+    while not b3 and (b2 or b1 or b0):   # times r: its root 0 is outside the box
+        b3, b2, b1, b0 = b2, b1, b0, 0.0
+    for y in _cubic_roots(b2 / b3, b1 / b3, b0 / b3) if b3 else ():
+        if 1.0 / hi < y / scale < 1.0 / lo:
+            ts.append(min(max(scale / y, lo), hi))
+    return ts
+
+
+def _kept_theta_max(lo, hi, s, z0_rest, q0_rest, *rest):
+    """The first of ``_kept_theta_candidates`` with the largest ``_objective``."""
+    ts = _kept_theta_candidates(lo, hi, s, z0_rest, q0_rest, *rest)
+    values = [_objective(s, z0_rest + 1.0 / t, q0_rest + 1.0 / (t * t), *rest) for t in ts]
+    return ts[values.index(max(values))]
 
 
 #: most line maxima one search keeps; the fig2-analogue cells hold at
@@ -194,26 +200,20 @@ _LINE_CACHE_CAP = 1 << 14
 
 
 def _line_maxima(lo, hi, cap):
-    """``argmax(*args)``: ``_kept_theta_max`` on the grid of ``[lo, hi]``.
+    """``_kept_theta_max`` on ``[lo, hi]`` in an LRU cache of ``cap`` lines,
+    with ``.box = (lo, hi)`` and ``.tails``, the search's table of converged
+    ascent tails (see ``_ascend``); ``cap = 0`` turns off both caches.
 
-    The grid is built once, from ``lo`` and ``hi`` alone, and the
-    arguments key an LRU cache of ``cap`` entries; ``cap = 0`` recomputes
-    every line.  ``argmax.box`` is ``(lo, hi)``, and ``argmax.tails`` the
-    search's table of converged ascent tails (see ``_ascend``); ``cap = 0``
-    turns it off too.
-
-    Python float keys alias ``0.0`` with ``-0.0``; that is harmless
-    because every input reaches the objective's value only through sums,
-    products and quotients that end in a square, and
-    ``x + 0.0 == x - 0.0 == x`` for ``x != 0``, so a zero's sign can flip
-    only the sign of an intermediate zero, which the square drops.  In a
-    tail key only ``b`` can be zero, and the same argument covers it:
-    from sweep 1 on every location is ``+-1``, every curvature is
-    positive, and ``best`` (``a*a*(q0 + z0*z0)`` with ``q0 > 0``) is never
-    ``-0.0``.
+    Python float keys alias ``0.0`` with ``-0.0``; that is harmless:
+    ``x + 0.0 == x - 0.0 == x`` for ``x != 0``, and the line divides only
+    by numbers that cannot be zero and calls no ``copysign``, so a zero's
+    sign can flip only the sign of a zero: of a root, which lies outside
+    the box, or of ``a``, which the square drops.  In a tail key only ``b``
+    can be zero, and the same argument covers it: from sweep 1 on every
+    location is ``+-1``, every curvature positive, and ``best``
+    (``a*a*(q0 + z0*z0)`` with ``q0 > 0``) never ``-0.0``.
     """
-    argmax = functools.lru_cache(maxsize=cap)(
-        functools.partial(_kept_theta_max, _theta_grid(lo, hi)))
+    argmax = functools.lru_cache(maxsize=cap)(functools.partial(_kept_theta_max, lo, hi))
     argmax.box = lo, hi
     argmax.tails = {}
     return argmax

@@ -206,15 +206,18 @@ def test_worstcase_csv_and_svg(tmp_path):
 
 @pytest.mark.parametrize("n", ["2", "1024"])
 def test_worstcase_svg_of_one_huge_point(n, tmp_path):
-    # the search reads inf, so each kappa's plot is the conjecture alone, a
-    # lone y of 5e100 (n = 2) or 1e103: widening it by 1.0 left no range and
-    # ended in a math domain error after worstcase.csv was written
+    # one n a kappa: each series is a lone point, the search's 2e300 and the
+    # conjecture's 5e100 (n = 2) or 1e103; when the search read inf the
+    # conjecture was plotted alone, and widening its lone y by 1.0 left no
+    # range and ended in a math domain error after worstcase.csv was written
     out = tmp_path / "w"
     assert main(["worstcase", "--n", n, "--kappa", "1e100", "--b", "1e150",
                  "--budget", "3", "--out", str(out)]) == 0
+    assert 1e300 < float(read_rows(out / "worstcase.csv")[0]["empirical_max"]) < math.inf
     tree = ET.parse(out / "worstcase.svg")
-    points = tree.getroot().findall(".//{http://www.w3.org/2000/svg}polyline")[1].get("points")
-    assert len(points.split()) == 1 and "nan" not in points
+    for line in tree.getroot().findall(".//{http://www.w3.org/2000/svg}polyline"):
+        points = line.get("points")
+        assert len(points.split()) == 1 and "nan" not in points
 
 
 def test_worstcase_is_exact_at_the_largest_budget(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,18 +17,17 @@ from openrcd.bounds import (
     displacement_bound_quadratic,
 )
 from openrcd.functions import ConvexityCertificate
-from openrcd.rules import MAX_SEARCH_BUDGET, _check_search_budget
+from openrcd.rules import MAX_ABS_BUDGET, MAX_KAPPA, MAX_SEARCH_BUDGET, _check_search_budget
 from openrcd.worstcase import (
-    _GOLDEN_ITERS,
-    _INVPHI,
     ReplacementInstance,
     _aggregates,
     _ascend,
+    _kept_theta_candidates,
     _kept_theta_max,
     _line_maxima,
     _objective,
     _start_sequence,
-    _theta_grid,
+    _stationary_cubic,
     displacement,
     maximize_displacement,
     sweep,
@@ -274,9 +274,20 @@ def test_the_search_budget_cap_itself_is_legal():
     assert _check_search_budget("search_budget", MAX_SEARCH_BUDGET) == MAX_SEARCH_BUDGET
 
 
+_THETA_GRID = 17
+_GOLDEN_ITERS = 28
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _theta_grid(lo, hi):
+    return [lo + (hi - lo) * g / (_THETA_GRID - 1) for g in range(_THETA_GRID)]
+
+
 def _line_max(func, xs):
-    """Argmax of ``func`` by a scan of the grid ``xs`` plus golden refinement,
-    the reference ``_kept_theta_max`` is held to."""
+    """Argmax of ``func`` by a scan of the grid ``xs`` plus golden refinement
+    between the best point's neighbours: the reference line search, which
+    the search ran on every kept curvature line before it solved the
+    line's stationary cubic."""
     vals = list(map(func, xs))
     best = vals.index(max(vals))   # the first maximum
     a = xs[max(best - 1, 0)]
@@ -355,6 +366,14 @@ def test_objective_is_the_displacement_and_rounds_within_its_bound(n, kappa, b, 
     assert abs(Fraction(_objective(*args)) - exact) <= Fraction(_ROUNDING) * scale
 
 
+def _assert_exact_at_the_witness(value, w):
+    # the witness's exact displacement, within _objective's rounding bound
+    kt, km, b = w.kept_theta, w.kept_mu, w.budget
+    args = (*_aggregates(kt, km), b, *w.replaced_before, *w.replaced_after)
+    exact = _exact_displacement(kt, km, *w.replaced_before, *w.replaced_after, b)
+    assert abs(Fraction(value) - exact) <= Fraction(_ROUNDING) * _exact_objective(*args)[1]
+
+
 def test_sweep_bits_are_pinned_past_the_corner_starts():
     # budget 100 passes the 64 corner starts into the mixed templates, at
     # b < 0 and kappa = 50; the fig2-analogue digests (budget 48) reach neither
@@ -362,30 +381,72 @@ def test_sweep_bits_are_pinned_past_the_corner_starts():
     assert [row.empirical_max.hex() for row in rows] == [
         "0x1.0000000000000p+3", "0x1.0fac687d63440p+3",
         "0x1.2000000000001p+3", "0x1.2f684bda12f68p+3",
-        "0x1.5dc635f36b274p+4", "0x1.e1623276449c8p+4",
-        "0x1.37a670b913b48p+5", "0x1.82ed561928f13p+5",
+        "0x1.5dc635f36b27bp+4", "0x1.e1623276449d4p+4",
+        "0x1.37a670b913b4cp+5", "0x1.82ed561928f6bp+5",
     ]
+    for ki, kappa in enumerate([3.0, 50.0]):
+        for ni, n in enumerate(range(2, 6)):
+            res = maximize_displacement(n, kappa, -2.0, 100, seed=11 + 7919 * (ki * 1000 + ni))
+            assert res.value == rows[4 * ki + ni].empirical_max
+            _assert_exact_at_the_witness(res.value, res.witness)
 
 
 def test_search_bits_are_pinned_in_the_seeded_tail():
     res = maximize_displacement(4, 20.0, 0.5, 760, seed=3)
     w = res.witness
-    assert res.value.hex() == "0x1.1ae4ba0c7cacep+4"
+    assert res.value.hex() == "0x1.1ae4ba0c7caedp+4"
     assert [t.hex() for t in w.kept_theta] == [
-        "0x1.4000000000000p+3", "0x1.4000000000000p+3", "0x1.0f71786912ddap+0"]
+        "0x1.4000000000000p+3", "0x1.4000000000000p+3", "0x1.0f71749c6ef97p+0"]
     assert w.kept_mu == (-1.0, -1.0, -1.0)
-    assert w.replaced_before == (10.0, -1.0) and w.replaced_after == (0.5, 1.0)
+    assert w.replaced_before == (0.5, 1.0) and w.replaced_after == (10.0, -1.0)
+    _assert_exact_at_the_witness(res.value, w)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_value_fits_where_a_squared_overflows(n):
+    # a is about 5e249 here, so a*a overflowed and the search read inf,
+    # picking an arbitrary kept theta on lines where every value was inf
+    res = maximize_displacement(n, MAX_KAPPA, MAX_ABS_BUDGET, 3, 0)
+    w = res.witness
+    exact = _exact_displacement(
+        w.kept_theta, w.kept_mu, *w.replaced_before, *w.replaced_after, w.budget)
+    assert res.value == pytest.approx(float(exact), rel=1e-12)
+    assert res.value > 1e300
 
 
 # budgets at the sign changes and far out, locations at the box ends and inside
 _B = st.sampled_from([0.0, 1.0, -1.0, 1e6, -1e6]) | st.floats(-1e6, 1e6)
 
 
+def _kept_line(line):
+    """``x -> _objective``'s arguments on the kept curvature line ``line =
+    (s, z0_rest, q0_rest, b, t1, m1, t2, m2)``, summed as ``_ascend`` sums."""
+    s, z0_rest, q0_rest, *rest = line
+    return lambda x: (s, z0_rest + 1.0 / x, q0_rest + 1.0 / (x * x), *rest)
+
+
+def _assert_line_maximum(lo, hi, line):
+    # the exact maximum lies in the box and scores at least the reference
+    # line search on an even and on a geometric grid, up to the rounding of
+    # both values: _ROUNDING times their scales
+    args = _kept_line(line)
+    got = _kept_theta_max(lo, hi, *line)
+    assert lo <= got <= hi
+    value = Fraction(_objective(*args(got)))
+    geometric = [min(lo * (hi / lo) ** (g / 16), hi) for g in range(17)]
+    for grid in (_theta_grid(lo, hi), geometric):
+        ref = _line_max(lambda x: _objective(*args(x)), grid)
+        scale = _exact_objective(*args(got))[1] + _exact_objective(*args(ref))[1]
+        assert value >= Fraction(_objective(*args(ref))) - Fraction(_ROUNDING) * scale
+
+
 @settings(max_examples=300, deadline=None)
 @given(kappa=st.floats(1.0, 100.0), b=_B, data=st.data())
 def test_line_objectives_return_the_reference_bits(kappa, b, data):
-    # the kept line hoists what stays fixed along it; every value must still
-    # be _objective's, bit for bit, or the search's pinned outputs would move
+    # the kept line scores its candidates with _objective at the sums
+    # _ascend forms, and the t1 and t2 lines are scored at the box ends;
+    # every value must be _objective's, bit for bit, or the search's pinned
+    # outputs would move
     theta = st.floats(0.5, 0.5 * kappa)
     kt = data.draw(st.lists(theta, min_size=1, max_size=11), label="kept theta")
     km = data.draw(st.lists(_MU, min_size=len(kt), max_size=len(kt)), label="kept mu")
@@ -395,22 +456,129 @@ def test_line_objectives_return_the_reference_bits(kappa, b, data):
     s, z0, q0 = _aggregates(kt, km)
     z0_rest = z0 - 1.0 / kt[0]
     q0_rest = q0 - 1.0 / (kt[0] * kt[0])
+    line = (s, z0_rest, q0_rest, b, t1, m1, t2, m2)
 
     lo, hi = 0.5, 0.5 * kappa
     grid = _theta_grid(lo, hi)
-
-    def kept_line(x):
-        return _objective(s, z0_rest + 1.0 / x, q0_rest + 1.0 / (x * x), b, t1, m1, t2, m2)
-
-    got = _kept_theta_max(grid, s, z0_rest, q0_rest, b, t1, m1, t2, m2)
-    assert got.hex() == _line_max(kept_line, grid[0]).hex()
+    args = _kept_line(line)
+    ts = _kept_theta_candidates(lo, hi, *line)
+    values = [_objective(*args(t)) for t in ts]
+    assert _kept_theta_max(lo, hi, *line).hex() == ts[values.index(max(values))].hex()
+    assert ts[:2] == [lo, hi] and all(lo <= t <= hi for t in ts)
 
     # along the t1 and t2 lines a is monotone in 1/t, so the better box end
     # scores at least the reference line search's argmax, up to the
     # rounding of the three values: _ROUNDING times their scales
     for line in (lambda x: (s, z0, q0, b, x, m1, t2, m2),
                  lambda x: (s, z0, q0, b, t1, m1, x, m2)):
-        peak = _line_max(lambda x: _objective(*line(x)), grid[0])
+        peak = _line_max(lambda x: _objective(*line(x)), grid)
         ends = max(_objective(*line(lo)), _objective(*line(hi)))
         scale = sum(_exact_objective(*line(x))[1] for x in (lo, hi, peak))
         assert ends >= Fraction(_objective(*line(peak))) - Fraction(_ROUNDING) * scale
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(lambda e: min(max(math.exp(e), lo), hi))
+
+
+_SIGN = st.sampled_from([-1.0, 1.0])
+_ANY_B = st.sampled_from([0.0, 1.0, -1.0, 1e16, -1e17, MAX_ABS_BUDGET, -MAX_ABS_BUDGET]) \
+    | st.floats(-MAX_ABS_BUDGET, MAX_ABS_BUDGET) \
+    | st.builds(lambda sign, mag: sign * mag, _SIGN, _log_uniform(1e-12, MAX_ABS_BUDGET))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa=_log_uniform(1.0, MAX_KAPPA) | st.sampled_from([1.0, 2.0, MAX_KAPPA]),
+       b=_ANY_B, data=st.data())
+def test_kept_line_maximum_holds_at_every_legal_scale(kappa, b, data):
+    # kappa up to 1e100 and |b| up to 1e150 once underflowed or missed
+    # roots of a naively expanded cubic
+    lo, hi = 0.5, 0.5 * kappa
+    theta = st.sampled_from([lo, hi]) | st.floats(lo, hi) | _log_uniform(lo, hi)
+    kt = data.draw(st.lists(theta, min_size=1, max_size=11), label="kept theta")
+    km = data.draw(st.lists(_MU, min_size=len(kt), max_size=len(kt)), label="kept mu")
+    t1, t2 = (data.draw(theta, label=name) for name in ("t1", "t2"))
+    m1, m2 = data.draw(_MU, label="m1"), data.draw(_MU, label="m2")
+    s, z0, q0 = _aggregates(kt, km)
+    _assert_line_maximum(lo, hi, (s, z0 - 1.0 / kt[0], q0 - 1.0 / (kt[0] * kt[0]),
+                                  b, t1, m1, t2, m2))
+
+
+def test_kept_line_maximum_holds_on_the_fig2_analogue_lines(monkeypatch):
+    # every line the fig2-analogue preset (n = 2:12, kappa = 2,5, b = 1,
+    # budget 48) asks for
+    asked = set()
+
+    def record(lo, hi, *line):
+        asked.add((lo, hi, *line))
+        return kept_theta_max(lo, hi, *line)
+
+    kept_theta_max = worstcase._kept_theta_max
+    monkeypatch.setattr(worstcase, "_kept_theta_max", record)
+    sweep(range(2, 13), [2.0, 5.0], 1.0, 48, seed=7)
+    monkeypatch.undo()
+    assert len(asked) > 3000
+    for lo, hi, *line in asked:
+        _assert_line_maximum(lo, hi, line)
+
+
+@pytest.mark.parametrize("kappa, kt, km, b, t1, m1, t2, m2, interior", [
+    # at kappa = 1.1e96 the cubic formed at unscaled inputs missed the peak
+    (1.1073087877853357e+96, [3.850311082367112e+95, 5.536543938926679e+95], [-1.0, -1.0],
+     -4.486151975040047e+54, 5.337393066244598e+92, 0.8909473708386977,
+     5.536543938926679e+95, -0.9175878913676301, 1),
+    # the r^3 coefficient of B is exactly 0 here: B is a quadratic
+    (100.0, [2.0, 1.0], [1.0, -1.0], -4.0, 0.5, -1.0, 1.0, 1.0, 1),
+    # two maxima inside the box; the one at the larger t is higher
+    (3.187352645939275e+45, [1.0818180442922831e+45, 9.79937085866202e+44,
+                             8.094012015940287e+44, 1.5936763229696374e+45, 248195834.62581912],
+     [1.0, -1.0, 1.0, -1.0, 1.0], 0.0, 3.537314762785802e+43, -1.0, 0.5, -1.0, 2),
+])
+def test_kept_line_maximum_on_hard_lines(kappa, kt, km, b, t1, m1, t2, m2, interior):
+    s, z0, q0 = _aggregates(kt, km)
+    line = (s, z0 - 1.0 / kt[0], q0 - 1.0 / (kt[0] * kt[0]), b, t1, m1, t2, m2)
+    assert len(_kept_theta_candidates(0.5, 0.5 * kappa, *line)) == 2 + interior
+    _assert_line_maximum(0.5, 0.5 * kappa, line)
+
+
+_FRACTION = st.fractions(-8, 8, max_denominator=64)
+_NONNEGATIVE = st.fractions(0, 8, max_denominator=64)
+_POSITIVE = st.fractions(Fraction(1, 64), 8, max_denominator=64)
+
+
+@settings(max_examples=50, deadline=None)
+@given(c0=_FRACTION, c1=_FRACTION, z=_NONNEGATIVE, big_a=_NONNEGATIVE, r1=_POSITIVE,
+       r2=_POSITIVE, rs=st.lists(_FRACTION, min_size=5, max_size=5, unique=True))
+def test_stationary_cubic_is_the_slope_numerator(c0, c1, z, big_a, r1, r2, rs):
+    # B = (2 c1 P + L P') Q - 2 L P Q' has degree at most 4, so agreeing at
+    # five points makes 2 (c0 D0 + c1 D1) the same polynomial
+    coeffs = _stationary_cubic(c0, c1, z, big_a, r1 + r2, r1 * r2)
+    for r in rs:
+        big_l, big_p = c0 + c1 * r, big_a + r * r + (z + r) ** 2
+        big_q = (z + r + r1) * (z + r + r2)
+        slope = (2 * c1 * big_p + big_l * (4 * r + 2 * z)) * big_q \
+            - 2 * big_l * big_p * (2 * (z + r) + r1 + r2)
+        assert slope == 2 * sum(c * r ** (3 - k) for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("hi", [10.0, 0.5 * MAX_KAPPA])
+@pytest.mark.parametrize("line", [
+    # (s, z0_rest, q0_rest, b, t1, m1, t2, m2): each zero takes both signs
+    (0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.5),      # n = 2, c0 = 0, c1 != 0
+    (0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 1.0, 0.0),      # c0 = c1 = 0: a flat line
+    (0.0, 0.0, 0.0, 0.0, 2.0, -1.0, 0.5, 1.0),     # b = s
+    (0.0, 0.0, 0.0, 0.0, 2.0, 1.0, 2.0, 1.0),      # t1 = t2, m1 = m2
+    (0.0, 0.75, 0.3125, 0.0, 0.5, -1.0, 4.0, 0.0),
+    (1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 4.0, -1.0),
+])
+def test_line_maxima_ignore_the_sign_of_a_zero(line, hi):
+    # the line cache aliases 0.0 with -0.0 in its keys (see _line_maxima)
+    zeros = [i for i, x in enumerate(line) if x == 0.0]
+    found = set()
+    for signs in itertools.product([0.0, -0.0], repeat=len(zeros)):
+        flipped = list(line)
+        for i, zero in zip(zeros, signs):
+            flipped[i] = zero
+        ts = _kept_theta_candidates(0.5, hi, *flipped)
+        found.add((_kept_theta_max(0.5, hi, *flipped).hex(), *(t.hex() for t in ts)))
+    assert len(found) == 1
